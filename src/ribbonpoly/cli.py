@@ -17,7 +17,7 @@ from typing import Sequence
 from .brauer import brauer_evaluate, fpf_permutations, gram_det
 from .fixtures import MAP_FIXTURES, bundled_fixture_paths
 from .generate import cubic_maps, is_bridgeless
-from .invariants import flow_poly, s_poly, virtual_chromatic
+from .invariants import flow_poly, resolve_engine, s_poly, virtual_chromatic
 from .maps import CombMap, InvalidMapError
 from .penrose import cellular_embedding_poly, w_sl_extended, w_so
 from .spatial import (
@@ -75,12 +75,6 @@ def _report(obj, engine: str, polynomials: dict, verdicts: dict) -> str:
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def _resolved_engine(m: CombMap, engine: str) -> str:
-    if engine == "auto":
-        return "state-sum" if m.edge_count <= 13 else "contraction-deletion"
-    return engine
-
-
 def _cmd_invariant(args) -> int:
     m = _load_map(args.file)
     engine = args.engine
@@ -89,12 +83,12 @@ def _cmd_invariant(args) -> int:
             poly = brauer_evaluate(m)
             used = "brauer"
         else:
-            used = _resolved_engine(m, engine)
+            used = resolve_engine(m, engine)
             poly = s_poly(m, engine=used)
     elif args.poly == "f":
         if engine == "brauer":
             raise CliError("the brauer engine computes S only")
-        used = _resolved_engine(m, engine)
+        used = resolve_engine(m, engine)
         poly = flow_poly(m, engine=used)
     else:
         if engine != "auto":
@@ -278,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_obstruction)
 
     p = sub.add_parser("check", help="engine agreement on the bundled fixtures")
-    p.add_argument("--allow-long", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 

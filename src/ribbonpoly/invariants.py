@@ -14,10 +14,9 @@ test suite can cross-check them term by term.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
 from .maps import CombMap
@@ -34,110 +33,182 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Spanning-subgraph surface data (fast path used by the state sums).
+# Incremental walks over the 2^E spanning subgraphs.
 # ---------------------------------------------------------------------------
 
 
-def subgraph_euler(m: CombMap, removed_mask: int) -> tuple[int, int, int, int]:
-    """(components, first betti, faces, genus) after deleting masked edges.
+def _gray_toggles(count: int) -> Iterator[int]:
+    """The element toggled at each step of the reflected Gray code on ``count`` bits.
 
-    Vertices are all kept.  The map must be twist-free.
+    Starting from the empty set, the 2^count - 1 toggles visit every subset
+    exactly once (Knuth, TAOCP 4A, 7.2.1.1).
     """
-    v = m.vertex_count
-    e_total = m.edge_count
-    removed = removed_mask
-    e = e_total - bin(removed).count("1")
+    for i in range(1, 1 << count):
+        yield (i & -i).bit_length() - 1
 
-    parent = list(range(v))
 
-    def find(x: int) -> int:
+class _FaceWalker:
+    """Faces of the spanning subgraph G - T while single edges of T are toggled.
+
+    The reduced rotation of the kept half-edges is held as doubly linked cycles
+    ``nxt``/``prv``, and faces are the orbits of h -> nxt[alpha[h]], with a
+    vertex left without half-edges counted as a face.  In an oriented map,
+    deleting an edge whose two half-edges lie on one face splits that face, and
+    deleting one whose half-edges lie on two faces merges them (an emptied
+    vertex is the face left by its last loop or pendant edge).  Inserting the
+    edge does the reverse, so each toggle moves the count by exactly one and
+    needs only a partial trace of the orbits through the edge.  The map must
+    be twist-free.
+    """
+
+    __slots__ = ("alpha", "sigma_inv", "ends", "nxt", "prv", "present", "kept_edges", "faces")
+
+    def __init__(self, m: CombMap) -> None:
+        self.alpha = m.alpha
+        self.sigma_inv = m.sigma_inv
+        self.ends = m.edges
+        self.nxt = list(m.sigma)
+        self.prv = list(m.sigma_inv)
+        self.present = [True] * m.half_edge_count
+        self.kept_edges = m.edge_count
+        self.faces = m.face_count
+
+    def toggle(self, e: int) -> int:
+        """Delete edge ``e`` if it is kept and re-insert it otherwise.
+
+        Returns the change in kept edges plus faces: -2, 0 or 2, twice the
+        change in b1 - genus.
+        """
+        a, b = self.ends[e]
+        nxt, prv, present = self.nxt, self.prv, self.present
+        if present[a]:
+            change = 1 if self._same_face(a, b) else -1
+            for h in (a, b):
+                p, n = prv[h], nxt[h]
+                nxt[p] = n
+                prv[n] = p
+                present[h] = False
+            self.kept_edges -= 1
+            self.faces += change
+            return change - 1
+        sigma_inv = self.sigma_inv
+        for h in (a, b):
+            # splice h in after the nearest present half-edge before it in the rotation
+            p = sigma_inv[h]
+            while p != h and not present[p]:
+                p = sigma_inv[p]
+            n = nxt[p] if p != h else h
+            nxt[p] = h
+            prv[h] = p
+            nxt[h] = n
+            prv[n] = h
+            present[h] = True
+        change = -1 if self._same_face(a, b) else 1
+        self.kept_edges += 1
+        self.faces += change
+        return change + 1
+
+    def _same_face(self, a: int, b: int) -> bool:
+        # Trace both orbits in step, so the cost is bounded by the shorter one.
+        nxt, alpha = self.nxt, self.alpha
+        x, y = a, b
+        while True:
+            x = nxt[alpha[x]]
+            if x == b:
+                return True
+            if x == a:
+                return False
+            y = nxt[alpha[y]]
+            if y == a:
+                return True
+            if y == b:
+                return False
+
+
+class _UnionFind:
+    """Union by size without path compression, so unions undo in reverse order."""
+
+    __slots__ = ("parent", "size", "components")
+
+    def __init__(self, count: int) -> None:
+        self.parent = list(range(count))
+        self.size = [1] * count
+        self.components = count
+
+    def _find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for index, (a, b) in enumerate(m.edges):
-        if removed >> index & 1:
-            continue
-        ra, rb = find(m.vertex_of[a]), find(m.vertex_of[b])
-        if ra != rb:
-            parent[ra] = rb
-    b0 = len({find(i) for i in range(v)})
-    b1 = e - v + b0
+    def union(self, x: int, y: int) -> int:
+        """Join the classes of x and y; return the absorbed root, or -1 if already joined."""
+        x, y = self._find(x), self._find(y)
+        if x == y:
+            return -1
+        if self.size[x] > self.size[y]:
+            x, y = y, x
+        self.parent[x] = y
+        self.size[y] += self.size[x]
+        self.components -= 1
+        return x
 
-    # reduced rotation: skip half-edges of removed edges
-    reduced_next: dict[int, int] = {}
-    empty_vertices = 0
-    for cycle in m.vertices:
-        surviving = [h for h in cycle if not removed >> m.edge_of[h] & 1]
-        if not surviving:
-            empty_vertices += 1
-            continue
-        size = len(surviving)
-        for i, h in enumerate(surviving):
-            reduced_next[h] = surviving[(i + 1) % size]
-    faces = empty_vertices
-    seen: set[int] = set()
-    for start in reduced_next:
-        if start in seen:
-            continue
-        faces += 1
-        h = start
-        while h not in seen:
-            seen.add(h)
-            h = reduced_next[m.alpha[h]]
-    genus2 = 2 * b0 + e - v - faces
-    assert genus2 % 2 == 0 and genus2 >= 0
-    return b0, b1, faces, genus2 // 2
+    def undo(self, root: int) -> None:
+        """Reverse the latest union still in force, given the root it returned."""
+        if root < 0:
+            return
+        top = self.parent[root]
+        self.parent[root] = root
+        self.size[top] -= self.size[root]
+        self.components += 1
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RIBBONPOLY_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _check_doubled(value: int) -> None:
+    # Twice a genus, or twice b1 - genus, of a subgraph in an oriented surface.
+    if value % 2 or value < 0:
+        raise ValueError(f"face count is inconsistent with an oriented surface: doubled value {value}")
 
 
-def _gray_masks(e: int) -> Iterable[int]:
-    # Subsets in Gray-code order; every subset is recomputed from scratch.
-    for i in range(1 << e):
-        yield i ^ (i >> 1)
+def _s_exponents(m: CombMap) -> dict[int, int]:
+    """Signed subset counts of S by doubled exponent 2(b1 - genus)(G - T).
+
+    b1 - genus = (kept edges - vertices + faces) / 2, counting emptied
+    vertices as faces, so a Gray-code walk needs only the face count.
+    """
+    walker = _FaceWalker(m)
+    sign = 1
+    doubled = walker.kept_edges - m.vertex_count + walker.faces
+    tally = {doubled: 1}
+    for e in _gray_toggles(m.edge_count):
+        doubled += walker.toggle(e)
+        sign = -sign
+        tally[doubled] = tally.get(doubled, 0) + sign
+    for doubled in tally:
+        _check_doubled(doubled)
+    return tally
 
 
-def _state_sum_range(m: CombMap, start: int, stop: int, with_genus: bool) -> dict[int, int]:
-    exponents: dict[int, int] = {}
-    for i in range(start, stop):
-        mask = i ^ (i >> 1)
-        b0, b1, _faces, genus = subgraph_euler(m, mask)
-        exp = b1 - genus if with_genus else b1
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        exponents[exp] = exponents.get(exp, 0) + sign
-    return exponents
+def _flow_exponents(m: CombMap) -> dict[int, int]:
+    """Signed subset counts of the flow polynomial by doubled nullity 2 b1(G - T).
 
+    Visits the kept edge sets depth first, adding edges to one union-find and
+    undoing them on the way back; the rotation plays no part.
+    """
+    v, e_total = m.vertex_count, m.edge_count
+    ends = [(m.vertex_of[a], m.vertex_of[b]) for a, b in m.edges]
+    forest = _UnionFind(v)
+    tally: dict[int, int] = {}
 
-def _state_sum(m: CombMap, with_genus: bool, chunk_threshold: int = 16) -> HalfLaurent:
-    e = m.edge_count
-    total = 1 << e
-    workers = _worker_count()
-    if workers > 1 and e >= chunk_threshold:
-        from concurrent.futures import ProcessPoolExecutor
+    def visit(start: int, kept: int, sign: int) -> None:
+        doubled = 2 * (kept - v + forest.components)
+        tally[doubled] = tally.get(doubled, 0) + sign
+        for j in range(start, e_total):
+            root = forest.union(*ends[j])
+            visit(j + 1, kept + 1, -sign)
+            forest.undo(root)
 
-        chunk = (total + workers - 1) // workers
-        spans = [(k, min(k + chunk, total)) for k in range(0, total, chunk)]
-        merged: dict[int, int] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_state_sum_worker, [(m, a, b, with_genus) for a, b in spans]):
-                for exp, coeff in part.items():
-                    merged[exp] = merged.get(exp, 0) + coeff
-        exponents = merged
-    else:
-        exponents = _state_sum_range(m, 0, total, with_genus)
-    return HalfLaurent.from_dict("Q", {2 * exp: coeff for exp, coeff in exponents.items()})
-
-
-def _state_sum_worker(args: tuple) -> dict[int, int]:
-    m, start, stop, with_genus = args
-    return _state_sum_range(m, start, stop, with_genus)
+    visit(0, 0, -1 if e_total % 2 else 1)
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +216,22 @@ def _state_sum_worker(args: tuple) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def resolve_engine(m: CombMap, engine: str) -> str:
+    """The engine that computes S or flow.
+
+    ``auto`` takes the state sum through 13 edges and contraction-deletion
+    beyond; any other name is returned unchanged.
+    """
+    if engine == "auto":
+        return "state-sum" if m.edge_count <= 13 else "contraction-deletion"
+    return engine
+
+
 def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     """Flow polynomial; blind to rotations and twists."""
-    if engine == "auto":
-        engine = "state-sum" if m.edge_count <= 13 else "contraction-deletion"
+    engine = resolve_engine(m, engine)
     if engine == "state-sum":
-        return _state_sum(m, with_genus=False)
+        return HalfLaurent.from_dict("Q", _flow_exponents(m))
     if engine == "contraction-deletion":
         return _flow_cd(m)
     raise ValueError(f"unknown flow engine {engine!r}")
@@ -197,10 +278,9 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
         )
-    if engine == "auto":
-        engine = "state-sum" if m.edge_count <= 13 else "contraction-deletion"
+    engine = resolve_engine(m, engine)
     if engine == "state-sum":
-        return _state_sum(m, with_genus=True)
+        return HalfLaurent.from_dict("Q", _s_exponents(m))
     if engine == "contraction-deletion":
         return _s_cd(m)
     if engine == "brauer":
@@ -234,19 +314,17 @@ def _s_cd_compute(m: CombMap) -> HalfLaurent:
 
 
 def s_poly_at(m: CombMap, value: Fraction | int) -> Fraction:
-    """Evaluate S at a rational point by a direct integer state sum."""
+    """Evaluate S at a rational point from the integer state-sum tally."""
     if m.edge_twists:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
         )
     point = Fraction(value)
     total = Fraction(0)
-    for mask in _gray_masks(m.edge_count):
-        b0, b1, _faces, genus = subgraph_euler(m, mask)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        exp = b1 - genus
+    for doubled, coeff in _s_exponents(m).items():
+        exp = doubled // 2
         term = point**exp if point != 0 else Fraction(1 if exp == 0 else 0)
-        total += sign * term
+        total += coeff * term
     return total
 
 
@@ -264,17 +342,46 @@ def krushkal_poly(m: CombMap) -> KrushkalPoly:
     """
     if m.edge_twists:
         raise ValueError("the rank polynomial needs a twist-free map")
+    # A spanning subgraph G|A and the dual subgraph G*|A^c have the same
+    # boundary components, so one face walk serves both genera; each side's
+    # components come from a union-find over the edges it keeps.
     dual = m.geometric_dual()
+    v, dual_v, e_total = m.vertex_count, dual.vertex_count, m.edge_count
     base_b0 = m.component_count
-    e = m.edge_count
-    data: dict[tuple[int, int, int, int], Fraction] = {}
-    for mask in range(1 << e):
-        b0, b1, _faces, genus = subgraph_euler(m, mask)
-        # keep exactly the dual edges of the removed set
-        dual_mask = ((1 << e) - 1) ^ mask
-        _db0, _db1, _dfaces, dual_genus = subgraph_euler(dual, dual_mask)
-        key = (b0 - base_b0, b1, 2 * genus, 2 * dual_genus)
-        data[key] = data.get(key, Fraction(0)) + Fraction(1)
+    walker = _FaceWalker(m)
+    primal, dual_forest = _UnionFind(v), _UnionFind(dual_v)
+    ends = [
+        ((m.vertex_of[a], m.vertex_of[b]), (dual.vertex_of[a], dual.vertex_of[b]))
+        for a, b in m.edges
+    ]
+    data: dict[tuple[int, int, int, int], int] = {}
+
+    def visit(d: int) -> None:
+        # Edges below d are fixed and held in the union-finds.  Edge d takes
+        # its current state, then the other one, so consecutive leaves differ
+        # by one walker toggle: a reflected Gray code.
+        if d == e_total:
+            kept, faces = walker.kept_edges, walker.faces
+            b0 = primal.components
+            genus2 = 2 * b0 + kept - v - faces
+            dual_genus2 = 2 * dual_forest.components + (e_total - kept) - dual_v - faces
+            _check_doubled(genus2)
+            _check_doubled(dual_genus2)
+            key = (b0 - base_b0, kept - v + b0, genus2, dual_genus2)
+            data[key] = data.get(key, 0) + 1
+            return
+        primal_ends, dual_ends = ends[d]
+        for first in (True, False):
+            if walker.present[m.edges[d][0]]:
+                forest, root = primal, primal.union(*primal_ends)
+            else:
+                forest, root = dual_forest, dual_forest.union(*dual_ends)
+            visit(d + 1)
+            forest.undo(root)
+            if first:
+                walker.toggle(d)
+
+    visit(0)
     return KrushkalPoly.from_dict(data)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import HalfLaurent, substitute_square
-from .invariants import s_poly
+from .invariants import _gray_toggles, s_poly
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
 __all__ = [
@@ -115,34 +115,52 @@ def w_so(m: CombMap) -> HalfLaurent:
 
     Each untwisted edge splits into a straight band (+1) and a crossed band
     (-1); a twist mark swaps the two signs.  Every closed strand contributes
-    a factor of N, as does every isolated vertex.
+    a factor of N, as does every isolated vertex.  The resolutions are walked
+    in Gray-code order, so each step re-pairs the four points of one edge.
     """
     key = m.signature
     cached = _W_SO_CACHE.get(key)
     if cached is not None:
         return cached
-    vertex_partner, circles = _corner_partners(m)
-    e_count = m.edge_count
-    result = HalfLaurent.zero("N")
+    vertex_partner, loops = _corner_partners(m)
     edge_partner = [0] * (2 * m.half_edge_count)
-    for mask in range(1 << e_count):
-        sign = 1
-        for e, (a, b) in enumerate(m.edges):
-            crossed = bool(mask >> e & 1)
-            if crossed:
-                edge_partner[2 * a] = 2 * b
-                edge_partner[2 * b] = 2 * a
-                edge_partner[2 * a + 1] = 2 * b + 1
-                edge_partner[2 * b + 1] = 2 * a + 1
-            else:
-                edge_partner[2 * a] = 2 * b + 1
-                edge_partner[2 * b + 1] = 2 * a
-                edge_partner[2 * a + 1] = 2 * b
-                edge_partner[2 * b] = 2 * a + 1
-            if crossed != (e in m.edge_twists):
-                sign = -sign
-        loops = circles if not m.edges else _loop_count(vertex_partner, edge_partner) + circles
-        result = result + HalfLaurent.from_dict("N", {2 * loops: sign})
+    for a, b in m.edges:
+        edge_partner[2 * a] = 2 * b + 1
+        edge_partner[2 * b + 1] = 2 * a
+        edge_partner[2 * a + 1] = 2 * b
+        edge_partner[2 * b] = 2 * a + 1
+    loops += _loop_count(vertex_partner, edge_partner)
+    # every edge straight, and a twist mark gives the straight band -1
+    sign = -1 if len(m.edge_twists) % 2 else 1
+    tally = {loops: sign}
+    for e in _gray_toggles(m.edge_count):
+        # Switching the resolution pairs 2a with the old partner z of 2a + 1,
+        # and 2a + 1 with the old partner w of 2a.  Follow the strand from 2a
+        # through w: back at 2a first, it was apart from the arc (2a+1, z)
+        # and the two strands merge; at 2a + 1 first, the strand splits in
+        # two; at z first, it stays one strand.
+        x = 2 * m.edges[e][0]
+        y = x + 1
+        w, z = edge_partner[x], edge_partner[y]
+        h = w
+        while True:
+            h = vertex_partner[h]
+            if h == x:
+                loops -= 1
+                break
+            if h == y:
+                loops += 1
+                break
+            if h == z:
+                break
+            h = edge_partner[h]
+        edge_partner[x] = z
+        edge_partner[z] = x
+        edge_partner[y] = w
+        edge_partner[w] = y
+        sign = -sign
+        tally[loops] = tally.get(loops, 0) + sign
+    result = HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
     _W_SO_CACHE[key] = result
     return result
 

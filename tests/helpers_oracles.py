@@ -1,0 +1,136 @@
+"""Brute-force oracles for the incremental state sums.
+
+Each oracle rebuilds its per-subset data from scratch, so it shares no
+incremental state with the walkers in ``ribbonpoly``.
+"""
+
+from __future__ import annotations
+
+from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
+from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
+from ribbonpoly.generate import POINT, bouquet
+from ribbonpoly.maps import CombMap
+from ribbonpoly.penrose import _corner_partners, _loop_count
+
+# Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
+# vertices, degree-1 vertices, adjacent loops and several components.
+EDGE_CASES = [
+    POINT,
+    CombMap(((), ()), ()),
+    THETA_P.disjoint_union(POINT),
+    BRIDGE,
+    CombMap(((0, 2), (1,), (3,)), ((0, 1), (2, 3))),
+    bouquet([(0, 1), (2, 3)]),
+    LOOP1.disjoint_union(LOOP1),
+    THETA_T.disjoint_union(BOUQUET2_INT),
+]
+
+
+def subgraph_euler(m: CombMap, removed_mask: int) -> tuple[int, int, int, int]:
+    """(components, first betti, faces, genus) after deleting masked edges.
+
+    Vertices are all kept.  The map must be twist-free.
+    """
+    v = m.vertex_count
+    e_total = m.edge_count
+    removed = removed_mask
+    e = e_total - bin(removed).count("1")
+
+    parent = list(range(v))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for index, (a, b) in enumerate(m.edges):
+        if removed >> index & 1:
+            continue
+        ra, rb = find(m.vertex_of[a]), find(m.vertex_of[b])
+        if ra != rb:
+            parent[ra] = rb
+    b0 = len({find(i) for i in range(v)})
+    b1 = e - v + b0
+
+    # reduced rotation: skip half-edges of removed edges
+    reduced_next: dict[int, int] = {}
+    empty_vertices = 0
+    for cycle in m.vertices:
+        surviving = [h for h in cycle if not removed >> m.edge_of[h] & 1]
+        if not surviving:
+            empty_vertices += 1
+            continue
+        size = len(surviving)
+        for i, h in enumerate(surviving):
+            reduced_next[h] = surviving[(i + 1) % size]
+    faces = empty_vertices
+    seen: set[int] = set()
+    for start in reduced_next:
+        if start in seen:
+            continue
+        faces += 1
+        h = start
+        while h not in seen:
+            seen.add(h)
+            h = reduced_next[m.alpha[h]]
+    genus2 = 2 * b0 + e - v - faces
+    if genus2 % 2 or genus2 < 0:
+        raise ValueError(f"odd or negative Euler defect {genus2}")
+    return b0, b1, faces, genus2 // 2
+
+
+def state_sum_oracles(m: CombMap) -> tuple[HalfLaurent, HalfLaurent, KrushkalPoly]:
+    """S, flow and the rank polynomial, with every subset rebuilt from scratch.
+
+    The dual genus is read off the geometric dual restricted to the edges
+    dual to the removed set.
+    """
+    dual = m.geometric_dual()
+    base_b0 = m.component_count
+    e = m.edge_count
+    s_data: dict[int, int] = {}
+    flow_data: dict[int, int] = {}
+    rank_data: dict[tuple[int, int, int, int], int] = {}
+    for mask in range(1 << e):
+        b0, b1, _faces, genus = subgraph_euler(m, mask)
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        s_data[2 * (b1 - genus)] = s_data.get(2 * (b1 - genus), 0) + sign
+        flow_data[2 * b1] = flow_data.get(2 * b1, 0) + sign
+        # keep exactly the dual edges of the removed set
+        dual_mask = ((1 << e) - 1) ^ mask
+        _db0, _db1, _dfaces, dual_genus = subgraph_euler(dual, dual_mask)
+        key = (b0 - base_b0, b1, 2 * genus, 2 * dual_genus)
+        rank_data[key] = rank_data.get(key, 0) + 1
+    return (
+        HalfLaurent.from_dict("Q", s_data),
+        HalfLaurent.from_dict("Q", flow_data),
+        KrushkalPoly.from_dict(rank_data),
+    )
+
+
+def w_so_oracle(m: CombMap) -> HalfLaurent:
+    """``w_so`` with every edge resolution rebuilt and every strand recounted."""
+    vertex_partner, circles = _corner_partners(m)
+    e_count = m.edge_count
+    data: dict[int, int] = {}
+    edge_partner = [0] * (2 * m.half_edge_count)
+    for mask in range(1 << e_count):
+        sign = 1
+        for e, (a, b) in enumerate(m.edges):
+            crossed = bool(mask >> e & 1)
+            if crossed:
+                edge_partner[2 * a] = 2 * b
+                edge_partner[2 * b] = 2 * a
+                edge_partner[2 * a + 1] = 2 * b + 1
+                edge_partner[2 * b + 1] = 2 * a + 1
+            else:
+                edge_partner[2 * a] = 2 * b + 1
+                edge_partner[2 * b + 1] = 2 * a
+                edge_partner[2 * a + 1] = 2 * b
+                edge_partner[2 * b] = 2 * a + 1
+            if crossed != (e in m.edge_twists):
+                sign = -sign
+        loops = circles if not m.edges else _loop_count(vertex_partner, edge_partner) + circles
+        data[2 * loops] = data.get(2 * loops, 0) + sign
+    return HalfLaurent.from_dict("N", data)

@@ -86,8 +86,8 @@ def product_of_roots(factors):
 
 
 @pytest.fixture(scope="module")
-def small_family():
-    return exhaustive_connected_maps(6)
+def small_family(six_edge_family):
+    return six_edge_family
 
 
 @pytest.fixture(scope="module")

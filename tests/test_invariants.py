@@ -3,16 +3,28 @@
 from fractions import Fraction
 
 import pytest
+from helpers_oracles import EDGE_CASES, state_sum_oracles, subgraph_euler
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import brauer_evaluate
-from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, K33_STD, LOOP1, THETA_P, THETA_T, TRIANGLE
-from ribbonpoly.generate import exhaustive_connected_maps, random_maps
+from ribbonpoly.fixtures import (
+    BOUQUET2_INT,
+    BRIDGE,
+    K33_STD,
+    LOOP1,
+    THETA_P,
+    THETA_T,
+    TRIANGLE,
+)
+from ribbonpoly.generate import cycle_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import (
+    _FaceWalker,
+    _gray_toggles,
     chromatic_via_dual,
     degree_report,
     flow_poly,
     krushkal_poly,
+    resolve_engine,
     s_poly,
     s_poly_at,
     special_value_checks,
@@ -157,3 +169,45 @@ class TestDegree:
     def test_subdivision_invariance(self):
         for m in random_maps(seed=31, count=10, max_edges=6):
             assert s_poly(m.subdivide(0)) == s_poly(m)
+
+
+class TestIncrementalWalks:
+    def test_walker_faces_per_subset(self):
+        for m in exhaustive_connected_maps(5) + EDGE_CASES:
+            walker = _FaceWalker(m)
+            mask = 0
+            visited = {mask}
+            doubled = walker.kept_edges - m.vertex_count + walker.faces
+            assert walker.faces == subgraph_euler(m, mask)[2], m
+            for e in _gray_toggles(m.edge_count):
+                doubled += walker.toggle(e)
+                mask ^= 1 << e
+                visited.add(mask)
+                _b0, b1, faces, genus = subgraph_euler(m, mask)
+                assert (walker.faces, doubled) == (faces, 2 * (b1 - genus)), (m, mask)
+            assert len(visited) == 1 << m.edge_count
+
+    def test_state_sums_match_oracles(self, six_edge_family):
+        family = six_edge_family + random_maps(seed=37, count=12, max_edges=10) + EDGE_CASES
+        for m in family:
+            s_want, flow_want, rank_want = state_sum_oracles(m)
+            assert s_poly(m, engine="state-sum") == s_want, m
+            assert flow_poly(m, engine="state-sum") == flow_want, m
+            assert krushkal_poly(m) == rank_want, m
+            assert s_poly_at(m, 4) == s_want.evaluate(4), m
+        for m in random_maps(seed=41, count=4, max_edges=10) + EDGE_CASES[:3]:
+            s_want = state_sum_oracles(m)[0]
+            for value in (0, 1, Fraction(-3, 2)):
+                assert s_poly_at(m, value) == s_want.evaluate(value), m
+
+    def test_flow_ignores_twists(self):
+        for m in random_maps(seed=43, count=10, max_edges=8) + EDGE_CASES[3:]:
+            twisted = m
+            for e in range(0, m.edge_count, 2):
+                twisted = twisted.toggle_twist(e)
+            assert flow_poly(twisted, engine="state-sum") == state_sum_oracles(m)[1], m
+
+    def test_auto_engine_rule(self):
+        assert resolve_engine(cycle_map(13), "auto") == "state-sum"
+        assert resolve_engine(cycle_map(14), "auto") == "contraction-deletion"
+        assert resolve_engine(cycle_map(14), "state-sum") == "state-sum"

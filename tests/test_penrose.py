@@ -1,11 +1,15 @@
 """Metric Lie algebra graph evaluations and the flip census polynomial."""
 
+import random
+
 import pytest
+from helpers_oracles import EDGE_CASES, w_so_oracle
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import s_poly_at
+from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
     ihx_check,
@@ -47,6 +51,15 @@ class TestOrthogonalAnchors:
     def test_subdivision_doubles(self):
         for m in [LOOP1, THETA_P]:
             assert w_so(m.subdivide(0)) == w_so(m).scale(2)
+
+    def test_matches_oracle(self, six_edge_family):
+        rng = random.Random(53)
+        family = six_edge_family + random_maps(seed=59, count=12, max_edges=10) + EDGE_CASES
+        for m in family:
+            assert w_so(m) == w_so_oracle(m), m
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
+            twisted = CombMap(m.vertices, m.edges, None, twists)
+            assert w_so(twisted) == w_so_oracle(twisted), twisted
 
     def test_relations(self):
         for m in [THETA_P, BOUQUET2_INT, K4]:

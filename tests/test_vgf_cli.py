@@ -320,6 +320,11 @@ class TestCliJson:
         assert report["engine"] == "state-sum"
         assert report["polynomials"] == {"s": "-2*Q + 2"}
 
+    def test_auto_engine_follows_edge_count(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--poly", "f", "--json", str(fixture_path("petersen")))
+        assert code == 0
+        assert json.loads(out)["engine"] == "contraction-deletion"
+
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", str(fixture_path("theta_t_as_spatial")))
         assert code == 0
@@ -350,5 +355,11 @@ class TestUsageErrors:
     def test_missing_required_option(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["gramian"])
+        assert info.value.code == 2
+        capsys.readouterr()
+
+    def test_check_takes_no_allow_long(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["check", "--allow-long"])
         assert info.value.code == 2
         capsys.readouterr()
