@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import HalfLaurent
+from .invariants import _corner_partners
 from .maps import CombMap
 
 
@@ -272,21 +273,12 @@ def br2_idempotent_verify() -> dict:
 def _vertex_diagram(m: CombMap) -> tuple[BrauerMatching, int]:
     """Corner arcs of all rotations as a (0, 2H) diagram, plus free circles.
 
-    Each half-edge h doubles into a left side 2h and a right side 2h+1.
-    The corner between consecutive half-edges h, h' joins (h, left) to
-    (h', right).  Rotationless vertices close into free circles.
+    The arcs are ``_corner_partners``': half-edge h doubles into points 2h
+    and 2h+1, and rotationless vertices close into free circles.
     """
-    pairs = []
-    circles = 0
-    for cycle in m.vertices:
-        if not cycle:
-            circles += 1
-            continue
-        size = len(cycle)
-        for i, h in enumerate(cycle):
-            succ = cycle[(i + 1) % size]
-            pairs.append((2 * h, 2 * succ + 1))
-    return BrauerMatching.from_pairs(0, 2 * m.half_edge_count, pairs), circles
+    partner, circles = _corner_partners(m)
+    pairs = [(p, q) for p, q in enumerate(partner) if p < q]
+    return BrauerMatching.from_pairs(0, len(partner), pairs), circles
 
 
 def _edge_arcs(m: CombMap, e: int, cut: bool) -> list[tuple[int, int]]:

@@ -33,7 +33,7 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Incremental walks over the 2^E spanning subgraphs.
+# Incremental walks over the 2^E edge subsets and resolutions.
 # ---------------------------------------------------------------------------
 
 
@@ -47,82 +47,105 @@ def _gray_toggles(count: int) -> Iterator[int]:
         yield (i & -i).bit_length() - 1
 
 
-class _FaceWalker:
-    """Faces of the spanning subgraph G - T while single edges of T are toggled.
+def _corner_partners(
+    m: CombMap, reversed_vertices: frozenset[int] = frozenset()
+) -> tuple[list[int], int]:
+    """Vertex-side partner of each doubled strand point, plus free circles.
 
-    The reduced rotation of the kept half-edges is held as doubly linked cycles
-    ``nxt``/``prv``, and faces are the orbits of h -> nxt[alpha[h]], with a
-    vertex left without half-edges counted as a face.  In an oriented map,
-    deleting an edge whose two half-edges lie on one face splits that face, and
-    deleting one whose half-edges lie on two faces merges them (an emptied
-    vertex is the face left by its last loop or pendant edge).  Inserting the
-    edge does the reverse, so each toggle moves the count by exactly one and
-    needs only a partial trace of the orbits through the edge.  The map must
-    be twist-free.
+    Half-edge h doubles into points 2h and 2h+1; the corner between
+    consecutive half-edges h, h' pairs point 2h with point 2h'+1.  Vertices
+    in ``reversed_vertices`` take their rotation backwards.  Each isolated
+    vertex is a free circle.
+    """
+    partner = [0] * (2 * m.half_edge_count)
+    circles = 0
+    for index, cycle in enumerate(m.vertices):
+        if not cycle:
+            circles += 1
+            continue
+        if index in reversed_vertices:
+            cycle = tuple(reversed(cycle))
+        size = len(cycle)
+        for i, h in enumerate(cycle):
+            succ = cycle[(i + 1) % size]
+            partner[2 * h] = 2 * succ + 1
+            partner[2 * succ + 1] = 2 * h
+    return partner, circles
+
+
+def _edge_pairing(x: int, y: int, joined: int) -> tuple[int, int, int, int]:
+    """Partners of points x, x+1, y, y+1 when x is joined to ``joined``."""
+    if joined == y + 1:  # band
+        return y + 1, y, x + 1, x
+    if joined == y:  # crossed band
+        return y, y + 1, x, x + 1
+    return x + 1, x, y + 1, y  # cut
+
+
+class _StrandWalker:
+    """Closed strands of a doubled map while single edges switch resolution.
+
+    Half-edge h doubles into points 2h and 2h+1.  The vertex side pairs them
+    by corner arcs (``_corner_partners``) and never changes.  Each edge (a, b)
+    switches between two of three resolutions, each named by the point it
+    joins to 2a: 2b+1 for a band, 2b for a crossed band, 2a+1 for a cut.
+    ``resolutions[e]`` gives edge e's starting resolution and its other one.
+    Strands are the cycles of the two pairings together; every isolated
+    vertex is one more strand.
+
+    Away from edge e, the strands pair its four points by two outer arcs.  A
+    resolution closes both arcs into two strands if it joins 2a to the outer
+    partner of 2a, and into one strand otherwise, so a switch moves the count
+    by [outer == new] - [outer == old] after one trace of the arc from 2a.
     """
 
-    __slots__ = ("alpha", "sigma_inv", "ends", "nxt", "prv", "present", "kept_edges", "faces")
+    __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "pairings", "strands")
 
-    def __init__(self, m: CombMap) -> None:
-        self.alpha = m.alpha
-        self.sigma_inv = m.sigma_inv
-        self.ends = m.edges
-        self.nxt = list(m.sigma)
-        self.prv = list(m.sigma_inv)
-        self.present = [True] * m.half_edge_count
-        self.kept_edges = m.edge_count
-        self.faces = m.face_count
+    def __init__(
+        self,
+        m: CombMap,
+        resolutions: list[tuple[int, int]],
+        reversed_vertices: frozenset[int] = frozenset(),
+    ) -> None:
+        vertex_partner, circles = _corner_partners(m, reversed_vertices)
+        edge_partner = [0] * len(vertex_partner)
+        self.ends = [(2 * a, 2 * b) for a, b in m.edges]
+        self.pairings = []
+        for (x, y), (start, other) in zip(self.ends, resolutions):
+            current = _edge_pairing(x, y, start)
+            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = current
+            self.pairings.append((current, _edge_pairing(x, y, other)))
+        self.vertex_partner = vertex_partner
+        self.edge_partner = edge_partner
+        self.edge_of_point = [m.edge_of[p >> 1] for p in range(len(vertex_partner))]
+        seen = [False] * len(vertex_partner)
+        strands = circles
+        for start in range(len(vertex_partner)):
+            if seen[start]:
+                continue
+            strands += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = vertex_partner[p]
+                seen[p] = True
+                p = edge_partner[p]
+        self.strands = strands
 
     def toggle(self, e: int) -> int:
-        """Delete edge ``e`` if it is kept and re-insert it otherwise.
-
-        Returns the change in kept edges plus faces: -2, 0 or 2, twice the
-        change in b1 - genus.
-        """
-        a, b = self.ends[e]
-        nxt, prv, present = self.nxt, self.prv, self.present
-        if present[a]:
-            change = 1 if self._same_face(a, b) else -1
-            for h in (a, b):
-                p, n = prv[h], nxt[h]
-                nxt[p] = n
-                prv[n] = p
-                present[h] = False
-            self.kept_edges -= 1
-            self.faces += change
-            return change - 1
-        sigma_inv = self.sigma_inv
-        for h in (a, b):
-            # splice h in after the nearest present half-edge before it in the rotation
-            p = sigma_inv[h]
-            while p != h and not present[p]:
-                p = sigma_inv[p]
-            n = nxt[p] if p != h else h
-            nxt[p] = h
-            prv[h] = p
-            nxt[h] = n
-            prv[n] = h
-            present[h] = True
-        change = -1 if self._same_face(a, b) else 1
-        self.kept_edges += 1
-        self.faces += change
-        return change + 1
-
-    def _same_face(self, a: int, b: int) -> bool:
-        # Trace both orbits in step, so the cost is bounded by the shorter one.
-        nxt, alpha = self.nxt, self.alpha
-        x, y = a, b
-        while True:
-            x = nxt[alpha[x]]
-            if x == b:
-                return True
-            if x == a:
-                return False
-            y = nxt[alpha[y]]
-            if y == a:
-                return True
-            if y == b:
-                return False
+        """Switch edge ``e`` to its other resolution; return the change in strands."""
+        vertex_partner, edge_partner = self.vertex_partner, self.edge_partner
+        edge_of_point = self.edge_of_point
+        x, y = self.ends[e]
+        old, new = self.pairings[e]
+        self.pairings[e] = (new, old)
+        outer = vertex_partner[x]
+        while edge_of_point[outer] != e:
+            outer = vertex_partner[edge_partner[outer]]
+        edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = new
+        change = (outer == new[0]) - (outer == old[0])
+        self.strands += change
+        return change
 
 
 class _UnionFind:
@@ -169,20 +192,35 @@ def _check_doubled(value: int) -> None:
         raise ValueError(f"face count is inconsistent with an oriented surface: doubled value {value}")
 
 
+def _cut_exponents(
+    m: CombMap, joined: list[int], reversed_vertices: frozenset[int] = frozenset()
+) -> dict[int, int]:
+    """Signed state counts by joined edges + strands - vertices.
+
+    Edge e is either joined by resolution ``joined[e]`` (a band or a crossed
+    band) or cut, and a state with c cut edges counts (-1)^c.
+    """
+    resolutions = [(point, 2 * a + 1) for point, (a, _b) in zip(joined, m.edges)]
+    walker = _StrandWalker(m, resolutions, reversed_vertices)
+    cut, sign = 0, 1
+    exponent = m.edge_count - m.vertex_count + walker.strands
+    tally = {exponent: 1}
+    for e in _gray_toggles(m.edge_count):
+        cut ^= 1 << e
+        exponent += walker.toggle(e) + (-1 if cut >> e & 1 else 1)
+        sign = -sign
+        tally[exponent] = tally.get(exponent, 0) + sign
+    return tally
+
+
 def _s_exponents(m: CombMap) -> dict[int, int]:
     """Signed subset counts of S by doubled exponent 2(b1 - genus)(G - T).
 
-    b1 - genus = (kept edges - vertices + faces) / 2, counting emptied
-    vertices as faces, so a Gray-code walk needs only the face count.
+    With kept edges as bands and deleted ones as cuts, the strands are the
+    faces of G - T, an emptied vertex closing into one strand, and
+    2(b1 - genus) = kept edges - vertices + faces.
     """
-    walker = _FaceWalker(m)
-    sign = 1
-    doubled = walker.kept_edges - m.vertex_count + walker.faces
-    tally = {doubled: 1}
-    for e in _gray_toggles(m.edge_count):
-        doubled += walker.toggle(e)
-        sign = -sign
-        tally[doubled] = tally.get(doubled, 0) + sign
+    tally = _cut_exponents(m, [2 * b + 1 for _a, b in m.edges])
     for doubled in tally:
         _check_doubled(doubled)
     return tally
@@ -343,12 +381,14 @@ def krushkal_poly(m: CombMap) -> KrushkalPoly:
     if m.edge_twists:
         raise ValueError("the rank polynomial needs a twist-free map")
     # A spanning subgraph G|A and the dual subgraph G*|A^c have the same
-    # boundary components, so one face walk serves both genera; each side's
+    # boundary components, so one strand walk serves both genera; each side's
     # components come from a union-find over the edges it keeps.
     dual = m.geometric_dual()
     v, dual_v, e_total = m.vertex_count, dual.vertex_count, m.edge_count
     base_b0 = m.component_count
-    walker = _FaceWalker(m)
+    # each edge kept as a band or deleted as a cut
+    walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
+    kept = [True] * e_total
     primal, dual_forest = _UnionFind(v), _UnionFind(dual_v)
     ends = [
         ((m.vertex_of[a], m.vertex_of[b]), (dual.vertex_of[a], dual.vertex_of[b]))
@@ -356,32 +396,33 @@ def krushkal_poly(m: CombMap) -> KrushkalPoly:
     ]
     data: dict[tuple[int, int, int, int], int] = {}
 
-    def visit(d: int) -> None:
+    def visit(d: int, kept_below: int) -> None:
         # Edges below d are fixed and held in the union-finds.  Edge d takes
         # its current state, then the other one, so consecutive leaves differ
         # by one walker toggle: a reflected Gray code.
         if d == e_total:
-            kept, faces = walker.kept_edges, walker.faces
+            faces = walker.strands
             b0 = primal.components
-            genus2 = 2 * b0 + kept - v - faces
-            dual_genus2 = 2 * dual_forest.components + (e_total - kept) - dual_v - faces
+            genus2 = 2 * b0 + kept_below - v - faces
+            dual_genus2 = 2 * dual_forest.components + (e_total - kept_below) - dual_v - faces
             _check_doubled(genus2)
             _check_doubled(dual_genus2)
-            key = (b0 - base_b0, kept - v + b0, genus2, dual_genus2)
+            key = (b0 - base_b0, kept_below - v + b0, genus2, dual_genus2)
             data[key] = data.get(key, 0) + 1
             return
         primal_ends, dual_ends = ends[d]
         for first in (True, False):
-            if walker.present[m.edges[d][0]]:
+            if kept[d]:
                 forest, root = primal, primal.union(*primal_ends)
             else:
                 forest, root = dual_forest, dual_forest.union(*dual_ends)
-            visit(d + 1)
+            visit(d + 1, kept_below + kept[d])
             forest.undo(root)
             if first:
                 walker.toggle(d)
+                kept[d] = not kept[d]
 
-    visit(0)
+    visit(0, 0)
     return KrushkalPoly.from_dict(data)
 
 

@@ -4,8 +4,11 @@ Two scalar invariants live here.  ``w_so`` replaces every vertex with its
 cyclic strand diagram and every edge with (straight - crossed), so closed
 strands count powers of N; twist marks swap the two edge resolutions and
 negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
-maps through the flip expansion of the S-polynomial; an independent engine
-evaluates the same diagrams directly.  The normalization is pinned by the
+maps through the flip expansion of the S-polynomial; an independent engine,
+``w_sl_brauer``, evaluates the same diagrams directly, with each vertex
+cyclic or reversed and each edge joined or cut.  Both diagram state sums
+walk their edge resolutions with the strand walker of ``invariants``, which
+also serves S and the rank polynomial.  The normalization is pinned by the
 anchor values: an isolated vertex gives N (so) and 1 + s(v) (sl), a
 single-vertex loop gives N(N-1), the planar theta gives N(N-1)(N-2), and
 subdividing an edge doubles ``w_so``.
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import HalfLaurent, substitute_square
-from .invariants import _gray_toggles, s_poly
+from .invariants import _cut_exponents, _gray_toggles, _StrandWalker, s_poly
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
 __all__ = [
@@ -68,45 +71,6 @@ def _signs_of(m: CombMap, signs: Optional[Sequence[int]]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _corner_partners(m: CombMap, reversed_vertices: frozenset[int] = frozenset()) -> tuple[list[int], int]:
-    """Vertex-side partner of each doubled strand point, plus free circles.
-
-    Half-edge h doubles into points 2h and 2h+1; the corner between
-    consecutive half-edges h, h' pairs point 2h with point 2h'+1.
-    """
-    partner = [0] * (2 * m.half_edge_count)
-    circles = 0
-    for index, cycle in enumerate(m.vertices):
-        if not cycle:
-            circles += 1
-            continue
-        if index in reversed_vertices:
-            cycle = tuple(reversed(cycle))
-        size = len(cycle)
-        for i, h in enumerate(cycle):
-            succ = cycle[(i + 1) % size]
-            partner[2 * h] = 2 * succ + 1
-            partner[2 * succ + 1] = 2 * h
-    return partner, circles
-
-
-def _loop_count(vertex_partner: list[int], edge_partner: list[int]) -> int:
-    points = len(vertex_partner)
-    seen = [False] * points
-    loops = 0
-    for start in range(points):
-        if seen[start]:
-            continue
-        loops += 1
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            mate = vertex_partner[h]
-            seen[mate] = True
-            h = edge_partner[mate]
-    return loops
-
-
 _W_SO_CACHE: dict[tuple, HalfLaurent] = {}
 
 
@@ -116,50 +80,20 @@ def w_so(m: CombMap) -> HalfLaurent:
     Each untwisted edge splits into a straight band (+1) and a crossed band
     (-1); a twist mark swaps the two signs.  Every closed strand contributes
     a factor of N, as does every isolated vertex.  The resolutions are walked
-    in Gray-code order, so each step re-pairs the four points of one edge.
+    in Gray-code order by the strand walker, one edge switch per state.
     """
     key = m.signature
     cached = _W_SO_CACHE.get(key)
     if cached is not None:
         return cached
-    vertex_partner, loops = _corner_partners(m)
-    edge_partner = [0] * (2 * m.half_edge_count)
-    for a, b in m.edges:
-        edge_partner[2 * a] = 2 * b + 1
-        edge_partner[2 * b + 1] = 2 * a
-        edge_partner[2 * a + 1] = 2 * b
-        edge_partner[2 * b] = 2 * a + 1
-    loops += _loop_count(vertex_partner, edge_partner)
-    # every edge straight, and a twist mark gives the straight band -1
+    # every edge starts as a band, and a twist mark gives the band -1
+    walker = _StrandWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
     sign = -1 if len(m.edge_twists) % 2 else 1
-    tally = {loops: sign}
+    tally = {walker.strands: sign}
     for e in _gray_toggles(m.edge_count):
-        # Switching the resolution pairs 2a with the old partner z of 2a + 1,
-        # and 2a + 1 with the old partner w of 2a.  Follow the strand from 2a
-        # through w: back at 2a first, it was apart from the arc (2a+1, z)
-        # and the two strands merge; at 2a + 1 first, the strand splits in
-        # two; at z first, it stays one strand.
-        x = 2 * m.edges[e][0]
-        y = x + 1
-        w, z = edge_partner[x], edge_partner[y]
-        h = w
-        while True:
-            h = vertex_partner[h]
-            if h == x:
-                loops -= 1
-                break
-            if h == y:
-                loops += 1
-                break
-            if h == z:
-                break
-            h = edge_partner[h]
-        edge_partner[x] = z
-        edge_partner[z] = x
-        edge_partner[y] = w
-        edge_partner[w] = y
+        walker.toggle(e)
         sign = -sign
-        tally[loops] = tally.get(loops, 0) + sign
+        tally[walker.strands] = tally.get(walker.strands, 0) + sign
     result = HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
     _W_SO_CACHE[key] = result
     return result
@@ -313,43 +247,21 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
     for v in range(m.vertex_count):
         if m.degree(v) <= 2:
             prefactor *= 1 + chosen[v]
-    result = HalfLaurent.zero("N")
     if not prefactor:
-        return result
+        return HalfLaurent.zero("N")
+    # Each edge is cut or joined: by a band, or by a crossed band when
+    # twisted.  Joined edges and strands each count a power of N.
+    joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
     flippable = m.flippable_vertices()
-    e_count = m.edge_count
-    edge_partner = [0] * (2 * m.half_edge_count)
+    tally: dict[int, int] = {}
     for vmask in range(1 << len(flippable)):
         subset = frozenset(flippable[i] for i in range(len(flippable)) if vmask >> i & 1)
         weight = prefactor
         for v in subset:
             weight *= chosen[v]
-        vertex_partner, circles = _corner_partners(m, subset)
-        for emask in range(1 << e_count):
-            sign = 1
-            for e, (a, b) in enumerate(m.edges):
-                if emask >> e & 1:
-                    # cut: cap both ends
-                    edge_partner[2 * a] = 2 * a + 1
-                    edge_partner[2 * a + 1] = 2 * a
-                    edge_partner[2 * b] = 2 * b + 1
-                    edge_partner[2 * b + 1] = 2 * b
-                    sign = -sign
-                elif e in m.edge_twists:
-                    edge_partner[2 * a] = 2 * b
-                    edge_partner[2 * b] = 2 * a
-                    edge_partner[2 * a + 1] = 2 * b + 1
-                    edge_partner[2 * b + 1] = 2 * a + 1
-                else:
-                    edge_partner[2 * a] = 2 * b + 1
-                    edge_partner[2 * b + 1] = 2 * a
-                    edge_partner[2 * a + 1] = 2 * b
-                    edge_partner[2 * b] = 2 * a + 1
-            loops = circles if not m.edges else _loop_count(vertex_partner, edge_partner) + circles
-            bands = e_count - bin(emask).count("1")
-            half_exp = 2 * (bands + loops - m.vertex_count)
-            result = result + HalfLaurent.from_dict("N", {half_exp: sign * weight})
-    return result
+        for exponent, count in _cut_exponents(m, joined, subset).items():
+            tally[2 * exponent] = tally.get(2 * exponent, 0) + weight * count
+    return HalfLaurent.from_dict("N", tally)
 
 
 def _merge_contract(

@@ -1,7 +1,8 @@
 """Brute-force oracles for the incremental state sums.
 
-Each oracle rebuilds its per-subset data from scratch, so it shares no
-incremental state with the walkers in ``ribbonpoly``.
+Each oracle rebuilds its per-subset data from scratch and builds its own
+corner arcs and strand count, so it shares no code with the strand walker in
+``ribbonpoly``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, bouquet
 from ribbonpoly.maps import CombMap
-from ribbonpoly.penrose import _corner_partners, _loop_count
 
 # Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
 # vertices, degree-1 vertices, adjacent loops and several components.
@@ -109,28 +109,101 @@ def state_sum_oracles(m: CombMap) -> tuple[HalfLaurent, HalfLaurent, KrushkalPol
     )
 
 
+def _corner_arcs(m: CombMap, reversed_vertices: frozenset[int]) -> list[tuple[int, int]]:
+    """Arc (2h, 2h'+1) for each half-edge h and its rotation successor h'.
+
+    A reversed vertex takes its successors from the inverse rotation.
+    """
+    sigma, sigma_inv, vertex_of = m.sigma, m.sigma_inv, m.vertex_of
+    arcs = []
+    for h in range(len(sigma)):
+        succ = sigma_inv[h] if vertex_of[h] in reversed_vertices else sigma[h]
+        arcs.append((2 * h, 2 * succ + 1))
+    return arcs
+
+
+def _resolution_arcs(a: int, b: int, resolution: str) -> list[tuple[int, int]]:
+    if resolution == "band":
+        return [(2 * a, 2 * b + 1), (2 * a + 1, 2 * b)]
+    if resolution == "crossed":
+        return [(2 * a, 2 * b), (2 * a + 1, 2 * b + 1)]
+    if resolution == "cut":
+        return [(2 * a, 2 * a + 1), (2 * b, 2 * b + 1)]
+    raise ValueError(resolution)
+
+
+def strand_count(
+    m: CombMap, resolutions: list[str], reversed_vertices: frozenset[int] = frozenset()
+) -> int:
+    """Closed strands with edge e resolved as ``resolutions[e]``, plus isolated vertices.
+
+    Every point lies on one corner arc and one edge arc, so the strands are
+    the connected components of the arc graph, counted here by union-find.
+    """
+    parent = list(range(2 * m.half_edge_count))
+    arcs = _corner_arcs(m, reversed_vertices)
+    for (a, b), resolution in zip(m.edges, resolutions):
+        arcs += _resolution_arcs(a, b, resolution)
+    components = len(parent)
+    for x, y in arcs:
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            components -= 1
+    return components + sum(1 for cycle in m.vertices if not cycle)
+
+
 def w_so_oracle(m: CombMap) -> HalfLaurent:
     """``w_so`` with every edge resolution rebuilt and every strand recounted."""
-    vertex_partner, circles = _corner_partners(m)
-    e_count = m.edge_count
     data: dict[int, int] = {}
-    edge_partner = [0] * (2 * m.half_edge_count)
-    for mask in range(1 << e_count):
+    for mask in range(1 << m.edge_count):
         sign = 1
-        for e, (a, b) in enumerate(m.edges):
+        resolutions = []
+        for e in range(m.edge_count):
             crossed = bool(mask >> e & 1)
-            if crossed:
-                edge_partner[2 * a] = 2 * b
-                edge_partner[2 * b] = 2 * a
-                edge_partner[2 * a + 1] = 2 * b + 1
-                edge_partner[2 * b + 1] = 2 * a + 1
-            else:
-                edge_partner[2 * a] = 2 * b + 1
-                edge_partner[2 * b + 1] = 2 * a
-                edge_partner[2 * a + 1] = 2 * b
-                edge_partner[2 * b] = 2 * a + 1
+            resolutions.append("crossed" if crossed else "band")
             if crossed != (e in m.edge_twists):
                 sign = -sign
-        loops = circles if not m.edges else _loop_count(vertex_partner, edge_partner) + circles
+        loops = strand_count(m, resolutions)
         data[2 * loops] = data.get(2 * loops, 0) + sign
+    return HalfLaurent.from_dict("N", data)
+
+
+def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
+    """``w_sl_brauer`` with every vertex reversal and edge resolution rebuilt.
+
+    Vertices expand as (cyclic + s(v) reversed) / N, untwisted edges as
+    (N band - cut), twisted edges as (N crossed - cut); closed strands and
+    isolated vertices count powers of N.  A vertex of degree <= 2 reads the
+    same reversed, so it factors out as (1 + s(v)).
+    """
+    prefactor = 1
+    for v in range(m.vertex_count):
+        if m.degree(v) <= 2:
+            prefactor *= 1 + signs[v]
+    data: dict[int, int] = {}
+    if not prefactor:
+        return HalfLaurent.from_dict("N", data)
+    flippable = [v for v in range(m.vertex_count) if m.degree(v) > 2]
+    e_count = m.edge_count
+    for vmask in range(1 << len(flippable)):
+        subset = frozenset(flippable[i] for i in range(len(flippable)) if vmask >> i & 1)
+        weight = prefactor
+        for v in subset:
+            weight *= signs[v]
+        for emask in range(1 << e_count):
+            resolutions = []
+            for e in range(e_count):
+                if emask >> e & 1:
+                    resolutions.append("cut")
+                else:
+                    resolutions.append("crossed" if e in m.edge_twists else "band")
+            cuts = bin(emask).count("1")
+            sign = -1 if cuts % 2 else 1
+            loops = strand_count(m, resolutions, subset)
+            half_exp = 2 * (e_count - cuts + loops - m.vertex_count)
+            data[half_exp] = data.get(half_exp, 0) + sign * weight
     return HalfLaurent.from_dict("N", data)

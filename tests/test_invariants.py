@@ -1,9 +1,10 @@
 """S, flow, Krushkal, and chromatic polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from helpers_oracles import EDGE_CASES, state_sum_oracles, subgraph_euler
+from helpers_oracles import EDGE_CASES, state_sum_oracles, strand_count, subgraph_euler
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import brauer_evaluate
@@ -18,8 +19,8 @@ from ribbonpoly.fixtures import (
 )
 from ribbonpoly.generate import cycle_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import (
-    _FaceWalker,
     _gray_toggles,
+    _StrandWalker,
     chromatic_via_dual,
     degree_report,
     flow_poly,
@@ -171,21 +172,58 @@ class TestDegree:
             assert s_poly(m.subdivide(0)) == s_poly(m)
 
 
+def _walk_against_oracle(m, names, reversed_vertices=frozenset()):
+    """Walk edge e between its resolutions names[e], checking every state's strands."""
+
+    def point(a, b, name):
+        # the point a resolution joins to 2a
+        return {"band": 2 * b + 1, "crossed": 2 * b, "cut": 2 * a + 1}[name]
+
+    resolutions = [tuple(point(a, b, name) for name in pair) for (a, b), pair in zip(m.edges, names)]
+    walker = _StrandWalker(m, resolutions, reversed_vertices)
+    state = [pair[0] for pair in names]
+    assert walker.strands == strand_count(m, state, reversed_vertices), m
+    for e in _gray_toggles(m.edge_count):
+        before = walker.strands
+        change = walker.toggle(e)
+        state[e] = names[e][1] if state[e] == names[e][0] else names[e][0]
+        assert walker.strands == strand_count(m, state, reversed_vertices), (m, state)
+        assert change == walker.strands - before
+
+
 class TestIncrementalWalks:
     def test_walker_faces_per_subset(self):
         for m in exhaustive_connected_maps(5) + EDGE_CASES:
-            walker = _FaceWalker(m)
+            walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
             mask = 0
             visited = {mask}
-            doubled = walker.kept_edges - m.vertex_count + walker.faces
-            assert walker.faces == subgraph_euler(m, mask)[2], m
+            doubled = m.edge_count - m.vertex_count + walker.strands
+            assert walker.strands == subgraph_euler(m, mask)[2], m
             for e in _gray_toggles(m.edge_count):
-                doubled += walker.toggle(e)
                 mask ^= 1 << e
+                doubled += walker.toggle(e) + (-1 if mask >> e & 1 else 1)
                 visited.add(mask)
                 _b0, b1, faces, genus = subgraph_euler(m, mask)
-                assert (walker.faces, doubled) == (faces, 2 * (b1 - genus)), (m, mask)
+                assert (walker.strands, doubled) == (faces, 2 * (b1 - genus)), (m, mask)
             assert len(visited) == 1 << m.edge_count
+
+    def test_walker_band_crossed_per_state(self):
+        family = exhaustive_connected_maps(5) + random_maps(seed=61, count=6, max_edges=8)
+        for m in family + EDGE_CASES:
+            _walk_against_oracle(m, [("band", "crossed")] * m.edge_count)
+            _walk_against_oracle(m, [("crossed", "band")] * m.edge_count)
+
+    def test_walker_cut_reversed_corners_per_state(self):
+        rng = random.Random(67)
+        family = exhaustive_connected_maps(5) + random_maps(seed=71, count=6, max_edges=8)
+        for m in family + EDGE_CASES:
+            flippable = m.flippable_vertices()
+            for _ in range(3):
+                reversed_vertices = frozenset(v for v in flippable if rng.random() < 0.5)
+                names = [
+                    ("crossed" if rng.random() < 0.5 else "band", "cut") for _e in range(m.edge_count)
+                ]
+                _walk_against_oracle(m, names, reversed_vertices)
 
     def test_state_sums_match_oracles(self, six_edge_family):
         family = six_edge_family + random_maps(seed=37, count=12, max_edges=10) + EDGE_CASES

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers_oracles import EDGE_CASES, w_so_oracle
+from helpers_oracles import EDGE_CASES, w_sl_brauer_oracle, w_so_oracle
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA_T
@@ -93,6 +93,23 @@ class TestSpecialLinearAnchors:
     def test_extended_equals_brauer(self):
         for m in exhaustive_connected_maps(3):
             assert w_sl_extended(m) == w_sl_brauer(m), m
+
+    def test_brauer_matches_oracle(self):
+        rng = random.Random(73)
+        family = exhaustive_connected_maps(4) + EDGE_CASES + random_maps(seed=79, count=4, max_edges=7)
+        for m in family:
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
+            twisted = CombMap(m.vertices, m.edges, None, twists)
+            random_signs = [rng.choice((1, -1)) for _v in range(m.vertex_count)]
+            all_positive = [1] * m.vertex_count
+            for candidate in (m, twisted):
+                for signs in (parity_signs(candidate), random_signs, all_positive):
+                    want = w_sl_brauer_oracle(candidate, signs)
+                    assert w_sl_brauer(candidate, signs) == want, (candidate, signs)
+        # a negative vertex of degree <= 2 zeroes the prefactor
+        assert w_sl_brauer(LOOP1, (-1,)).is_zero()
+        assert w_sl_brauer_oracle(LOOP1, (-1,)).is_zero()
+        assert not w_sl_brauer(LOOP1, (1,)).is_zero()
 
     def test_relations(self):
         for e in range(3):
