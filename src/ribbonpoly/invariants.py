@@ -10,6 +10,12 @@ together with the four-variable rank polynomial that specializes to S, and a
 vertex-count-normalized chromatic polynomial for virtual graphs.  Each comes
 with independent engines (state sum and memoized contraction-deletion) so the
 test suite can cross-check them term by term.
+
+Contraction-deletion memoizes on ``CombMap.signature`` and builds only the
+branches that can be nonzero.  S and flow vanish at a degree-1 vertex, so a
+non-loop edge at a degree-2 vertex recurses on its contraction alone.  For the
+chromatic polynomial, deleting a pendant edge is contracting it and adding an
+isolated vertex, so that edge contributes a factor (t - 1).
 """
 
 from __future__ import annotations
@@ -27,9 +33,19 @@ _CHROM_CACHE: dict = {}
 
 
 def clear_caches() -> None:
-    _S_CACHE.clear()
-    _FLOW_CACHE.clear()
-    _CHROM_CACHE.clear()
+    """Empty every module memo: S, flow, chromatic, W_so, W_sl, Yamada and cyclotomic."""
+    from . import algebra, penrose, spatial
+
+    for cache in (
+        _S_CACHE,
+        _FLOW_CACHE,
+        _CHROM_CACHE,
+        penrose._W_SO_CACHE,
+        penrose._W_SL_CACHE,
+        spatial._YAMADA_CACHE,
+        algebra._CYCLOTOMIC_CACHE,
+    ):
+        cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +306,9 @@ def _flow_cd_compute(m: CombMap) -> HalfLaurent:
         return HalfLaurent.zero("Q")
     if m.edge_count == 0:
         return HalfLaurent.one("Q")
+    e = _subdivision_edge(m)
+    if e >= 0:
+        return _flow_cd(m.contract(e))
     e = _preferred_edge(m)
     if m.is_loop(e):
         q_minus_1 = HalfLaurent.from_dict("Q", {2: 1, 0: -1})
@@ -297,8 +316,24 @@ def _flow_cd_compute(m: CombMap) -> HalfLaurent:
     return _flow_cd(m.contract(e)) - _flow_cd(m.delete_edge(e))
 
 
+def _subdivision_edge(m: CombMap) -> int:
+    """A non-loop edge at a degree-2 vertex, or -1 if there is none.
+
+    Deleting it leaves a degree-1 vertex, where S and flow vanish, so both
+    polynomials equal those of the contraction alone.
+    """
+    for cycle in m.vertices:
+        if len(cycle) == 2:
+            e = m.edge_of[cycle[0]]
+            if not m.is_loop(e):
+                return e
+    return -1
+
+
 def _preferred_edge(m: CombMap) -> int:
-    # Non-loop edges first: their branches shrink the vertex set too.
+    # Non-loop edges first: their branches shrink the vertex set too.  S and
+    # flow take an edge from _subdivision_edge before this one, and
+    # virtual_chromatic takes a pendant edge first.
     for e in range(m.edge_count):
         if not m.is_loop(e):
             return e
@@ -343,6 +378,9 @@ def _s_cd_compute(m: CombMap) -> HalfLaurent:
         return HalfLaurent.zero("Q")
     if m.edge_count == 0:
         return HalfLaurent.one("Q")
+    e = _subdivision_edge(m)
+    if e >= 0:
+        return _s_cd(m.contract(e))
     e = _preferred_edge(m)
     contracted = _s_cd(m.contract(e))
     deleted = _s_cd(m.delete_edge(e))
@@ -448,7 +486,8 @@ def virtual_chromatic(m: CombMap) -> HalfLaurent:
 
     Deletion-contraction with the loop correction ``t^(-1)``: a loop deletes
     to the plain term and contracts (splitting its vertex) with weight
-    ``t^(-1)``; edgeless maps count ``t^(number of vertices)``.
+    ``t^(-1)``; edgeless maps count ``t^(number of vertices)``.  A pendant
+    edge is taken first and gives the single branch ``(t - 1) P(G/e)``.
     """
     if m.edge_twists:
         raise ValueError("the chromatic polynomial needs a twist-free map")
@@ -456,8 +495,13 @@ def virtual_chromatic(m: CombMap) -> HalfLaurent:
     cached = _CHROM_CACHE.get(key)
     if cached is not None:
         return cached
+    pendant = next((cycle[0] for cycle in m.vertices if len(cycle) == 1), None)
     if m.edge_count == 0:
         result = HalfLaurent.monomial("t", 2 * m.vertex_count)
+    elif pendant is not None:
+        # G - e is G/e plus an isolated vertex, so P(G) = (t - 1) P(G/e).
+        t_minus_1 = HalfLaurent.from_dict("t", {2: 1, 0: -1})
+        result = t_minus_1 * virtual_chromatic(m.contract(m.edge_of[pendant]))
     else:
         e = _preferred_edge(m)
         deleted = virtual_chromatic(m.delete_edge(e))

@@ -464,7 +464,9 @@ class CombMap:
         """
         n = self.half_edge_count
         signs = self.vertex_signs
+        sigma, alpha = self.sigma, self.alpha
         twisted = [1 if self.edge_of[h] in self.edge_twists else 0 for h in range(n)]
+        sign_of = [0] * n if signs is None else [signs[v] for v in self.vertex_of]
         comp_of = [-1] * n
         comps: list[list[int]] = []
         for h0 in range(n):
@@ -475,34 +477,43 @@ class CombMap:
             while stack:
                 h = stack.pop()
                 members.append(h)
-                for nxt in (self.sigma[h], self.alpha[h]):
+                for nxt in (sigma[h], alpha[h]):
                     if comp_of[nxt] < 0:
                         comp_of[nxt] = len(comps)
                         stack.append(nxt)
             comps.append(members)
 
-        def code_from(start: int) -> tuple:
-            label = {start: 0}
+        def code_from(start: int, best: Optional[list]) -> Optional[list]:
+            # Entry i is final once order[i] is processed: both of its
+            # neighbours have labels by then.  So the code is compared with
+            # ``best`` as it is emitted, and dropped as soon as it is larger.
+            label = [-1] * n
+            label[start] = 0
             order = [start]
-            i = 0
-            while i < len(order):
-                h = order[i]
-                i += 1
-                for nxt in (self.sigma[h], self.alpha[h]):
-                    if nxt not in label:
-                        label[nxt] = len(order)
-                        order.append(nxt)
             out = []
-            for h in order:
-                sign = 0
-                if signs is not None:
-                    sign = signs[self.vertex_of[h]]
-                out.append((label[self.sigma[h]], label[self.alpha[h]], twisted[h], sign))
-            return tuple(out)
+            smaller = best is None
+            for i, h in enumerate(order):
+                s, a = sigma[h], alpha[h]
+                if label[s] < 0:
+                    label[s] = len(order)
+                    order.append(s)
+                if label[a] < 0:
+                    label[a] = len(order)
+                    order.append(a)
+                entry = (label[s], label[a], twisted[h], sign_of[h])
+                if not smaller:
+                    if entry > best[i]:
+                        return None
+                    smaller = entry < best[i]
+                out.append(entry)
+            return out if smaller else None
 
         comp_codes = []
         for members in comps:
-            comp_codes.append(min(code_from(start) for start in members))
+            best = None
+            for start in members:
+                best = code_from(start, best) or best
+            comp_codes.append(tuple(best))
         comp_codes.sort()
         isolated = []
         for i, cycle in enumerate(self.vertices):

@@ -1,8 +1,9 @@
-"""Brute-force oracles for the incremental state sums.
+"""Brute-force oracles for the incremental state sums and the map signature.
 
-Each oracle rebuilds its per-subset data from scratch and builds its own
-corner arcs and strand count, so it shares no code with the strand walker in
-``ribbonpoly``.
+Each state-sum oracle rebuilds its per-subset data from scratch and builds its
+own corner arcs and strand count, so it shares no code with the strand walker
+in ``ribbonpoly``.  The signature oracle builds every start's full code and
+takes the minimum, with no early exit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,53 @@ EDGE_CASES = [
     LOOP1.disjoint_union(LOOP1),
     THETA_T.disjoint_union(BOUQUET2_INT),
 ]
+
+
+def signature_oracle(m: CombMap) -> tuple:
+    """``CombMap.signature`` from the minimum of every start's complete code."""
+    n = m.half_edge_count
+    signs = m.vertex_signs
+    twisted = [1 if m.edge_of[h] in m.edge_twists else 0 for h in range(n)]
+    comp_of = [-1] * n
+    comps: list[list[int]] = []
+    for h0 in range(n):
+        if comp_of[h0] >= 0:
+            continue
+        stack, members = [h0], []
+        comp_of[h0] = len(comps)
+        while stack:
+            h = stack.pop()
+            members.append(h)
+            for nxt in (m.sigma[h], m.alpha[h]):
+                if comp_of[nxt] < 0:
+                    comp_of[nxt] = len(comps)
+                    stack.append(nxt)
+        comps.append(members)
+
+    def code_from(start: int) -> tuple:
+        label = {start: 0}
+        order = [start]
+        i = 0
+        while i < len(order):
+            h = order[i]
+            i += 1
+            for nxt in (m.sigma[h], m.alpha[h]):
+                if nxt not in label:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+        out = []
+        for h in order:
+            sign = 0
+            if signs is not None:
+                sign = signs[m.vertex_of[h]]
+            out.append((label[m.sigma[h]], label[m.alpha[h]], twisted[h], sign))
+        return tuple(out)
+
+    comp_codes = sorted(min(code_from(start) for start in members) for members in comps)
+    isolated = sorted(
+        0 if signs is None else signs[i] for i, cycle in enumerate(m.vertices) if not cycle
+    )
+    return (tuple(comp_codes), tuple(isolated))
 
 
 def subgraph_euler(m: CombMap, removed_mask: int) -> tuple[int, int, int, int]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers_oracles import EDGE_CASES, state_sum_oracles, strand_count, subgraph_euler
 
+from ribbonpoly import algebra, invariants, penrose, spatial
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import brauer_evaluate
 from ribbonpoly.fixtures import (
@@ -22,6 +23,7 @@ from ribbonpoly.invariants import (
     _gray_toggles,
     _StrandWalker,
     chromatic_via_dual,
+    clear_caches,
     degree_report,
     flow_poly,
     krushkal_poly,
@@ -31,7 +33,9 @@ from ribbonpoly.invariants import (
     special_value_checks,
     specialize_krushkal_to_s,
     virtual_chromatic,
+    wedge,
 )
+from ribbonpoly.maps import CombMap
 
 
 def qpoly(data):
@@ -249,3 +253,81 @@ class TestIncrementalWalks:
         assert resolve_engine(cycle_map(13), "auto") == "state-sum"
         assert resolve_engine(cycle_map(14), "auto") == "contraction-deletion"
         assert resolve_engine(cycle_map(14), "state-sum") == "state-sum"
+
+
+def _with_chains(seed, count):
+    """Random maps grown to at most 12 edges by subdivision, mostly next to
+    earlier subdivisions, so they carry chains of degree-2 vertices."""
+    rng = random.Random(seed)
+    out = []
+    for m in random_maps(seed=seed, count=count, max_edges=8):
+        target = rng.randint(m.edge_count + 1, 12)
+        while m.edge_count < target:
+            chain = [m.edge_of[cycle[0]] for cycle in m.vertices if len(cycle) == 2]
+            pool = chain if chain and rng.random() < 0.7 else range(m.edge_count)
+            m = m.subdivide(rng.choice(list(pool)))
+        out.append(m)
+    return out
+
+
+def _random_tree(rng, edge_count):
+    vertices = [[]]
+    for i in range(edge_count):
+        parent = vertices[rng.randrange(len(vertices))]
+        parent.insert(rng.randint(0, len(parent)), 2 * i)
+        vertices.append([2 * i + 1])
+    return CombMap(tuple(map(tuple, vertices)), tuple((2 * i, 2 * i + 1) for i in range(edge_count)))
+
+
+def _with_pendants(rng, m):
+    for _ in range(rng.randint(1, 3)):
+        m = wedge(m, rng.randrange(m.vertex_count), BRIDGE, 0)
+    return m
+
+
+class TestReductions:
+    """Each contraction-deletion shortcut against the state sum or the dual route."""
+
+    def test_cd_matches_state_sum(self, six_edge_family):
+        for m in six_edge_family + _with_chains(83, 40) + EDGE_CASES:
+            assert s_poly(m, engine="contraction-deletion") == s_poly(m, engine="state-sum"), m
+            assert flow_poly(m, engine="contraction-deletion") == flow_poly(m, engine="state-sum"), m
+
+    def test_flow_cd_twisted(self):
+        rng = random.Random(89)
+        for m in _with_chains(97, 30) + random_maps(seed=101, count=10, max_edges=10):
+            twisted = m
+            for e in range(m.edge_count):
+                if rng.random() < 0.5:
+                    twisted = twisted.toggle_twist(e)
+            assert flow_poly(twisted, engine="contraction-deletion") == flow_poly(m, engine="state-sum"), m
+
+    def test_chromatic_matches_dual_route(self, six_edge_family):
+        rng = random.Random(103)
+        trees = [_random_tree(rng, n) for n in range(11) for _ in range(3)]
+        pendants = [_with_pendants(rng, m) for m in random_maps(seed=107, count=20, max_edges=8)]
+        for m in six_edge_family + _with_chains(83, 40) + trees + pendants + EDGE_CASES:
+            assert virtual_chromatic(m) == chromatic_via_dual(m), m
+
+
+class TestClearCaches:
+    def test_every_memo_emptied(self):
+        caches = [
+            invariants._S_CACHE,
+            invariants._FLOW_CACHE,
+            invariants._CHROM_CACHE,
+            penrose._W_SO_CACHE,
+            penrose._W_SL_CACHE,
+            spatial._YAMADA_CACHE,
+            algebra._CYCLOTOMIC_CACHE,
+        ]
+        s_poly(THETA_P, engine="contraction-deletion")
+        flow_poly(THETA_P, engine="contraction-deletion")
+        virtual_chromatic(THETA_P)
+        penrose.w_so(THETA_P)
+        penrose.w_sl_extended(THETA_P)
+        spatial.yamada(spatial.crossingless_diagram(THETA_P))
+        algebra.cyclotomic_polynomial(12)
+        assert all(caches), [len(c) for c in caches]
+        clear_caches()
+        assert not any(caches), [len(c) for c in caches]

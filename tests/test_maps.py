@@ -1,8 +1,11 @@
 """Combinatorial map structure, surgeries, and canonical forms."""
 
-import pytest
+import random
 
-from ribbonpoly.generate import dipole, random_maps
+import pytest
+from helpers_oracles import EDGE_CASES, signature_oracle
+
+from ribbonpoly.generate import dipole, exhaustive_connected_maps, random_maps
 from ribbonpoly.maps import CombMap, InvalidMapError, diagnose
 
 LOOP1 = CombMap(((0, 1),), ((0, 1),))
@@ -83,6 +86,18 @@ class TestCanonicalization:
         plain = CombMap(((0, 1, 2, 3),), ((0, 1), (2, 3)))
         assert plain.signature != BOUQUET2_INT.signature
         assert plain.genus() == 0
+
+    def test_signature_matches_oracle(self):
+        # The early exit must keep the exact values: the exhaustive family is
+        # sorted by signature, and the census deduplicates on it.
+        for m in exhaustive_connected_maps(5) + EDGE_CASES:
+            assert m.signature == signature_oracle(m), m
+        rng = random.Random(73)
+        for m in random_maps(seed=79, count=40, max_edges=12):
+            signs = tuple(rng.choice((1, -1)) for _v in m.vertices)
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.4)
+            for variant in (CombMap(m.vertices, m.edges, signs, twists), m.delete_edge(0)):
+                assert variant.signature == signature_oracle(variant), variant
 
     def test_diagnose_messages(self):
         assert diagnose(((0, 1), (1,)), ((0, 1),))[0] == "half-edge 1 appears at vertices 0 and 1"
