@@ -49,7 +49,8 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Incremental walks over the 2^E edge subsets and resolutions.
+# Incremental walks over the 2^E edge subsets and resolutions, and over the
+# 2^V vertex flips.
 # ---------------------------------------------------------------------------
 
 
@@ -263,6 +264,47 @@ def _flow_exponents(m: CombMap) -> dict[int, int]:
 
     visit(0, 0, -1 if e_total % 2 else 1)
     return tally
+
+
+def _flip_genera(m: CombMap) -> Iterator[tuple[int, int]]:
+    """(mask, genus) for every set of flipped vertices, in increasing mask order.
+
+    Bit i of the mask flips ``m.flippable_vertices()[i]``, as in
+    ``CombMap.rotation_variants``.  Flipping the disk of v back over after
+    reversing its rotation changes no boundary component and puts a
+    half-twist on each incident edge end; a loop at v gets two, which cancel.
+    So reversing v has the faces of switching each non-loop edge at v between
+    band and crossed band in one strand walker, which starts with untwisted
+    edges as bands and twisted ones as crossed bands.  Going from mask k - 1
+    to k flips the vertices of bits 0..j, j the lowest set bit of k, and so
+    switches the edges at an odd number of those vertices.
+    """
+    flippable = m.flippable_vertices()
+    resolutions = [
+        (2 * b, 2 * b + 1) if e in m.edge_twists else (2 * b + 1, 2 * b)
+        for e, (_a, b) in enumerate(m.edges)
+    ]
+    walker = _StrandWalker(m, resolutions)
+    switched: list[tuple[int, ...]] = []
+    edges: set[int] = set()
+    for v in flippable:
+        edges ^= {m.edge_of[h] for h in m.vertices[v] if not m.is_loop(m.edge_of[h])}
+        switched.append(tuple(edges))
+    base = 2 * m.component_count + m.edge_count - m.vertex_count
+    for mask in range(1 << len(flippable)):
+        if mask:
+            for e in switched[(mask & -mask).bit_length() - 1]:
+                walker.toggle(e)
+        doubled = base - walker.strands
+        if doubled % 2:
+            raise ValueError("map is non-orientable (odd Euler defect); genus undefined")
+        yield mask, doubled // 2
+
+
+def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
+    """The vertices that bit mask flips, as in ``CombMap.rotation_variants``."""
+    flippable = m.flippable_vertices()
+    return frozenset(flippable[i] for i in range(len(flippable)) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +600,14 @@ def degree_report(m: CombMap, engine: str = "auto") -> DegreeReport:
 
 def g_min(m: CombMap) -> tuple[int, frozenset[int]]:
     """Minimal genus over all vertex flips, with a witness flip set."""
-    best: Optional[tuple[int, frozenset[int]]] = None
-    for subset, variant in m.rotation_variants():
-        genus = variant.genus()
+    best: Optional[tuple[int, int]] = None
+    for mask, genus in _flip_genera(m):
         if best is None or genus < best[0]:
-            best = (genus, subset)
+            best = (genus, mask)
             if genus == 0:
                 break
     assert best is not None
-    return best
+    return best[0], _flip_set(m, best[1])
 
 
 def wedge(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:

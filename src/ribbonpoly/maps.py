@@ -186,8 +186,8 @@ class CombMap:
 
     # -- surface data ----------------------------------------------------------
 
-    @cached_property
-    def component_count(self) -> int:
+    def _vertex_roots(self, skip: int = -1) -> list[int]:
+        """Union-find root of each vertex over every edge except ``skip``."""
         parent = list(range(len(self.vertices)))
 
         def find(x: int) -> int:
@@ -196,11 +196,16 @@ class CombMap:
                 x = parent[x]
             return x
 
-        for a, b in self.edges:
-            ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(i) for i in range(len(self.vertices))})
+        for index, (a, b) in enumerate(self.edges):
+            if index != skip:
+                ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
+                if ra != rb:
+                    parent[ra] = rb
+        return [find(i) for i in range(len(self.vertices))]
+
+    @cached_property
+    def component_count(self) -> int:
+        return len(set(self._vertex_roots()))
 
     @cached_property
     def face_count(self) -> int:
@@ -407,8 +412,10 @@ class CombMap:
     # -- edge classification ---------------------------------------------------
 
     def is_bridge(self, e: int) -> bool:
-        deleted = self.delete_edge(e)
-        return deleted.component_count == self.component_count + 1
+        """True when the other edges leave the two ends of ``e`` unjoined."""
+        roots = self._vertex_roots(skip=e)
+        a, b = self.edges[e]
+        return roots[self.vertex_of[a]] != roots[self.vertex_of[b]]
 
     def is_coloop(self, e: int) -> bool:
         """True when deleting the edge increases the face count."""

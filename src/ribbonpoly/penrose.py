@@ -8,7 +8,8 @@ maps through the flip expansion of the S-polynomial; an independent engine,
 ``w_sl_brauer``, evaluates the same diagrams directly, with each vertex
 cyclic or reversed and each edge joined or cut.  Both diagram state sums
 walk their edge resolutions with the strand walker of ``invariants``, which
-also serves S and the rank polynomial.  The normalization is pinned by the
+also serves S, the rank polynomial and the vertex flips of the cellular
+embedding polynomial.  The normalization is pinned by the
 anchor values: an isolated vertex gives N (so) and 1 + s(v) (sl), a
 single-vertex loop gives N(N-1), the planar theta gives N(N-1)(N-2), and
 subdividing an edge doubles ``w_so``.
@@ -20,7 +21,14 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .algebra import HalfLaurent, substitute_square
-from .invariants import _cut_exponents, _gray_toggles, _StrandWalker, s_poly
+from .invariants import (
+    _cut_exponents,
+    _flip_genera,
+    _flip_set,
+    _gray_toggles,
+    _StrandWalker,
+    s_poly,
+)
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
 __all__ = [
@@ -453,11 +461,10 @@ def cellular_embedding_poly(m: CombMap) -> HalfLaurent:
     """
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise InvalidMapError("the cellular embedding polynomial needs a cubic map")
-    data: dict[int, Fraction] = {}
-    for subset, variant in m.rotation_variants():
-        sign = -1 if len(subset) % 2 else 1
-        key = 2 * variant.genus()
-        data[key] = data.get(key, Fraction(0)) + sign
+    data: dict[int, int] = {}
+    for mask, genus in _flip_genera(m):
+        sign = -1 if mask.bit_count() % 2 else 1
+        data[2 * genus] = data.get(2 * genus, 0) + sign
     return HalfLaurent.from_dict("x", data)
 
 
@@ -469,9 +476,9 @@ def planarity_by_flips(m: CombMap) -> dict:
     planar witness.
     """
     witness = None
-    for subset, variant in m.rotation_variants():
-        if variant.genus() == 0:
-            witness = subset
+    for mask, genus in _flip_genera(m):
+        if genus == 0:
+            witness = _flip_set(m, mask)
             break
     report: dict = {"planar_somehow": witness is not None, "witness": witness}
     if m.edge_count and not any(m.is_bridge(e) for e in range(m.edge_count)):

@@ -1,17 +1,23 @@
-"""Brute-force oracles for the incremental state sums and the map signature.
+"""Brute-force oracles for the incremental state sums, the flip walk, the map
+signature and the bridge test.
 
 Each state-sum oracle rebuilds its per-subset data from scratch and builds its
 own corner arcs and strand count, so it shares no code with the strand walker
-in ``ribbonpoly``.  The signature oracle builds every start's full code and
-takes the minimum, with no early exit.
+in ``ribbonpoly``.  The flip oracles build every rotation variant as a
+``CombMap`` and read its genus from ``euler_data``.  The signature oracle
+builds every start's full code and takes the minimum, with no early exit.  The
+bridge oracle deletes the edge and counts components.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Optional
 
 from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, bouquet
 from ribbonpoly.maps import CombMap
+from ribbonpoly.penrose import parity_signs, w_sl_extended
 
 # Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
 # vertices, degree-1 vertices, adjacent loops and several components.
@@ -72,6 +78,56 @@ def signature_oracle(m: CombMap) -> tuple:
         0 if signs is None else signs[i] for i, cycle in enumerate(m.vertices) if not cycle
     )
     return (tuple(comp_codes), tuple(isolated))
+
+
+def is_bridge_oracle(m: CombMap, e: int) -> bool:
+    """Whether deleting edge ``e`` adds a component."""
+    return m.delete_edge(e).component_count == m.component_count + 1
+
+
+def flip_genera_oracle(m: CombMap) -> Iterator[tuple[int, int]]:
+    """(mask, genus) of each rotation variant, built as a ``CombMap``."""
+    for mask, (_subset, variant) in enumerate(m.rotation_variants()):
+        yield mask, variant.genus()
+
+
+def cellular_embedding_oracle(m: CombMap) -> HalfLaurent:
+    """Sum over the rotation variants of (-1)^|W| x^genus (cubic maps)."""
+    data: dict[int, int] = {}
+    for subset, variant in m.rotation_variants():
+        key = 2 * variant.genus()
+        data[key] = data.get(key, 0) + (-1 if len(subset) % 2 else 1)
+    return HalfLaurent.from_dict("x", data)
+
+
+def g_min_oracle(m: CombMap) -> tuple[int, frozenset[int]]:
+    """The first variant of least genus, stopping at the first planar one."""
+    best: Optional[tuple[int, frozenset[int]]] = None
+    for subset, variant in m.rotation_variants():
+        genus = variant.genus()
+        if best is None or genus < best[0]:
+            best = (genus, subset)
+            if genus == 0:
+                break
+    assert best is not None
+    return best
+
+
+def planarity_oracle(m: CombMap) -> dict:
+    """``planarity_by_flips`` from built variants and the bridge oracle."""
+    witness = None
+    for subset, variant in m.rotation_variants():
+        if variant.genus() == 0:
+            witness = subset
+            break
+    report: dict = {"planar_somehow": witness is not None, "witness": witness}
+    if m.edge_count and not any(is_bridge_oracle(m, e) for e in range(m.edge_count)):
+        b1 = m.euler_data().first_betti
+        degree, _ = w_sl_extended(m, parity_signs(m)).degree_leading()
+        report["degree_coherent"] = (degree == 2 * b1) == (witness is not None)
+    else:
+        report["degree_coherent"] = None
+    return report
 
 
 def subgraph_euler(m: CombMap, removed_mask: int) -> tuple[int, int, int, int]:

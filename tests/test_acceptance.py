@@ -39,7 +39,6 @@ from ribbonpoly.fixtures import (
     THETA_T_AS_SPATIAL,
 )
 from ribbonpoly.generate import (
-    cubic_maps,
     exhaustive_connected_maps,
     is_bridgeless,
     k33_standard,
@@ -215,7 +214,7 @@ def test_07_penrose_anchors():
         assert w_sl_extended(m) == w_sl_brauer(m)
 
 
-def test_08_cellular_embedding_polynomial():
+def test_08_cellular_embedding_polynomial(cubic_census):
     assert cellular_embedding_poly(THETA_P) == HalfLaurent.from_dict(
         "x", {0: 2, 2: -2}
     )
@@ -227,7 +226,7 @@ def test_08_cellular_embedding_polynomial():
     assert len(cubic_fixtures) >= 4
     for m in cubic_fixtures:
         assert cellular_embedding_poly(m).evaluate(1) == 0
-    census = [m for v in (2, 4, 6, 8) for m in cubic_maps(v)]
+    census = [m for v in (2, 4, 6, 8) for m in cubic_census[v]]
     bridgeless = [m for m in census if is_bridgeless(m)]
     assert len(bridgeless) >= 20
     for m in bridgeless:
@@ -345,10 +344,10 @@ def test_10_golden_identity():
     assert sp.golden_identity_check(THETA_T_AS_SPATIAL, allow_virtual=True) is False
 
 
-def test_11_census_validation():
+def test_11_census_validation(cubic_census):
     total = 0
     for v in (2, 4, 6, 8, 10):
-        for m in cubic_maps(v):
+        for m in cubic_census[v]:
             total += 1
             poly = cellular_embedding_poly(m)
             assert poly.evaluate(1) == 0

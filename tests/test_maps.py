@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers_oracles import EDGE_CASES, signature_oracle
+from helpers_oracles import EDGE_CASES, is_bridge_oracle, signature_oracle
 
 from ribbonpoly.generate import dipole, exhaustive_connected_maps, random_maps
 from ribbonpoly.maps import CombMap, InvalidMapError, diagnose
@@ -151,6 +151,16 @@ class TestSurgery:
         assert LOOP1.is_loop(0) and not LOOP1.is_bridge(0)
         assert BRIDGE.is_bridge(0)
         assert THETA_P.is_coloop(0) is False
+
+    def test_bridge_matches_oracle(self, cubic_census):
+        family = exhaustive_connected_maps(5) + EDGE_CASES
+        family += [m for v in sorted(cubic_census) for m in cubic_census[v]]
+        bridges = 0
+        for m in family:
+            for e in range(m.edge_count):
+                assert m.is_bridge(e) == is_bridge_oracle(m, e), (m, e)
+                bridges += m.is_bridge(e)
+        assert bridges >= 100
 
 
 class TestTwists:

@@ -3,12 +3,20 @@
 import random
 
 import pytest
-from helpers_oracles import EDGE_CASES, w_sl_brauer_oracle, w_so_oracle
+from helpers_oracles import (
+    EDGE_CASES,
+    cellular_embedding_oracle,
+    flip_genera_oracle,
+    g_min_oracle,
+    planarity_oracle,
+    w_sl_brauer_oracle,
+    w_so_oracle,
+)
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_maps
-from ribbonpoly.invariants import s_poly_at
+from ribbonpoly.invariants import _flip_genera, g_min, s_poly_at
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
@@ -160,6 +168,61 @@ class TestPlanarity:
         for m in [K4, K33_STD, THETA_P]:
             report = planarity_by_flips(m)
             assert report["degree_coherent"] is True
+
+
+def _outcome(call):
+    """The value of ``call()``, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _states(genera):
+    """Every (mask, genus) a flip walk yields, then its ValueError if it raises one."""
+    states = []
+    try:
+        for state in genera:
+            states.append(state)
+    except ValueError as exc:
+        states.append(("ValueError", str(exc)))
+    return states
+
+
+@pytest.fixture(scope="module")
+def flip_family(cubic_census):
+    """Maps with flips of every kind: the exhaustive 5-edge family, the edge
+    cases, the v <= 8 census under random base flips, and random twists."""
+    rng = random.Random(20261018)
+    family = exhaustive_connected_maps(5) + EDGE_CASES
+    for v in (2, 4, 6, 8):
+        for m in cubic_census[v]:
+            flips = [u for u in range(m.vertex_count) if rng.random() < 0.5]
+            family.append(m.flip_subset(flips))
+    for m in random_maps(seed=61, count=40, max_edges=9) + cubic_census[6]:
+        twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.3)
+        family.append(CombMap(m.vertices, m.edges, None, twists))
+    return family
+
+
+class TestFlipWalk:
+    def test_genera_per_state(self, flip_family):
+        raised = 0
+        for m in flip_family:
+            want = _states(flip_genera_oracle(m))
+            assert _states(_flip_genera(m)) == want, m
+            raised += want[-1][0] == "ValueError"
+        assert raised >= 10
+
+    def test_results_match_oracles(self, flip_family):
+        for m in flip_family:
+            assert _outcome(lambda: g_min(m)) == _outcome(lambda: g_min_oracle(m)), m
+            if m.vertex_count <= 6:
+                want = _outcome(lambda: planarity_oracle(m))
+                assert _outcome(lambda: planarity_by_flips(m)) == want, m
+            if m.vertex_count and all(m.degree(v) == 3 for v in range(m.vertex_count)):
+                want = _outcome(lambda: cellular_embedding_oracle(m))
+                assert _outcome(lambda: cellular_embedding_poly(m)) == want, m
 
 
 class TestNumberChecks:
