@@ -225,11 +225,6 @@ def _render_term(tag: str, half_exp: int, magnitude: Fraction) -> str:
     return f"{magnitude}*{var}"
 
 
-def poly_from_integer_coeffs(tag: str, coeffs: Mapping[int, Scalar]) -> HalfLaurent:
-    """Build a polynomial from integer exponents (convenience for tests)."""
-    return HalfLaurent.from_dict(tag, {2 * exp: coeff for exp, coeff in coeffs.items()})
-
-
 def substitute_q_shift(poly: HalfLaurent, new_tag: str = "q") -> HalfLaurent:
     """Substitute ``Q^{1/2} := q^{1/2} + q^{-1/2}`` exactly.
 
@@ -494,18 +489,6 @@ class CyclotomicElement:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def to_conductor(self, target: int) -> "CyclotomicElement":
-        """Embed into Q[x]/Phi_target via zeta_n = zeta_target^(target/n)."""
-        if target % self.conductor != 0:
-            raise ValueError("can only embed into a multiple of the conductor")
-        step = target // self.conductor
-        result = CyclotomicElement.zero(target)
-        for power, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            result = result + CyclotomicElement.root_power(target, power * step).scale(coeff)
-        return result
 
 
 def eval_cyclotomic(

@@ -208,21 +208,6 @@ class BrauerVector:
                 out[matching] = coeff if prior is None else prior + coeff
         return BrauerVector(out)
 
-    def close_trace(self) -> HalfLaurent:
-        """Connect top i to bottom i on every term; returns a scalar in c."""
-        total = HalfLaurent.zero("c")
-        for matching, coeff in self.terms.items():
-            if matching.bottom != matching.top:
-                raise ValueError("trace needs equal bottom and top arity")
-            n = matching.bottom
-            cup_all = BrauerMatching.from_pairs(0, 2 * n, [(i, 2 * n - 1 - i) for i in range(n)])
-            cap_all = BrauerMatching.from_pairs(2 * n, 0, [(i, 2 * n - 1 - i) for i in range(n)])
-            bent, loops1 = cup_all.then(matching.tensor(BrauerMatching.identity(n)))
-            closed, loops2 = bent.then(cap_all)
-            assert not closed.pairs
-            total = total + coeff.shift(2 * (loops1 + loops2))
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BrauerVector):
             return NotImplemented

@@ -86,17 +86,3 @@ def fixture_path(name: str) -> Path:
 
 def bundled_fixture_paths() -> dict[str, Path]:
     return {path.stem: path for path in sorted(fixture_dir().glob("*.vgf"))}
-
-
-def write_fixture_files(target: Path | None = None) -> list[Path]:
-    """Regenerate the bundled .vgf files from the in-module objects."""
-    from .vgf import serialize_vgf
-
-    directory = Path(target) if target is not None else fixture_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, obj in ALL_FIXTURES.items():
-        path = directory / f"{name}.vgf"
-        path.write_text(serialize_vgf(obj), encoding="utf-8")
-        written.append(path)
-    return written

@@ -332,17 +332,6 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
     return (v,) + best[0]
 
 
-def _isomorphic_matrices(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Permutation search; independent of canonical_form, for cross-checks."""
-    if len(a) != len(b):
-        return False
-    v = len(a)
-    for perm in itertools.permutations(range(v)):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(v) for j in range(i, v)):
-            return True
-    return False
-
-
 def _connected(matrix: Sequence[Sequence[int]]) -> bool:
     v = len(matrix)
     seen = {0}
@@ -507,14 +496,3 @@ def cubic_maps(v: int) -> list[CombMap]:
 
 def is_bridgeless(m: CombMap) -> bool:
     return not any(m.is_bridge(e) for e in range(m.edge_count))
-
-
-def is_simple_cubic(matrix: Sequence[Sequence[int]]) -> bool:
-    v = len(matrix)
-    for i in range(v):
-        if matrix[i][i]:
-            return False
-        for j in range(i + 1, v):
-            if matrix[i][j] > 1:
-                return False
-    return True

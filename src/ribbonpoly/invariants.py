@@ -11,8 +11,9 @@ vertex-count-normalized chromatic polynomial for virtual graphs.  Each comes
 with independent engines (state sum and memoized contraction-deletion) so the
 test suite can cross-check them term by term.
 
-Contraction-deletion memoizes on ``CombMap.signature`` and builds only the
-branches that can be nonzero.  S and flow vanish at a degree-1 vertex, so a
+Contraction-deletion recurses on a bare half-edge form of the map (see
+``_kernel``), memoizes on the canonical code that ``CombMap.signature`` uses,
+and builds only the branches that can be nonzero.  S and flow vanish at a degree-1 vertex, so a
 non-loop edge at a degree-2 vertex recurses on its contraction alone.  For the
 chromatic polynomial, deleting a pendant edge is contracting it and adding an
 isolated vertex, so that edge contributes a factor (t - 1).
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .maps import CombMap
+from .maps import CombMap, _canonical_code
 
 _S_CACHE: dict = {}
 _FLOW_CACHE: dict = {}
@@ -308,6 +309,104 @@ def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
+# The contraction-deletion kernel.
+# ---------------------------------------------------------------------------
+
+
+def _kernel(m: CombMap) -> tuple[list[int], int]:
+    """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated vertices.
+
+    S, flow and the chromatic polynomial recurse on this pair, where alpha
+    is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
+    and vertex signs, which none of the three reads, are dropped here.
+    """
+    label = [0] * m.half_edge_count
+    for k, (a, b) in enumerate(m.edges):
+        label[a], label[b] = 2 * k, 2 * k + 1
+    sigma = [0] * m.half_edge_count
+    for h, nxt in enumerate(m.sigma):
+        sigma[label[h]] = label[nxt]
+    return sigma, sum(1 for cycle in m.vertices if not cycle)
+
+
+def _kernel_key(sigma: list[int], isolated: int) -> tuple:
+    """The memo key: ``CombMap.signature`` of the same twist-free, unsigned map."""
+    n = len(sigma)
+    zeros = [0] * n
+    return _canonical_code(sigma, [h ^ 1 for h in range(n)], zeros, zeros, [0] * isolated)
+
+
+def _memoized(
+    cache: dict, compute: Callable[[list[int], int], HalfLaurent], sigma: list[int], isolated: int
+) -> HalfLaurent:
+    """``compute(sigma, isolated)``, looked up in and stored to ``cache`` by the kernel key."""
+    key = _kernel_key(sigma, isolated)
+    result = cache.get(key)
+    if result is None:
+        result = cache[key] = compute(sigma, isolated)
+    return result
+
+
+def _minor(sigma: list[int], isolated: int, k: int, contract: bool) -> tuple[list[int], int]:
+    """Delete edge k, or contract it: swap the successors of its ends, then delete.
+
+    The swap joins the two vertices of a non-loop edge and splits the vertex
+    of a loop, as ``CombMap.partial_dual`` does for an untwisted edge.  A
+    half-edge alone at its vertex leaves an isolated vertex behind; the
+    half-edges above edge k move down by 2.
+    """
+    s = list(sigma)
+    a, b = 2 * k, 2 * k + 1
+    if contract:
+        s[a], s[b] = s[b], s[a]
+    for h in (a, b):
+        nxt = s[h]
+        if nxt == h:
+            isolated += 1
+        else:
+            s[s.index(h)] = nxt
+        s[h] = -1
+    del s[a : b + 1]
+    return [x - 2 if x > b else x for x in s], isolated
+
+
+def _lone_half_edge(sigma: list[int]) -> int:
+    """The half-edge of a degree-1 vertex, or -1 if there is none."""
+    for h, nxt in enumerate(sigma):
+        if nxt == h:
+            return h
+    return -1
+
+
+def _subdivision_edge(sigma: list[int]) -> int:
+    """A non-loop edge at a degree-2 vertex, or -1 if there is none.
+
+    Deleting it leaves a degree-1 vertex, where S and flow vanish, so both
+    polynomials equal those of the contraction alone.
+    """
+    for h, nxt in enumerate(sigma):
+        if sigma[nxt] == h and nxt != h and nxt != h ^ 1:
+            return h >> 1
+    return -1
+
+
+def _preferred_edge(sigma: list[int]) -> tuple[int, bool]:
+    """The first non-loop edge, or edge 0 when all are loops, and whether it is a loop.
+
+    Non-loop edges go first: their branches shrink the vertex set too.  S and
+    flow take an edge from _subdivision_edge before this one, and
+    virtual_chromatic takes a pendant edge first.
+    """
+    for a in range(0, len(sigma), 2):
+        h = sigma[a]
+        while h != a and h != a + 1:
+            h = sigma[h]
+        if h == a:
+            return a >> 1, False
+    return 0, True
+
+
+# ---------------------------------------------------------------------------
 # Flow polynomial.
 # ---------------------------------------------------------------------------
 
@@ -329,57 +428,27 @@ def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     if engine == "state-sum":
         return HalfLaurent.from_dict("Q", _flow_exponents(m))
     if engine == "contraction-deletion":
-        return _flow_cd(m)
+        return _flow_cd(*_kernel(m))
     raise ValueError(f"unknown flow engine {engine!r}")
 
 
-def _flow_cd(m: CombMap) -> HalfLaurent:
-    key = m.signature
-    cached = _FLOW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _flow_cd_compute(m)
-    _FLOW_CACHE[key] = result
-    return result
+def _flow_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+    return _memoized(_FLOW_CACHE, _flow_cd_compute, sigma, isolated)
 
 
-def _flow_cd_compute(m: CombMap) -> HalfLaurent:
-    if any(len(cycle) == 1 for cycle in m.vertices):
+def _flow_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+    if _lone_half_edge(sigma) >= 0:
         return HalfLaurent.zero("Q")
-    if m.edge_count == 0:
+    if not sigma:
         return HalfLaurent.one("Q")
-    e = _subdivision_edge(m)
+    e = _subdivision_edge(sigma)
     if e >= 0:
-        return _flow_cd(m.contract(e))
-    e = _preferred_edge(m)
-    if m.is_loop(e):
+        return _flow_cd(*_minor(sigma, isolated, e, True))
+    e, loop = _preferred_edge(sigma)
+    if loop:
         q_minus_1 = HalfLaurent.from_dict("Q", {2: 1, 0: -1})
-        return q_minus_1 * _flow_cd(m.delete_edge(e))
-    return _flow_cd(m.contract(e)) - _flow_cd(m.delete_edge(e))
-
-
-def _subdivision_edge(m: CombMap) -> int:
-    """A non-loop edge at a degree-2 vertex, or -1 if there is none.
-
-    Deleting it leaves a degree-1 vertex, where S and flow vanish, so both
-    polynomials equal those of the contraction alone.
-    """
-    for cycle in m.vertices:
-        if len(cycle) == 2:
-            e = m.edge_of[cycle[0]]
-            if not m.is_loop(e):
-                return e
-    return -1
-
-
-def _preferred_edge(m: CombMap) -> int:
-    # Non-loop edges first: their branches shrink the vertex set too.  S and
-    # flow take an edge from _subdivision_edge before this one, and
-    # virtual_chromatic takes a pendant edge first.
-    for e in range(m.edge_count):
-        if not m.is_loop(e):
-            return e
-    return 0
+        return q_minus_1 * _flow_cd(*_minor(sigma, isolated, e, False))
+    return _flow_cd(*_minor(sigma, isolated, e, True)) - _flow_cd(*_minor(sigma, isolated, e, False))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +466,7 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     if engine == "state-sum":
         return HalfLaurent.from_dict("Q", _s_exponents(m))
     if engine == "contraction-deletion":
-        return _s_cd(m)
+        return _s_cd(*_kernel(m))
     if engine == "brauer":
         from .brauer import brauer_evaluate
 
@@ -405,28 +474,22 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     raise ValueError(f"unknown S engine {engine!r}")
 
 
-def _s_cd(m: CombMap) -> HalfLaurent:
-    key = m.signature
-    cached = _S_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _s_cd_compute(m)
-    _S_CACHE[key] = result
-    return result
+def _s_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+    return _memoized(_S_CACHE, _s_cd_compute, sigma, isolated)
 
 
-def _s_cd_compute(m: CombMap) -> HalfLaurent:
-    if any(len(cycle) == 1 for cycle in m.vertices):
+def _s_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+    if _lone_half_edge(sigma) >= 0:
         return HalfLaurent.zero("Q")
-    if m.edge_count == 0:
+    if not sigma:
         return HalfLaurent.one("Q")
-    e = _subdivision_edge(m)
+    e = _subdivision_edge(sigma)
     if e >= 0:
-        return _s_cd(m.contract(e))
-    e = _preferred_edge(m)
-    contracted = _s_cd(m.contract(e))
-    deleted = _s_cd(m.delete_edge(e))
-    if m.is_loop(e):
+        return _s_cd(*_minor(sigma, isolated, e, True))
+    e, loop = _preferred_edge(sigma)
+    contracted = _s_cd(*_minor(sigma, isolated, e, True))
+    deleted = _s_cd(*_minor(sigma, isolated, e, False))
+    if loop:
         return contracted.shift(2) - deleted
     return contracted - deleted
 
@@ -533,27 +596,27 @@ def virtual_chromatic(m: CombMap) -> HalfLaurent:
     """
     if m.edge_twists:
         raise ValueError("the chromatic polynomial needs a twist-free map")
-    key = m.signature
-    cached = _CHROM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pendant = next((cycle[0] for cycle in m.vertices if len(cycle) == 1), None)
-    if m.edge_count == 0:
-        result = HalfLaurent.monomial("t", 2 * m.vertex_count)
-    elif pendant is not None:
+    return _chrom_cd(*_kernel(m))
+
+
+def _chrom_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+    return _memoized(_CHROM_CACHE, _chrom_cd_compute, sigma, isolated)
+
+
+def _chrom_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+    if not sigma:
+        return HalfLaurent.monomial("t", 2 * isolated)
+    pendant = _lone_half_edge(sigma)
+    if pendant >= 0:
         # G - e is G/e plus an isolated vertex, so P(G) = (t - 1) P(G/e).
         t_minus_1 = HalfLaurent.from_dict("t", {2: 1, 0: -1})
-        result = t_minus_1 * virtual_chromatic(m.contract(m.edge_of[pendant]))
-    else:
-        e = _preferred_edge(m)
-        deleted = virtual_chromatic(m.delete_edge(e))
-        contracted = virtual_chromatic(m.contract(e))
-        if m.is_loop(e):
-            result = deleted - contracted.shift(-2)
-        else:
-            result = deleted - contracted
-    _CHROM_CACHE[key] = result
-    return result
+        return t_minus_1 * _chrom_cd(*_minor(sigma, isolated, pendant >> 1, True))
+    e, loop = _preferred_edge(sigma)
+    deleted = _chrom_cd(*_minor(sigma, isolated, e, False))
+    contracted = _chrom_cd(*_minor(sigma, isolated, e, True))
+    if loop:
+        return deleted - contracted.shift(-2)
+    return deleted - contracted
 
 
 def chromatic_via_dual(m: CombMap) -> HalfLaurent:

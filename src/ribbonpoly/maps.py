@@ -272,15 +272,6 @@ class CombMap:
         twisted = {frozenset(self.edges[t]) for t in self.edge_twists if t != e}
         return _rebuild(vertices, edges, self.vertex_signs, twisted)
 
-    def delete_vertex(self, v: int) -> "CombMap":
-        if self.vertices[v]:
-            raise InvalidMapError("only isolated vertices can be deleted")
-        vertices = [list(c) for i, c in enumerate(self.vertices) if i != v]
-        signs = None
-        if self.vertex_signs is not None:
-            signs = tuple(s for i, s in enumerate(self.vertex_signs) if i != v)
-        return _rebuild(vertices, list(self.edges), signs, self._twisted_pairs())
-
     def vertex_flip(self, v: int) -> "CombMap":
         """Reverse the rotation at one vertex (twist marks untouched)."""
         vertices = [
@@ -422,16 +413,6 @@ class CombMap:
         deleted = self.delete_edge(e)
         return deleted.face_count == self.face_count + 1
 
-    def classify_edge(self, e: int) -> frozenset[str]:
-        labels = set()
-        if self.is_loop(e):
-            labels.add("loop")
-        if self.is_bridge(e):
-            labels.add("bridge")
-        if self.is_coloop(e):
-            labels.add("coloop")
-        return frozenset(labels)
-
     def interlaced(self, e: int, f: int) -> bool:
         """Whether two distinct coloops are interlaced.
 
@@ -466,76 +447,90 @@ class CombMap:
         """Canonical label-independent code; equal iff maps are isomorphic.
 
         Isomorphism preserves rotation direction, twist marks, and vertex
-        signs.  Each connected component is encoded by the minimal
-        breadth-first relabeling code over all starting half-edges.
+        signs.  See ``_canonical_code``.
         """
         n = self.half_edge_count
         signs = self.vertex_signs
-        sigma, alpha = self.sigma, self.alpha
         twisted = [1 if self.edge_of[h] in self.edge_twists else 0 for h in range(n)]
         sign_of = [0] * n if signs is None else [signs[v] for v in self.vertex_of]
-        comp_of = [-1] * n
-        comps: list[list[int]] = []
-        for h0 in range(n):
-            if comp_of[h0] >= 0:
-                continue
-            stack, members = [h0], []
-            comp_of[h0] = len(comps)
-            while stack:
-                h = stack.pop()
-                members.append(h)
-                for nxt in (sigma[h], alpha[h]):
-                    if comp_of[nxt] < 0:
-                        comp_of[nxt] = len(comps)
-                        stack.append(nxt)
-            comps.append(members)
-
-        def code_from(start: int, best: Optional[list]) -> Optional[list]:
-            # Entry i is final once order[i] is processed: both of its
-            # neighbours have labels by then.  So the code is compared with
-            # ``best`` as it is emitted, and dropped as soon as it is larger.
-            label = [-1] * n
-            label[start] = 0
-            order = [start]
-            out = []
-            smaller = best is None
-            for i, h in enumerate(order):
-                s, a = sigma[h], alpha[h]
-                if label[s] < 0:
-                    label[s] = len(order)
-                    order.append(s)
-                if label[a] < 0:
-                    label[a] = len(order)
-                    order.append(a)
-                entry = (label[s], label[a], twisted[h], sign_of[h])
-                if not smaller:
-                    if entry > best[i]:
-                        return None
-                    smaller = entry < best[i]
-                out.append(entry)
-            return out if smaller else None
-
-        comp_codes = []
-        for members in comps:
-            best = None
-            for start in members:
-                best = code_from(start, best) or best
-            comp_codes.append(tuple(best))
-        comp_codes.sort()
-        isolated = []
-        for i, cycle in enumerate(self.vertices):
-            if not cycle:
-                isolated.append(0 if signs is None else signs[i])
-        isolated.sort()
-        return (tuple(comp_codes), tuple(isolated))
+        isolated = [
+            0 if signs is None else signs[i] for i, cycle in enumerate(self.vertices) if not cycle
+        ]
+        return _canonical_code(self.sigma, self.alpha, twisted, sign_of, isolated)
 
     def isomorphic(self, other: "CombMap") -> bool:
         return self.signature == other.signature
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization and rebuilding helpers.
+# Canonical code, canonicalization and rebuilding helpers.
 # ---------------------------------------------------------------------------
+
+
+def _canonical_code(
+    sigma: Sequence[int],
+    alpha: Sequence[int],
+    twisted: Sequence[int],
+    sign_of: Sequence[int],
+    isolated: Iterable[int],
+) -> tuple:
+    """The canonical code of a map given by half-edge arrays.
+
+    ``twisted[h]`` is the twist bit of h's edge and ``sign_of[h]`` the sign
+    of h's vertex (0 when unsigned); ``isolated`` holds the signs of the
+    isolated vertices.  Each connected component is encoded by the minimal
+    breadth-first relabeling code over all starting half-edges.
+    """
+    n = len(sigma)
+
+    def code_from(start: int, best: Optional[list]) -> tuple[Optional[list], list[int]]:
+        # Entry i is final once order[i] is processed: both of its
+        # neighbours have labels by then.  So the code is compared with
+        # ``best`` as it is emitted, and dropped as soon as it is larger; the
+        # prefix equal to ``best`` is copied from it once the code is smaller.
+        # The breadth-first order visits exactly the component of ``start``.
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        count = 1
+        out = []
+        smaller = best is None
+        for i, h in enumerate(order):
+            s, a = sigma[h], alpha[h]
+            ls = label[s]
+            if ls < 0:
+                ls = label[s] = count
+                count += 1
+                order.append(s)
+            la = label[a]
+            if la < 0:
+                la = label[a] = count
+                count += 1
+                order.append(a)
+            entry = (ls, la, twisted[h], sign_of[h])
+            if not smaller:
+                if entry > best[i]:
+                    return None, order
+                if entry == best[i]:
+                    continue
+                smaller = True
+                out = best[:i]
+            out.append(entry)
+        return (out if smaller else None), order
+
+    covered = [False] * n
+    comp_codes = []
+    for h0 in range(n):
+        if covered[h0]:
+            continue
+        best, members = code_from(h0, None)
+        for h in members:
+            covered[h] = True
+        for start in members[1:]:
+            best = code_from(start, best)[0] or best
+        comp_codes.append(tuple(best))
+    comp_codes.sort()
+    return (tuple(comp_codes), tuple(sorted(isolated)))
 
 
 def _canonicalize(

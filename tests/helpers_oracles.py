@@ -1,12 +1,16 @@
 """Brute-force oracles for the incremental state sums, the flip walk, the map
-signature and the bridge test.
+signature and the bridge test, and the contraction-deletion recursions on
+validated maps.
 
 Each state-sum oracle rebuilds its per-subset data from scratch and builds its
 own corner arcs and strand count, so it shares no code with the strand walker
 in ``ribbonpoly``.  The flip oracles build every rotation variant as a
 ``CombMap`` and read its genus from ``euler_data``.  The signature oracle
 builds every start's full code and takes the minimum, with no early exit.  The
-bridge oracle deletes the edge and counts components.
+bridge oracle deletes the edge and counts components.  The
+contraction-deletion oracles recurse on ``CombMap.contract`` and
+``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
+code with the half-edge kernel in ``ribbonpoly.invariants``.
 """
 
 from __future__ import annotations
@@ -311,3 +315,90 @@ def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
             half_exp = 2 * (e_count - cuts + loops - m.vertex_count)
             data[half_exp] = data.get(half_exp, 0) + sign * weight
     return HalfLaurent.from_dict("N", data)
+
+
+_CD_MEMO: dict = {}
+
+
+def _cd_memo(name: str, m: CombMap, compute) -> HalfLaurent:
+    key = (name, m.signature)
+    if key not in _CD_MEMO:
+        _CD_MEMO[key] = compute(m)
+    return _CD_MEMO[key]
+
+
+def _subdivision_edge(m: CombMap) -> int:
+    for cycle in m.vertices:
+        if len(cycle) == 2:
+            e = m.edge_of[cycle[0]]
+            if not m.is_loop(e):
+                return e
+    return -1
+
+
+def _preferred_edge(m: CombMap) -> int:
+    for e in range(m.edge_count):
+        if not m.is_loop(e):
+            return e
+    return 0
+
+
+def s_cd_oracle(m: CombMap) -> HalfLaurent:
+    """S by contraction-deletion on validated maps."""
+
+    def compute(m: CombMap) -> HalfLaurent:
+        if any(len(cycle) == 1 for cycle in m.vertices):
+            return HalfLaurent.zero("Q")
+        if m.edge_count == 0:
+            return HalfLaurent.one("Q")
+        e = _subdivision_edge(m)
+        if e >= 0:
+            return s_cd_oracle(m.contract(e))
+        e = _preferred_edge(m)
+        contracted = s_cd_oracle(m.contract(e))
+        deleted = s_cd_oracle(m.delete_edge(e))
+        if m.is_loop(e):
+            return contracted.shift(2) - deleted
+        return contracted - deleted
+
+    return _cd_memo("s", m, compute)
+
+
+def flow_cd_oracle(m: CombMap) -> HalfLaurent:
+    """The flow polynomial by contraction-deletion on validated maps, twists kept."""
+
+    def compute(m: CombMap) -> HalfLaurent:
+        if any(len(cycle) == 1 for cycle in m.vertices):
+            return HalfLaurent.zero("Q")
+        if m.edge_count == 0:
+            return HalfLaurent.one("Q")
+        e = _subdivision_edge(m)
+        if e >= 0:
+            return flow_cd_oracle(m.contract(e))
+        e = _preferred_edge(m)
+        if m.is_loop(e):
+            q_minus_1 = HalfLaurent.from_dict("Q", {2: 1, 0: -1})
+            return q_minus_1 * flow_cd_oracle(m.delete_edge(e))
+        return flow_cd_oracle(m.contract(e)) - flow_cd_oracle(m.delete_edge(e))
+
+    return _cd_memo("flow", m, compute)
+
+
+def chromatic_cd_oracle(m: CombMap) -> HalfLaurent:
+    """``virtual_chromatic`` by contraction-deletion on validated maps."""
+
+    def compute(m: CombMap) -> HalfLaurent:
+        pendant = next((cycle[0] for cycle in m.vertices if len(cycle) == 1), None)
+        if m.edge_count == 0:
+            return HalfLaurent.monomial("t", 2 * m.vertex_count)
+        if pendant is not None:
+            t_minus_1 = HalfLaurent.from_dict("t", {2: 1, 0: -1})
+            return t_minus_1 * chromatic_cd_oracle(m.contract(m.edge_of[pendant]))
+        e = _preferred_edge(m)
+        deleted = chromatic_cd_oracle(m.delete_edge(e))
+        contracted = chromatic_cd_oracle(m.contract(e))
+        if m.is_loop(e):
+            return deleted - contracted.shift(-2)
+        return deleted - contracted
+
+    return _cd_memo("chrom", m, compute)

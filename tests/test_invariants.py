@@ -4,7 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers_oracles import EDGE_CASES, state_sum_oracles, strand_count, subgraph_euler
+from helpers_oracles import (
+    EDGE_CASES,
+    chromatic_cd_oracle,
+    flow_cd_oracle,
+    s_cd_oracle,
+    state_sum_oracles,
+    strand_count,
+    subgraph_euler,
+)
 
 from ribbonpoly import algebra, invariants, penrose, spatial
 from ribbonpoly.algebra import HalfLaurent
@@ -21,9 +29,16 @@ from ribbonpoly.fixtures import (
 from ribbonpoly.generate import cycle_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import (
     _gray_toggles,
+    _kernel,
+    _kernel_key,
+    _lone_half_edge,
+    _minor,
+    _preferred_edge,
     _StrandWalker,
+    _subdivision_edge,
     chromatic_via_dual,
     clear_caches,
+    connect_sum_checks,
     degree_report,
     flow_poly,
     krushkal_poly,
@@ -308,6 +323,92 @@ class TestReductions:
         pendants = [_with_pendants(rng, m) for m in random_maps(seed=107, count=20, max_edges=8)]
         for m in six_edge_family + _with_chains(83, 40) + trees + pendants + EDGE_CASES:
             assert virtual_chromatic(m) == chromatic_via_dual(m), m
+
+
+def _stripped(m):
+    """The same map without twists or vertex signs."""
+    return CombMap(m.vertices, m.edges)
+
+
+def _decorated(seed, count, max_edges):
+    """Random maps with random twists and random vertex signs."""
+    rng = random.Random(seed)
+    out = []
+    for m in random_maps(seed=seed, count=count, max_edges=max_edges):
+        twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.4)
+        signs = tuple(rng.choice((1, -1)) for _ in range(m.vertex_count))
+        out.append(CombMap(m.vertices, m.edges, signs, twists))
+    return out
+
+
+class TestKernel:
+    """The half-edge kernel of contraction-deletion against validated maps."""
+
+    def test_minor_keys_match_signatures(self):
+        family = exhaustive_connected_maps(5) + EDGE_CASES + _decorated(109, 30, 10)
+        minors = 0
+        for m in family:
+            plain = _stripped(m)
+            sigma, isolated = _kernel(m)
+            assert _kernel_key(sigma, isolated) == plain.signature, m
+            for e in range(m.edge_count):
+                deleted = _minor(sigma, isolated, e, False)
+                contracted = _minor(sigma, isolated, e, True)
+                assert _kernel_key(*deleted) == plain.delete_edge(e).signature, (m, e)
+                assert _kernel_key(*contracted) == plain.contract(e).signature, (m, e)
+                minors += 2
+        assert minors > 8000
+
+    def test_edge_choices_match_combmap(self):
+        for m in exhaustive_connected_maps(4) + EDGE_CASES + _decorated(113, 20, 9):
+            sigma, _isolated = _kernel(m)
+            degrees = [len(cycle) for cycle in m.vertices]
+            assert (_lone_half_edge(sigma) >= 0) == (1 in degrees), m
+            e = _subdivision_edge(sigma)
+            if e < 0:
+                assert not any(
+                    len(c) == 2 and not m.is_loop(m.edge_of[c[0]]) for c in m.vertices
+                ), m
+            else:
+                a, b = m.edges[e]
+                assert not m.is_loop(e), m
+                assert 2 in (degrees[m.vertex_of[a]], degrees[m.vertex_of[b]]), m
+            if m.edge_count:
+                non_loops = [k for k in range(m.edge_count) if not m.is_loop(k)]
+                want = (non_loops[0], False) if non_loops else (0, True)
+                assert _preferred_edge(sigma) == want, m
+
+    def test_cd_matches_oracles(self, six_edge_family):
+        family = six_edge_family + EDGE_CASES + random_maps(seed=127, count=12, max_edges=10)
+        for m in family:
+            assert s_poly(m, engine="contraction-deletion") == s_cd_oracle(m), m
+            assert flow_poly(m, engine="contraction-deletion") == flow_cd_oracle(m), m
+            assert virtual_chromatic(m) == chromatic_cd_oracle(m), m
+        for m in _decorated(131, 20, 10):
+            assert flow_poly(m, engine="contraction-deletion") == flow_cd_oracle(m), m
+
+
+class TestConnectSumChecks:
+    def test_edge_vertex_and_wedge_rules(self, connect_sum_pairs):
+        rng = random.Random(157)
+        beyond_state_sum = 0
+        for m1, m2 in connect_sum_pairs:
+            assert not s_poly(m1).is_zero() and not s_poly(m2).is_zero()
+            a, b = m1.edges[rng.randrange(m1.edge_count)]
+            e1 = (a, b) if rng.random() < 0.5 else (b, a)
+            e2 = m2.edges[rng.randrange(m2.edge_count)]
+            v1 = rng.choice([v for v in range(m1.vertex_count) if m1.degree(v) == 3])
+            v2 = rng.choice([v for v in range(m2.vertex_count) if m2.degree(v) == 3])
+            h1, h2 = rng.choice(m1.vertices[v1]), rng.choice(m2.vertices[v2])
+            report = connect_sum_checks(m1, e1, m2, e2, v1, h1, v2, h2)
+            assert report == {
+                "edge_rule": True,
+                "vertex_rule": True,
+                "wedge_rule": True,
+                "passed": True,
+            }, (m1, e1, m2, e2, v1, h1, v2, h2)
+            beyond_state_sum += resolve_engine(m1.disjoint_union(m2), "auto") == "contraction-deletion"
+        assert beyond_state_sum >= 4
 
 
 class TestClearCaches:

@@ -5,8 +5,18 @@ import random
 import pytest
 from helpers_oracles import EDGE_CASES, is_bridge_oracle, signature_oracle
 
+from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.generate import dipole, exhaustive_connected_maps, random_maps
-from ribbonpoly.maps import CombMap, InvalidMapError, diagnose
+from ribbonpoly.invariants import flow_poly
+from ribbonpoly.maps import (
+    CombMap,
+    ConnectSumError,
+    InvalidMapError,
+    diagnose,
+    edge_connect_sum,
+    resolve_strands,
+    vertex_connect_sum,
+)
 
 LOOP1 = CombMap(((0, 1),), ((0, 1),))
 BOUQUET2_INT = CombMap(((0, 2, 1, 3),), ((0, 1), (2, 3)))
@@ -183,3 +193,65 @@ class TestRotationVariants:
         assert len(variants) == 4
         genera = sorted(v.genus() for _, v in variants)
         assert genera == [0, 0, 1, 1]
+
+
+Q_MINUS_1 = HalfLaurent.variable("Q") - HalfLaurent.one("Q")
+Q_MINUS_2 = HalfLaurent.variable("Q") - HalfLaurent.constant("Q", 2)
+
+
+def _trivalent(m):
+    return [v for v in range(m.vertex_count) if m.degree(v) == 3]
+
+
+class TestConnectSums:
+    """Edge and vertex connect sums: sizes, and the flow polynomial across 2- and 3-edge cuts."""
+
+    def test_edge_sum(self, connect_sum_pairs):
+        rng = random.Random(149)
+        for m1, m2 in connect_sum_pairs:
+            for _ in range(2):
+                a, b = m1.edges[rng.randrange(m1.edge_count)]
+                e2 = m2.edges[rng.randrange(m2.edge_count)]
+                e1 = (a, b) if rng.random() < 0.5 else (b, a)
+                joined = edge_connect_sum(m1, e1, m2, e2)
+                # No half-edge is lost, so the labels stay; the stubs join first to first.
+                shift = m1.half_edge_count
+                for x, y in zip(e1, e2):
+                    assert tuple(sorted((x, y + shift))) in joined.edges
+                assert joined.edge_count == m1.edge_count + m2.edge_count
+                assert joined.vertex_count == m1.vertex_count + m2.vertex_count
+                assert joined.component_count == 1
+                assert Q_MINUS_1 * flow_poly(joined) == flow_poly(m1) * flow_poly(m2), (m1, e1, m2, e2)
+
+    def test_vertex_sum(self, connect_sum_pairs):
+        rng = random.Random(151)
+        for m1, m2 in connect_sum_pairs:
+            v1, v2 = rng.choice(_trivalent(m1)), rng.choice(_trivalent(m2))
+            h1 = rng.choice(m1.vertices[v1])
+            for h2 in m2.vertices[v2]:
+                joined = vertex_connect_sum(m1, v1, h1, m2, v2, h2)
+                assert joined.edge_count == m1.edge_count + m2.edge_count - 3
+                assert joined.vertex_count == m1.vertex_count + m2.vertex_count - 2
+                want = flow_poly(m1) * flow_poly(m2)
+                assert Q_MINUS_1 * Q_MINUS_2 * flow_poly(joined) == want, (m1, v1, h1, m2, v2, h2)
+
+    def test_vertex_sum_refusals(self):
+        # a loop and a pendant edge at a trivalent vertex
+        lollipop = CombMap(((0, 1, 2), (3,)), ((0, 1), (2, 3)))
+        with pytest.raises(ConnectSumError, match="vertex-free circle"):
+            vertex_connect_sum(lollipop, 0, 2, lollipop, 0, 2)
+        with pytest.raises(ConnectSumError, match="trivalent"):
+            vertex_connect_sum(lollipop, 1, 3, lollipop, 0, 2)
+        with pytest.raises(ConnectSumError, match="designated half-edge"):
+            vertex_connect_sum(lollipop, 0, 3, lollipop, 0, 2)
+
+    def test_resolve_strands(self):
+        alpha = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+        # 1 and 2 are fused: the strand runs 0 - 1 = 2 - 3.
+        assert resolve_strands(alpha, {1: 2, 2: 1}, set()) == ([(0, 3, 0)], 0)
+        assert resolve_strands(alpha, {1: 2, 2: 1}, {2, 3}) == ([(0, 3, 1)], 0)
+        # Two twists on one strand cancel; a chain runs through two junctions.
+        chain = {1: 2, 2: 1, 3: 4, 4: 3}
+        assert resolve_strands(alpha, chain, {0, 1, 4, 5}) == ([(0, 5, 0)], 0)
+        # Fusing both ends of one edge closes it into a circle.
+        assert resolve_strands(alpha, {2: 3, 3: 2}, set()) == ([], 1)
