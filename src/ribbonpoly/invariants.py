@@ -314,7 +314,7 @@ def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
 
 
 def _kernel(m: CombMap) -> tuple[list[int], int]:
-    """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated vertices.
+    """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated-vertex count.
 
     S, flow and the chromatic polynomial recurse on this pair, where alpha
     is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
