@@ -1,18 +1,19 @@
 """Families of combinatorial maps for oracle tests and censuses.
 
-Exhaustive enumeration works at the scale where every rotation system on a
-fixed edge involution can be listed and deduplicated by canonical signature
-(at most four edges).  Larger instances come from structured families and a
-seeded random model, and cubic multigraphs get their own census built from
-degree-constrained adjacency matrices with isomorphism rejection.
+Every connected map with at most seven edges is grown edge by edge and
+deduplicated by canonical signature.  Larger instances come from structured
+families and a seeded random model.  Cubic multigraphs get their own census:
+simple graphs from a normalized adjacency search, the rest grown from the
+census two vertices smaller, with isomorphism rejection by a canonical form
+of the adjacency matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
+from .invariants import _UnionFind
 from .maps import CombMap
 
 POINT = CombMap(((),), ())
@@ -32,26 +33,6 @@ def _sigma_cycles(perm: Sequence[int]) -> list[list[int]]:
             h = perm[h]
         cycles.append(cycle)
     return cycles
-
-
-def _exhaustive_by_permutations(max_edges: int) -> list[CombMap]:
-    """Brute-force reference enumerator: all rotations on a fixed involution.
-
-    Cost (2e)!, so the usable range is max_edges <= 4.  Kept as the oracle
-    for the incremental enumerator below.
-    """
-    if max_edges > 4:
-        raise ValueError("permutation enumeration is limited to 4 edges")
-    found: dict = {}
-    for e in range(1, max_edges + 1):
-        edges = tuple((2 * i, 2 * i + 1) for i in range(e))
-        for perm in itertools.permutations(range(2 * e)):
-            vertices = tuple(tuple(c) for c in _sigma_cycles(perm))
-            m = CombMap(vertices, edges)
-            if m.component_count != 1:
-                continue
-            found.setdefault(m.signature, m)
-    return [POINT] + list(found.values())
 
 
 def _gap_positions(vertices: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -239,110 +220,152 @@ def random_maps(seed: int, count: int, max_edges: int) -> list[CombMap]:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _cubic_adjacency_solutions(v: int, simple: bool = False) -> Iterator[Matrix]:
-    """Symmetric adjacency matrices with all degrees 3 (diagonal = loop count)."""
-    matrix = [[0] * v for _ in range(v)]
-    remaining = [3] * v
-
-    def fill(i: int, j: int) -> Iterator[Matrix]:
-        if i == v:
-            yield tuple(tuple(row) for row in matrix)
-            return
-        if j == v:
-            if remaining[i] == 0:
-                yield from fill(i + 1, i + 1)
-            return
-        if i < j:
-            cap = 1 if simple else 3
-            capacity = sum(min(remaining[c], cap) for c in range(j, v))
-            if remaining[i] > capacity:
-                return
-        if i == j:
-            # loops consume two degree slots
-            top = 0 if simple else remaining[i] // 2
-            for loops in range(top + 1):
-                matrix[i][i] = loops
-                remaining[i] -= 2 * loops
-                yield from fill(i, j + 1)
-                remaining[i] += 2 * loops
-            matrix[i][i] = 0
-            return
-        top = min(remaining[i], remaining[j])
-        if simple:
-            top = min(top, 1)
-        for mult in range(top + 1):
-            matrix[i][j] = matrix[j][i] = mult
-            remaining[i] -= mult
-            remaining[j] -= mult
-            yield from fill(i, j + 1)
-            remaining[i] += mult
-            remaining[j] += mult
-        matrix[i][j] = matrix[j][i] = 0
-
-    yield from fill(0, 0)
+Neighbours = list[list[tuple[int, int]]]
 
 
-def _refine_partition(matrix: Sequence[Sequence[int]], colors: tuple) -> tuple:
-    """Stable coloring refinement; returned ids are sorted by profile."""
-    v = len(matrix)
-    while True:
-        profile = [
-            (
-                colors[i],
-                matrix[i][i],
-                tuple(sorted((matrix[i][j], colors[j]) for j in range(v) if j != i)),
-            )
-            for i in range(v)
-        ]
-        order = {p: k for k, p in enumerate(sorted(set(profile)))}
-        fresh = tuple(order[p] for p in profile)
-        if len(set(fresh)) == len(set(colors)):
-            return fresh
-        colors = fresh
+def _refine(
+    nbrs: Neighbours, lab: list[int], start: list[int], size: list[int], active: set[int]
+) -> None:
+    """Split an ordered partition in place until it is equitable.
+
+    Cell p is ``lab[p : p + size[p]]``, and vertex x lies in cell ``start[x]``.
+    ``nbrs[j]`` lists (4^(m - 1), x) for each neighbour x joined to j by m
+    edges.  Each active cell S splits every cell by the summed weight of its
+    edges into S, whose base-4 digits count the edges of each multiplicity
+    (exactly while there are at most three, as in a cubic graph; more only
+    coarsen the split).  Fragments follow in increasing weight, and all but
+    the first largest become active, unless the split cell already was
+    (Hopcroft's rule).  Only nonzero neighbours are read, and cells are
+    picked by position, so the result does not depend on the vertex labels.
+    """
+    weight = [0] * len(lab)
+    while active:
+        s = min(active)
+        active.remove(s)
+        touched = []
+        for j in lab[s : s + size[s]]:
+            for w, x in nbrs[j]:
+                if not weight[x]:
+                    touched.append(x)
+                weight[x] += w
+        for c in sorted({start[x] for x in touched}):
+            n = size[c]
+            members = sorted(lab[c : c + n], key=weight.__getitem__)
+            key = weight[members[0]]
+            if key == weight[members[-1]]:
+                continue
+            lab[c : c + n] = members
+            fragments = []
+            p = c
+            for q in range(c + 1, c + n):
+                if weight[lab[q]] != key:
+                    fragments.append((p, q - p))
+                    p, key = q, weight[lab[q]]
+            fragments.append((p, c + n - p))
+            for p, m in fragments:
+                size[p] = m
+                for x in lab[p : p + m]:
+                    start[x] = p
+            if c in active:
+                active.update(p for p, _m in fragments)
+            else:
+                largest = max(fragments, key=lambda f: f[1])
+                active.update(p for p, _m in fragments if p != largest[0])
+        for x in touched:
+            weight[x] = 0
+
+
+def _individualized(
+    nbrs: Neighbours, lab: list[int], start: list[int], size: list[int], cell: int, w: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The refined partition with vertex w split off to the front of its cell."""
+    lab, start, size = lab[:], start[:], size[:]
+    n = size[cell]
+    i = lab.index(w, cell)
+    lab[i], lab[cell] = lab[cell], w
+    size[cell], size[cell + 1] = 1, n - 1
+    for x in lab[cell + 1 : cell + n]:
+        start[x] = cell + 1
+    _refine(nbrs, lab, start, size, {cell})
+    return lab, start, size
 
 
 def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
-    """Canonical upper-triangle string via individualization-refinement.
+    """A complete isomorphism invariant of a multigraph adjacency matrix.
 
-    The full branching tree is explored (no automorphism pruning), so the
-    minimum over discrete leaves is a true isomorphism invariant.
+    Individualization-refinement (McKay, *Practical graph isomorphism*, 1981;
+    McKay-Piperno, *Practical graph isomorphism II*, 2014).  The root is the
+    equitable refinement of the loop counts; a node individualizes each
+    vertex of its first non-singleton cell in turn and refines.  A discrete
+    leaf orders the vertices, and its form is the matrix in that order.  The
+    result is the least form over the tree, found with automorphism pruning:
+
+    - a leaf whose form equals that of the first or the best leaf gives an
+      automorphism, which maps the explored subtree of their deepest common
+      ancestor onto the current one, so the search resumes at that ancestor;
+    - a child in the orbit of an explored child is skipped, under the
+      automorphisms found so far that fix the node's path pointwise, since
+      those map the node onto itself.
+
+    Both rules drop only subtrees that an automorphism maps onto explored
+    ones, so the least form is still the least over the whole tree.
     """
     v = len(matrix)
-    best: list = [None]
+    nbrs = [
+        [(4 ** (m - 1), j) for j, m in enumerate(row) if j != i and m] for i, row in enumerate(matrix)
+    ]
+    # The first and the best leaf so far, as (path, vertex order, form).
+    leaves: list[tuple[list[int], list[int], tuple]] = []
+    automorphisms: list[list[int]] = []
 
-    def search(colors: tuple) -> None:
-        classes = len(set(colors))
-        if classes == v:
-            perm = sorted(range(v), key=lambda i: colors[i])
-            s = tuple(matrix[perm[a]][perm[b]] for a in range(v) for b in range(a, v))
-            if best[0] is None or s < best[0]:
-                best[0] = s
-            return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, n in counts.items() if n > 1)
-        for i in range(v):
-            if colors[i] != target:
-                continue
-            branched = tuple(-1 if k == i else colors[k] for k in range(v))
-            search(_refine_partition(matrix, branched))
+    def search(lab: list[int], start: list[int], size: list[int], path: list[int]) -> int:
+        """Explore the node that ``path`` individualizes; return the level to resume at."""
+        level = len(path)
+        cell = 0
+        while cell < v and size[cell] == 1:
+            cell += 1
+        if cell == v:
+            form = tuple([tuple(map(matrix[a].__getitem__, lab)) for a in lab])
+            for seen_path, seen_lab, seen_form in leaves:
+                if form == seen_form:
+                    gamma = [0] * v
+                    for a, b in zip(seen_lab, lab):
+                        gamma[a] = b
+                    automorphisms.append(gamma)
+                    common = 0
+                    while path[common] == seen_path[common]:
+                        common += 1
+                    return common
+            if not leaves:
+                leaves.extend([(path, lab, form)] * 2)
+            elif form < leaves[1][2]:
+                leaves[1] = (path, lab, form)
+            return level - 1
+        explored: list[int] = []
+        for w in lab[cell : cell + size[cell]]:
+            if explored:
+                orbits = _UnionFind(v)
+                for g in automorphisms:
+                    if all(g[x] == x for x in path):
+                        for x, y in enumerate(g):
+                            orbits.union(x, y)
+                if any(orbits._find(u) == orbits._find(w) for u in explored):
+                    continue
+            explored.append(w)
+            resume = search(*_individualized(nbrs, lab, start, size, cell, w), path + [w])
+            if resume < level:
+                return resume
+        return level - 1
 
-    search(_refine_partition(matrix, (0,) * v))
-    return (v,) + best[0]
-
-
-def _connected(matrix: Sequence[Sequence[int]]) -> bool:
-    v = len(matrix)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(v):
-            if j not in seen and i != j and matrix[i][j]:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == v
+    lab = sorted(range(v), key=lambda i: matrix[i][i])
+    start, size = [0] * v, [0] * v
+    for p, x in enumerate(lab):
+        same = p and matrix[x][x] == matrix[lab[p - 1]][lab[p - 1]]
+        start[x] = start[lab[p - 1]] if same else p
+        size[start[x]] += 1
+    _refine(nbrs, lab, start, size, {p for p in range(v) if size[p]})
+    search(lab, start, size, [])
+    return (v,) + leaves[1][2]
 
 
 def _dedupe_matrices(candidates: Iterator[Matrix]) -> list[Matrix]:
@@ -350,19 +373,6 @@ def _dedupe_matrices(candidates: Iterator[Matrix]) -> list[Matrix]:
     for matrix in candidates:
         seen.setdefault(canonical_form(matrix), matrix)
     return list(seen.values())
-
-
-def cubic_census_bruteforce(v: int) -> list[Matrix]:
-    """Connected cubic multigraphs up to isomorphism, by full matrix search.
-
-    Exponential in v; usable through v = 6.  Kept as the oracle for the
-    recursive census.
-    """
-    if v % 2 or v <= 0:
-        return []
-    return _dedupe_matrices(
-        m for m in _cubic_adjacency_solutions(v) if _connected(m)
-    )
 
 
 def _simple_cubic_connected(v: int) -> Iterator[Matrix]:

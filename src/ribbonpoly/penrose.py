@@ -17,6 +17,7 @@ subdividing an edge doubles ``w_so``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -458,12 +459,21 @@ def cellular_embedding_poly(m: CombMap) -> HalfLaurent:
 
     C(x) = sum over W of (-1)^|W| x^genus(flip_W).  Reversing every rotation
     fixes the genus, so C(1) = 0 whenever a vertex exists.
+
+    Flipping every vertex switches each non-loop edge twice, so W and its
+    complement walk the same strands, and a cubic map has an even number of
+    vertices, so they also have the same sign.  Only the masks with the top
+    bit clear are walked, each counted twice; mask 0 comes first, so a
+    non-orientable map still raises.
     """
     if any(m.degree(v) != 3 for v in range(m.vertex_count)):
         raise InvalidMapError("the cellular embedding polynomial needs a cubic map")
+    walk, weight = _flip_genera(m), 1
+    if m.vertex_count:
+        walk, weight = itertools.islice(walk, 1 << (m.vertex_count - 1)), 2
     data: dict[int, int] = {}
-    for mask, genus in _flip_genera(m):
-        sign = -1 if mask.bit_count() % 2 else 1
+    for mask, genus in walk:
+        sign = -weight if mask.bit_count() % 2 else weight
         data[2 * genus] = data.get(2 * genus, 0) + sign
     return HalfLaurent.from_dict("x", data)
 

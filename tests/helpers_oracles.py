@@ -10,16 +10,20 @@ builds every start's full code and takes the minimum, with no early exit.  The
 bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
-code with the half-edge kernel in ``ribbonpoly.invariants``.
+code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
+oracles list every rotation on a fixed edge involution, and every cubic
+adjacency matrix, and reject isomorphs by a canonical form that walks the full
+individualization tree with dense refinement and no pruning.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import itertools
+from typing import Iterator, Optional, Sequence
 
 from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
-from ribbonpoly.generate import POINT, bouquet
+from ribbonpoly.generate import POINT, _sigma_cycles, bouquet
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import parity_signs, w_sl_extended
 
@@ -402,3 +406,146 @@ def chromatic_cd_oracle(m: CombMap) -> HalfLaurent:
         return deleted - contracted
 
     return _cd_memo("chrom", m, compute)
+
+
+# ---------------------------------------------------------------------------
+# Census oracles.
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_by_permutations(max_edges: int) -> list[CombMap]:
+    """All rotations on a fixed involution, deduplicated by signature.
+
+    Cost (2e)!, so the usable range is max_edges <= 4.  The oracle for
+    ``exhaustive_connected_maps``.
+    """
+    if max_edges > 4:
+        raise ValueError("permutation enumeration is limited to 4 edges")
+    found: dict = {}
+    for e in range(1, max_edges + 1):
+        edges = tuple((2 * i, 2 * i + 1) for i in range(e))
+        for perm in itertools.permutations(range(2 * e)):
+            vertices = tuple(tuple(c) for c in _sigma_cycles(perm))
+            m = CombMap(vertices, edges)
+            if m.component_count != 1:
+                continue
+            found.setdefault(m.signature, m)
+    return [POINT] + list(found.values())
+
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def cubic_adjacency_solutions(v: int) -> Iterator[Matrix]:
+    """Symmetric adjacency matrices with all degrees 3 (diagonal = loop count)."""
+    matrix = [[0] * v for _ in range(v)]
+    remaining = [3] * v
+
+    def fill(i: int, j: int) -> Iterator[Matrix]:
+        if i == v:
+            yield tuple(tuple(row) for row in matrix)
+            return
+        if j == v:
+            if remaining[i] == 0:
+                yield from fill(i + 1, i + 1)
+            return
+        if i < j:
+            capacity = sum(min(remaining[c], 3) for c in range(j, v))
+            if remaining[i] > capacity:
+                return
+        if i == j:
+            # loops consume two degree slots
+            for loops in range(remaining[i] // 2 + 1):
+                matrix[i][i] = loops
+                remaining[i] -= 2 * loops
+                yield from fill(i, j + 1)
+                remaining[i] += 2 * loops
+            matrix[i][i] = 0
+            return
+        for mult in range(min(remaining[i], remaining[j]) + 1):
+            matrix[i][j] = matrix[j][i] = mult
+            remaining[i] -= mult
+            remaining[j] -= mult
+            yield from fill(i, j + 1)
+            remaining[i] += mult
+            remaining[j] += mult
+        matrix[i][j] = matrix[j][i] = 0
+
+    yield from fill(0, 0)
+
+
+def _refine_partition(matrix: Sequence[Sequence[int]], colors: tuple) -> tuple:
+    """Stable coloring refinement over whole rows; returned ids are sorted by profile."""
+    v = len(matrix)
+    while True:
+        profile = [
+            (
+                colors[i],
+                matrix[i][i],
+                tuple(sorted((matrix[i][j], colors[j]) for j in range(v) if j != i)),
+            )
+            for i in range(v)
+        ]
+        order = {p: k for k, p in enumerate(sorted(set(profile)))}
+        fresh = tuple(order[p] for p in profile)
+        if len(set(fresh)) == len(set(colors)):
+            return fresh
+        colors = fresh
+
+
+def canonical_form_oracle(matrix: Sequence[Sequence[int]]) -> tuple:
+    """Least upper-triangle string over the full individualization-refinement tree.
+
+    No automorphism pruning, so every discrete leaf is visited.
+    """
+    v = len(matrix)
+    best: list = [None]
+
+    def search(colors: tuple) -> None:
+        classes = len(set(colors))
+        if classes == v:
+            perm = sorted(range(v), key=lambda i: colors[i])
+            s = tuple(matrix[perm[a]][perm[b]] for a in range(v) for b in range(a, v))
+            if best[0] is None or s < best[0]:
+                best[0] = s
+            return
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min(c for c, n in counts.items() if n > 1)
+        for i in range(v):
+            if colors[i] != target:
+                continue
+            branched = tuple(-1 if k == i else colors[k] for k in range(v))
+            search(_refine_partition(matrix, branched))
+
+    search(_refine_partition(matrix, (0,) * v))
+    return (v,) + best[0]
+
+
+def _connected(matrix: Sequence[Sequence[int]]) -> bool:
+    v = len(matrix)
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(v):
+            if j not in seen and i != j and matrix[i][j]:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == v
+
+
+def cubic_census_bruteforce(v: int) -> list[Matrix]:
+    """Connected cubic multigraphs up to isomorphism, by full matrix search.
+
+    Exponential in v; usable through v = 6.  The oracle for
+    ``cubic_multigraph_census``.
+    """
+    if v % 2 or v <= 0:
+        return []
+    seen: dict[tuple, Matrix] = {}
+    for m in cubic_adjacency_solutions(v):
+        if _connected(m):
+            seen.setdefault(canonical_form_oracle(m), m)
+    return list(seen.values())

@@ -1,13 +1,20 @@
 """Map families, censuses, and the random model."""
 
-import pytest
+import random
 
+import pytest
+from helpers_oracles import (
+    canonical_form_oracle,
+    cubic_census_bruteforce,
+    exhaustive_by_permutations,
+)
+
+from ribbonpoly import generate
 from ribbonpoly.generate import (
     POINT,
-    _exhaustive_by_permutations,
     bouquet,
+    canonical_form,
     complete_map,
-    cubic_census_bruteforce,
     cubic_maps,
     cubic_multigraph_census,
     cycle_map,
@@ -26,7 +33,7 @@ from ribbonpoly.algebra import HalfLaurent
 class TestExhaustive:
     def test_matches_permutation_oracle(self):
         fast = exhaustive_connected_maps(3)
-        slow = _exhaustive_by_permutations(3)
+        slow = exhaustive_by_permutations(3)
         assert {m.signature for m in fast} == {m.signature for m in slow}
         assert len(fast) == len(slow) == 28
 
@@ -103,18 +110,79 @@ class TestRandomModel:
 
 
 class TestCubicCensus:
-    def test_counts(self):
-        assert len(cubic_maps(2)) == 2
-        assert len(cubic_maps(4)) == 5
-        assert len(cubic_maps(6)) == 17
+    def test_counts(self, cubic_census):
+        # Connected cubic multigraphs with loops allowed: OEIS A005967.
+        counts = {v: len(maps) for v, maps in cubic_census.items()}
+        assert counts == {2: 2, 4: 5, 6: 17, 8: 71, 10: 388}
 
     def test_bruteforce_agreement(self):
         for v in (2, 4):
             fast = cubic_multigraph_census(v)
             slow = cubic_census_bruteforce(v)
-            from ribbonpoly.generate import canonical_form
-
             assert {canonical_form(m) for m in fast} == {canonical_form(m) for m in slow}
+
+    def test_same_classes_as_oracle(self, monkeypatch):
+        # Every candidate list the census deduplicates, for v = 4, 6, 8.
+        batches = []
+        dedupe = generate._dedupe_matrices
+
+        def recording(candidates):
+            batches.append(list(candidates))
+            return dedupe(iter(batches[-1]))
+
+        monkeypatch.setattr(generate, "_dedupe_matrices", recording)
+        cubic_multigraph_census(8)
+        assert sorted(len(batch[0]) for batch in batches) == [4, 6, 8]
+        assert sum(len(batch) for batch in batches) > 300
+
+        def classes(batch, form):
+            first: dict = {}
+            return [first.setdefault(form(m), i) for i, m in enumerate(batch)]
+
+        for batch in batches:
+            assert classes(batch, canonical_form) == classes(batch, canonical_form_oracle)
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(20261018)
+        census = cubic_multigraph_census(10)
+        forms = [canonical_form(m) for m in census]
+        assert len(set(forms)) == len(census) == 388
+        for matrix, form in zip(census, forms):
+            for _ in range(3):
+                order = list(range(10))
+                rng.shuffle(order)
+                relabeled = tuple(tuple(matrix[i][j] for j in order) for i in order)
+                assert canonical_form(relabeled) == form, matrix
+
+    def test_symmetric_graphs(self):
+        # Large automorphism groups exercise the orbit pruning and the backjumps.
+        def ring(n, step):
+            return [(i, (i + step) % n) for i in range(n)]
+
+        def prism(n, step):
+            # an n-cycle and an n-cycle of the given step, joined by spokes
+            inner = [(i + n, j + n) for i, j in ring(n, step)]
+            return _adjacency(2 * n, ring(n, 1) + inner + [(i, i + n) for i in range(n)])
+
+        graphs = {
+            "K4": _adjacency(4, ring(4, 1) + ring(4, 2)[:2]),
+            "K33": _adjacency(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+            "prism": prism(3, 1),
+            "petersen": prism(5, 2),
+            "5-prism": prism(5, 1),
+            "necklace": _adjacency(8, ring(8, 1) + ring(8, 1)[::2]),
+        }
+        rng = random.Random(3)
+        forms = {}
+        for name, matrix in graphs.items():
+            forms[name] = canonical_form(matrix)
+            v = len(matrix)
+            for _ in range(10):
+                order = list(range(v))
+                rng.shuffle(order)
+                relabeled = tuple(tuple(matrix[i][j] for j in order) for i in order)
+                assert canonical_form(relabeled) == forms[name], name
+        assert len(set(forms.values())) == len(graphs)
 
     def test_all_cubic_connected(self):
         for m in cubic_maps(6):
@@ -129,3 +197,13 @@ class TestCubicCensus:
                 dumbbell = m
         assert is_bridgeless(theta)
         assert dumbbell is not None and not is_bridgeless(dumbbell)
+
+
+def _adjacency(v, edges):
+    matrix = [[0] * v for _ in range(v)]
+    for i, j in edges:
+        matrix[i][j] += 1
+        if i != j:
+            matrix[j][i] += 1
+    assert all(sum(row) + row[k] == 3 for k, row in enumerate(matrix))
+    return tuple(tuple(row) for row in matrix)

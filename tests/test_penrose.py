@@ -17,20 +17,24 @@ from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import _flip_genera, g_min, s_poly_at
-from ribbonpoly.maps import CombMap
+from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
+    degree2_connect_sum,
     ihx_check,
     parity_signs,
     penrose_number_checks,
     planarity_by_flips,
+    sl_connect_sum_checks,
     so_as_sl_check,
+    so_connect_sum_checks,
     theta_sl_value,
     w_sl_brauer,
     w_sl_extended,
     w_sl_relation_suite,
     w_so,
     w_so_relation_suite,
+    with_signs,
 )
 
 
@@ -223,6 +227,96 @@ class TestFlipWalk:
             if m.vertex_count and all(m.degree(v) == 3 for v in range(m.vertex_count)):
                 want = _outcome(lambda: cellular_embedding_oracle(m))
                 assert _outcome(lambda: cellular_embedding_poly(m)) == want, m
+
+
+    def test_cemb_half_walk_on_twisted_census(self, cubic_census):
+        # cemb walks only the masks with the top bit clear; twists on a
+        # vertex coboundary keep the map orientable, random twists rarely do.
+        rng = random.Random(191)
+        maps = [m for v in (2, 4, 6) for m in cubic_census[v]] + rng.sample(cubic_census[8], 12)
+        outcomes = set()
+        for m in maps:
+            side = {u for u in range(m.vertex_count) if rng.random() < 0.5}
+            cut = frozenset(
+                e for e, (a, b) in enumerate(m.edges) if (m.vertex_of[a] in side) != (m.vertex_of[b] in side)
+            )
+            random_twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.3)
+            for twists in (cut, random_twists):
+                twisted = CombMap(m.vertices, m.edges, None, twists)
+                want = _outcome(lambda: cellular_embedding_oracle(twisted))
+                assert _outcome(lambda: cellular_embedding_poly(twisted)) == want, twisted
+                outcomes.add((bool(twists), "raised" if isinstance(want, tuple) else "value"))
+        assert {(True, "value"), (True, "raised")} <= outcomes
+        # With no vertex there is no top bit, and the one mask is walked alone.
+        empty = CombMap((), ())
+        assert cellular_embedding_poly(empty) == cellular_embedding_oracle(empty) == xpoly({0: 1})
+
+
+class TestConnectSums:
+    def test_degree2_sum_is_an_edge_sum(self, connect_sum_pairs):
+        # Summing at the subdivision vertices of edges (a1, b1) and (a2, b2)
+        # joins a1 to b2 and b1 to a2, and a twist rides along its path.
+        rng = random.Random(163)
+        orientation_matters = 0
+        for m1, m2 in connect_sum_pairs:
+            k1, k2 = rng.randrange(m1.edge_count), rng.randrange(m2.edge_count)
+            for base in (m1, m1.toggle_twist(k1)):
+                g1, g2 = base.subdivide(k1), m2.subdivide(k2)
+                u1, u2 = g1.vertex_count - 1, g2.vertex_count - 1
+                assert g1.vertices[u1] == (base.half_edge_count, base.half_edge_count + 1)
+                summed = degree2_connect_sum(g1, u1, g2, u2)
+                (a1, b1), (a2, b2) = base.edges[k1], m2.edges[k2]
+                assert summed.signature == edge_connect_sum(base, (a1, b1), m2, (b2, a2)).signature
+                other = edge_connect_sum(base, (a1, b1), m2, (a2, b2))
+                orientation_matters += summed.signature != other.signature
+        assert orientation_matters >= 10
+
+    def test_degree2_sum_keeps_signs(self, connect_sum_pairs):
+        rng = random.Random(173)
+        for m1, m2 in connect_sum_pairs:
+            g1, g2 = (
+                with_signs(m.subdivide(0), [rng.choice((1, -1)) for _ in range(m.vertex_count + 1)])
+                for m in (m1, m2)
+            )
+            summed = degree2_connect_sum(g1, m1.vertex_count, g2, m2.vertex_count)
+            assert summed.vertex_signs == g1.vertex_signs[:-1] + g2.vertex_signs[:-1]
+
+    def test_degree2_sum_refusals(self):
+        with pytest.raises(ConnectSumError):
+            degree2_connect_sum(THETA_P, 0, LOOP1, 0)
+        # Two single-loop vertices close into a vertex-free circle.
+        with pytest.raises(ConnectSumError):
+            degree2_connect_sum(LOOP1, 0, LOOP1, 0)
+
+    def test_so_rules(self, connect_sum_pairs):
+        checked = 0
+        for m1, m2 in connect_sum_pairs:
+            # w_so walks 2^E states, and the degree-2 sum has E1 + E2 edges.
+            if m1.edge_count + m2.edge_count > 18:
+                continue
+            report = so_connect_sum_checks(m1, m2)
+            assert report == {"degree2_rule": True, "degree3_rule": True, "passed": True}, (m1, m2)
+            checked += 1
+        assert checked >= 8
+
+    def test_sl_rules(self, connect_sum_pairs):
+        rng = random.Random(179)
+        checked = 0
+        for m1, m2 in connect_sum_pairs:
+            # w_sl_extended walks 2^V flips with a state sum each; an
+            # 8-vertex census map takes about ten seconds.
+            if m1.edge_count + m2.edge_count > 12:
+                continue
+            for _ in range(2):
+                v1 = rng.choice([v for v in range(m1.vertex_count) if m1.degree(v) == 3])
+                v2 = rng.choice([v for v in range(m2.vertex_count) if m2.degree(v) == 3])
+                report = sl_connect_sum_checks(m1, v1, m2, v2)
+                want = {"degree2_rule": True, "degree3_rule": True, "passed": True}
+                assert report == want, (m1, v1, m2, v2)
+                checked += 1
+        assert checked == 6
+        with pytest.raises(ConnectSumError):
+            sl_connect_sum_checks(LOOP1, 0, THETA_P, 0)
 
 
 class TestNumberChecks:

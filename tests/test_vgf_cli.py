@@ -1,5 +1,6 @@
 """File format round trips, parse diagnostics, and the command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -290,6 +291,14 @@ class TestCliAlgebraAndBatch:
             "v=2 i=0 bridgeless C(x) = 2*x - 2",
             "v=2 i=1 bridged C(x) = 0",
         ]
+
+    def test_enumerate_golden_digest(self, capsys):
+        # The census order and every C(x) through v = 8, as first recorded.
+        code, out, _ = run(capsys, "enumerate", "--cubic", "--max-vertices", "8")
+        assert code == 0
+        assert len(out.splitlines()) == 95
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "6f3d8d8f73b08053d7206e3cea64129eb995c195b6d5c3fe4d9fb24dae83f356"
 
     def test_enumerate_guards(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-vertices", "4")
