@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
-from ribbonpoly.generate import POINT, _sigma_cycles, bouquet
+from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import parity_signs, w_sl_extended
 
@@ -431,9 +431,6 @@ def exhaustive_by_permutations(max_edges: int) -> list[CombMap]:
                 continue
             found.setdefault(m.signature, m)
     return [POINT] + list(found.values())
-
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def cubic_adjacency_solutions(v: int) -> Iterator[Matrix]:

@@ -149,10 +149,7 @@ class TestCubicCensus:
         assert len(set(forms)) == len(census) == 388
         for matrix, form in zip(census, forms):
             for _ in range(3):
-                order = list(range(10))
-                rng.shuffle(order)
-                relabeled = tuple(tuple(matrix[i][j] for j in order) for i in order)
-                assert canonical_form(relabeled) == form, matrix
+                assert canonical_form(_relabeled(matrix, rng)) == form, matrix
 
     def test_symmetric_graphs(self):
         # Large automorphism groups exercise the orbit pruning and the backjumps.
@@ -176,12 +173,8 @@ class TestCubicCensus:
         forms = {}
         for name, matrix in graphs.items():
             forms[name] = canonical_form(matrix)
-            v = len(matrix)
             for _ in range(10):
-                order = list(range(v))
-                rng.shuffle(order)
-                relabeled = tuple(tuple(matrix[i][j] for j in order) for i in order)
-                assert canonical_form(relabeled) == forms[name], name
+                assert canonical_form(_relabeled(matrix, rng)) == forms[name], name
         assert len(set(forms.values())) == len(graphs)
 
     def test_all_cubic_connected(self):
@@ -197,6 +190,12 @@ class TestCubicCensus:
                 dumbbell = m
         assert is_bridgeless(theta)
         assert dumbbell is not None and not is_bridgeless(dumbbell)
+
+
+def _relabeled(matrix, rng):
+    order = list(range(len(matrix)))
+    rng.shuffle(order)
+    return tuple(tuple(matrix[i][j] for j in order) for i in order)
 
 
 def _adjacency(v, edges):
