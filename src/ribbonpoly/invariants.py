@@ -34,14 +34,13 @@ _CHROM_CACHE: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty every module memo: S, flow, chromatic, W_so, W_sl, Yamada and cyclotomic."""
+    """Empty every module memo: S, flow, chromatic, W_sl, Yamada and cyclotomic."""
     from . import algebra, penrose, spatial
 
     for cache in (
         _S_CACHE,
         _FLOW_CACHE,
         _CHROM_CACHE,
-        penrose._W_SO_CACHE,
         penrose._W_SL_CACHE,
         spatial._YAMADA_CACHE,
         algebra._CYCLOTOMIC_CACHE,
@@ -313,19 +312,25 @@ def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(m: CombMap) -> tuple[list[int], int]:
+def _kernel(
+    m: CombMap, reversed_vertices: frozenset[int] = frozenset()
+) -> tuple[list[int], int]:
     """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated-vertex count.
 
     S, flow and the chromatic polynomial recurse on this pair, where alpha
     is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
     and vertex signs, which none of the three reads, are dropped here.
+    Vertices in ``reversed_vertices`` take their rotation backwards.
     """
     label = [0] * m.half_edge_count
     for k, (a, b) in enumerate(m.edges):
         label[a], label[b] = 2 * k, 2 * k + 1
     sigma = [0] * m.half_edge_count
-    for h, nxt in enumerate(m.sigma):
-        sigma[label[h]] = label[nxt]
+    for index, cycle in enumerate(m.vertices):
+        if index in reversed_vertices:
+            cycle = cycle[::-1]
+        for i, h in enumerate(cycle):
+            sigma[label[cycle[i - 1]]] = label[h]
     return sigma, sum(1 for cycle in m.vertices if not cycle)
 
 

@@ -4,31 +4,33 @@ Two scalar invariants live here.  ``w_so`` replaces every vertex with its
 cyclic strand diagram and every edge with (straight - crossed), so closed
 strands count powers of N; twist marks swap the two edge resolutions and
 negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
-maps through the flip expansion of the S-polynomial; an independent engine,
-``w_sl_brauer``, evaluates the same diagrams directly, with each vertex
-cyclic or reversed and each edge joined or cut.  Both diagram state sums
-walk their edge resolutions with the strand walker of ``invariants``, which
-also serves S, the rank polynomial and the vertex flips of the cellular
-embedding polynomial.  The normalization is pinned by the
-anchor values: an isolated vertex gives N (so) and 1 + s(v) (sl), a
-single-vertex loop gives N(N-1), the planar theta gives N(N-1)(N-2), and
-subdividing an edge doubles ``w_so``.
+maps through the flip expansion of the S-polynomial: ``w_sl_brauer`` sums
+over the sets of reversed vertices, and evaluates each set's diagrams with
+each edge joined or cut, by the strand walker of ``invariants`` or, on the
+larger twist-free maps, by S's contraction-deletion on the reversed
+rotation.  The strand walker also serves ``w_so``, S, the rank polynomial
+and the vertex flips of the cellular embedding polynomial.  The
+normalization is pinned by the anchor values: an isolated vertex gives N
+(so) and 1 + s(v) (sl), a single-vertex loop gives N(N-1), the planar theta
+gives N(N-1)(N-2), and subdividing an edge doubles ``w_so``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra import HalfLaurent, substitute_square
+from .algebra import HalfLaurent
 from .invariants import (
     _cut_exponents,
     _flip_genera,
-    _flip_set,
     _gray_toggles,
+    _kernel,
+    _s_cd,
     _StrandWalker,
-    s_poly,
+    g_min,
+    resolve_engine,
 )
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
@@ -80,9 +82,6 @@ def _signs_of(m: CombMap, signs: Optional[Sequence[int]]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-_W_SO_CACHE: dict[tuple, HalfLaurent] = {}
-
-
 def w_so(m: CombMap) -> HalfLaurent:
     """State sum over the 2^E edge resolutions, in N.
 
@@ -91,10 +90,6 @@ def w_so(m: CombMap) -> HalfLaurent:
     a factor of N, as does every isolated vertex.  The resolutions are walked
     in Gray-code order by the strand walker, one edge switch per state.
     """
-    key = m.signature
-    cached = _W_SO_CACHE.get(key)
-    if cached is not None:
-        return cached
     # every edge starts as a band, and a twist mark gives the band -1
     walker = _StrandWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
     sign = -1 if len(m.edge_twists) % 2 else 1
@@ -103,9 +98,7 @@ def w_so(m: CombMap) -> HalfLaurent:
         walker.toggle(e)
         sign = -sign
         tally[walker.strands] = tally.get(walker.strands, 0) + sign
-    result = HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
-    _W_SO_CACHE[key] = result
-    return result
+    return HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
 
 
 def w_so_relation_suite(m: CombMap, e: int) -> dict:
@@ -213,43 +206,25 @@ _W_SL_CACHE: dict[tuple, HalfLaurent] = {}
 
 
 def w_sl_extended(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLaurent:
-    """Flip expansion: sum over W of (prod of s on W) S_{flip_W}(N^2).
-
-    Twisted inputs are routed to the diagram engine, which agrees on the
-    twist-free overlap.  Reversing a vertex of degree <= 2 is a no-op, so
-    those vertices factor out as (1 + s(v)).
-    """
+    """``w_sl_brauer``, memoized on the signature of the signed map."""
     chosen = _signs_of(m, signs)
-    if m.edge_twists:
-        return w_sl_brauer(m, chosen)
     key = with_signs(m, chosen).signature
     cached = _W_SL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    prefactor = 1
-    for v in range(m.vertex_count):
-        if m.degree(v) <= 2:
-            prefactor *= 1 + chosen[v]
-    result = HalfLaurent.zero("N")
-    if prefactor:
-        flippable = m.flippable_vertices()
-        for mask in range(1 << len(flippable)):
-            subset = [flippable[i] for i in range(len(flippable)) if mask >> i & 1]
-            weight = prefactor
-            for v in subset:
-                weight *= chosen[v]
-            term = substitute_square(s_poly(m.flip_subset(subset)), "N")
-            result = result + term.scale(weight)
-    _W_SL_CACHE[key] = result
-    return result
+    if cached is None:
+        cached = _W_SL_CACHE[key] = w_sl_brauer(m, chosen)
+    return cached
 
 
 def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLaurent:
-    """Diagram engine for the same polynomial.
+    """Flip expansion: sum over W of (prod of s on W) times the diagrams of flip_W.
 
     Vertices expand as (cyclic + s(v) reversed) / N, untwisted edges as
     (N band - cut), twisted edges as (N crossed - cut); closed strands and
-    isolated vertices count powers of N.
+    isolated vertices count powers of N.  Reversing a vertex of degree <= 2
+    is a no-op, so those vertices factor out as (1 + s(v)).  Twist-free,
+    the diagrams of flip_W sum to S_{flip_W}(N^2): where ``auto`` would run
+    S by contraction-deletion, each W takes S from that kernel with W's
+    rotations reversed, and otherwise from the strand walker.
     """
     chosen = _signs_of(m, signs)
     prefactor = 1
@@ -261,6 +236,7 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
     # Each edge is cut or joined: by a band, or by a crossed band when
     # twisted.  Joined edges and strands each count a power of N.
     joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
+    by_cd = not m.edge_twists and resolve_engine(m, "auto") == "contraction-deletion"
     flippable = m.flippable_vertices()
     tally: dict[int, int] = {}
     for vmask in range(1 << len(flippable)):
@@ -268,7 +244,12 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
         weight = prefactor
         for v in subset:
             weight *= chosen[v]
-        for exponent, count in _cut_exponents(m, joined, subset).items():
+        if by_cd:
+            # S's doubled Q exponent is the power of N
+            exponents = _s_cd(*_kernel(m, subset)).terms
+        else:
+            exponents = _cut_exponents(m, joined, subset).items()
+        for exponent, count in exponents:
             tally[2 * exponent] = tally.get(2 * exponent, 0) + weight * count
     return HalfLaurent.from_dict("N", tally)
 
@@ -485,11 +466,8 @@ def planarity_by_flips(m: CombMap) -> dict:
     the parity-signed ``w_sl``: maximal degree 2*b1 is equivalent to a
     planar witness.
     """
-    witness = None
-    for mask, genus in _flip_genera(m):
-        if genus == 0:
-            witness = _flip_set(m, mask)
-            break
+    genus, flipped = g_min(m)
+    witness = flipped if genus == 0 else None
     report: dict = {"planar_somehow": witness is not None, "witness": witness}
     if m.edge_count and not any(m.is_bridge(e) for e in range(m.edge_count)):
         b1 = m.euler_data().first_betti

@@ -5,7 +5,9 @@ validated maps.
 Each state-sum oracle rebuilds its per-subset data from scratch and builds its
 own corner arcs and strand count, so it shares no code with the strand walker
 in ``ribbonpoly``.  The flip oracles build every rotation variant as a
-``CombMap`` and read its genus from ``euler_data``.  The signature oracle
+``CombMap`` and read its genus from ``euler_data``; the flip expansion of
+``w_sl`` builds each flip likewise and takes its S by contraction-deletion,
+apart from the strand walker.  The signature oracle
 builds every start's full code and takes the minimum, with no early exit.  The
 bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
@@ -21,9 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from ribbonpoly.algebra import HalfLaurent, KrushkalPoly
+from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_square
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
+from ribbonpoly.invariants import s_poly
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import parity_signs, w_sl_extended
 
@@ -319,6 +322,31 @@ def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
             half_exp = 2 * (e_count - cuts + loops - m.vertex_count)
             data[half_exp] = data.get(half_exp, 0) + sign * weight
     return HalfLaurent.from_dict("N", data)
+
+
+def w_sl_flip_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
+    """Flip expansion: sum over W of (prod of s on W) S_{flip_W}(N^2), twist-free.
+
+    Each flip is built with ``CombMap.flip_subset`` and its S taken by
+    contraction-deletion.  A vertex of degree <= 2 reads the same reversed,
+    so it factors out as (1 + s(v)).
+    """
+    prefactor = 1
+    for v in range(m.vertex_count):
+        if m.degree(v) <= 2:
+            prefactor *= 1 + signs[v]
+    result = HalfLaurent.zero("N")
+    if not prefactor:
+        return result
+    flippable = m.flippable_vertices()
+    for mask in range(1 << len(flippable)):
+        subset = [flippable[i] for i in range(len(flippable)) if mask >> i & 1]
+        weight = prefactor
+        for v in subset:
+            weight *= signs[v]
+        s = s_poly(m.flip_subset(subset), engine="contraction-deletion")
+        result = result + substitute_square(s, "N").scale(weight)
+    return result
 
 
 _CD_MEMO: dict = {}

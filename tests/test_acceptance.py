@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_oracles import w_sl_flip_oracle
 from helpers_spatial import (
     forbidden_examples,
     planar_r2,
@@ -62,7 +63,6 @@ from ribbonpoly.penrose import (
     planarity_by_flips,
     so_as_sl_check,
     theta_sl_value,
-    w_sl_brauer,
     w_sl_extended,
     w_so,
 )
@@ -211,7 +211,7 @@ def test_07_penrose_anchors():
             assert w_sl_extended(m, off).evaluate(2) == 0
         assert so_as_sl_check(m)["passed"]
     for m in exhaustive_connected_maps(5):
-        assert w_sl_extended(m) == w_sl_brauer(m)
+        assert w_sl_extended(m) == w_sl_flip_oracle(m, parity_signs(m))
 
 
 def test_08_cellular_embedding_polynomial(cubic_census):

@@ -1,6 +1,9 @@
 """S, flow, Krushkal, and chromatic polynomials."""
 
+import importlib
+import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,7 @@ from helpers_oracles import (
     subgraph_euler,
 )
 
-from ribbonpoly import algebra, invariants, penrose, spatial
+import ribbonpoly
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import brauer_evaluate
 from ribbonpoly.fixtures import (
@@ -413,22 +416,15 @@ class TestConnectSumChecks:
 
 class TestClearCaches:
     def test_every_memo_emptied(self):
-        caches = [
-            invariants._S_CACHE,
-            invariants._FLOW_CACHE,
-            invariants._CHROM_CACHE,
-            penrose._W_SO_CACHE,
-            penrose._W_SL_CACHE,
-            spatial._YAMADA_CACHE,
-            algebra._CYCLOTOMIC_CACHE,
-        ]
-        s_poly(THETA_P, engine="contraction-deletion")
-        flow_poly(THETA_P, engine="contraction-deletion")
-        virtual_chromatic(THETA_P)
-        penrose.w_so(THETA_P)
-        penrose.w_sl_extended(THETA_P)
-        spatial.yamada(spatial.crossingless_diagram(THETA_P))
-        algebra.cyclotomic_polynomial(12)
-        assert all(caches), [len(c) for c in caches]
+        # every module-level dict named _*_CACHE in the package, found by name
+        caches = {}
+        for info in pkgutil.iter_modules(ribbonpoly.__path__):
+            module = importlib.import_module(f"ribbonpoly.{info.name}")
+            for name, value in vars(module).items():
+                if re.fullmatch(r"_\w+_CACHE", name) and isinstance(value, dict):
+                    caches[f"{info.name}.{name}"] = value
+        assert caches
+        for cache in caches.values():
+            cache[object()] = None
         clear_caches()
-        assert not any(caches), [len(c) for c in caches]
+        assert not any(caches.values()), {name: len(c) for name, c in caches.items()}

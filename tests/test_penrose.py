@@ -10,13 +10,20 @@ from helpers_oracles import (
     g_min_oracle,
     planarity_oracle,
     w_sl_brauer_oracle,
+    w_sl_flip_oracle,
     w_so_oracle,
 )
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA_T
-from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_maps
-from ribbonpoly.invariants import _flip_genera, g_min, s_poly_at
+from ribbonpoly.generate import (
+    POINT,
+    cubic_maps,
+    exhaustive_connected_maps,
+    is_bridgeless,
+    random_maps,
+)
+from ribbonpoly.invariants import _flip_genera, g_min, resolve_engine, s_poly_at
 from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
@@ -102,9 +109,40 @@ class TestSpecialLinearAnchors:
         signs[0] = -signs[0]
         assert w_sl_extended(THETA_P, tuple(signs)).evaluate(2) == 0
 
-    def test_extended_equals_brauer(self):
-        for m in exhaustive_connected_maps(3):
-            assert w_sl_extended(m) == w_sl_brauer(m), m
+    def test_matches_flip_oracle(self, cubic_census):
+        rng = random.Random(83)
+        for v in (2, 4, 6):
+            for m in cubic_census[v]:
+                signs = [rng.choice((1, -1)) for _v in range(m.vertex_count)]
+                want = w_sl_flip_oracle(m, signs)
+                assert w_sl_brauer(m, signs) == want, (m, signs)
+                assert w_sl_extended(m, signs) == want, (m, signs)
+
+    def test_contraction_deletion_route(self, cubic_census):
+        # 15 edges: each flip takes S from the contraction-deletion kernel
+        rng = random.Random(89)
+        census = [m for m in cubic_census[10] if is_bridgeless(m)]
+        for m in rng.sample(census, 3):
+            assert resolve_engine(m, "auto") == "contraction-deletion"
+            random_signs = [rng.choice((1, -1)) for _v in range(m.vertex_count)]
+            for signs in (parity_signs(m), random_signs):
+                assert w_sl_extended(m, signs) == w_sl_flip_oracle(m, signs), (m, signs)
+            value = w_sl_extended(m, parity_signs(m)).evaluate(2)
+            assert value == 2**m.vertex_count * s_poly_at(m, 4), m
+
+    def test_twisted_map_beyond_state_sum_size(self):
+        # twist marks keep a 14-edge map on the strand walker
+        rng = random.Random(149)
+        halves = list(range(28))
+        rng.shuffle(halves)
+        twists = frozenset(e for e in range(14) if rng.random() < 0.5)
+        edges = tuple((2 * k, 2 * k + 1) for k in range(14))
+        m = CombMap((tuple(halves[:14]), tuple(halves[14:])), edges, None, twists)
+        assert twists and resolve_engine(m, "auto") == "contraction-deletion"
+        signs = parity_signs(m)
+        want = w_sl_brauer_oracle(m, signs)
+        assert not want.is_zero()
+        assert w_sl_brauer(m, signs) == want
 
     def test_brauer_matches_oracle(self):
         rng = random.Random(73)
