@@ -341,13 +341,15 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     for shift in range(len(out) - 1, -1, -1):
         coeff = num[shift + len(den) - 1]
         lead = den[-1]
-        assert coeff % lead == 0
+        if coeff % lead:
+            raise ValueError("inexact polynomial division")
         q = coeff // lead
         out[shift] = q
         if q:
             for i, d in enumerate(den):
                 num[shift + i] -= q * d
-    assert all(c == 0 for c in num), "inexact polynomial division"
+    if any(num):
+        raise ValueError("inexact polynomial division")
     return out
 
 

@@ -23,27 +23,46 @@ from .maps import CombMap
 
 @dataclass(frozen=True)
 class BrauerMatching:
-    """Perfect matching on bottom points 0..bottom-1, top points bottom..bottom+top-1."""
+    """Perfect matching on bottom points 0..bottom-1, top points bottom..bottom+top-1.
+
+    Point p is paired with ``mate[p]``.
+    """
 
     bottom: int
     top: int
-    pairs: frozenset[frozenset[int]]
+    mate: tuple[int, ...]
 
     def __post_init__(self) -> None:
         total = self.bottom + self.top
         if total % 2:
             raise ValueError("odd number of boundary points")
-        touched: set[int] = set()
-        for pair in self.pairs:
-            if len(pair) != 2:
-                raise ValueError("pairs must have two distinct points")
-            touched.update(pair)
-        if touched != set(range(total)) or len(self.pairs) * 2 != total:
+        if not isinstance(self.mate, tuple):
+            object.__setattr__(self, "mate", tuple(self.mate))
+        mate = self.mate
+        if len(mate) != total:
             raise ValueError("not a perfect matching on the boundary points")
+        for p, q in enumerate(mate):
+            if q == p:
+                raise ValueError("pairs must have two distinct points")
+            if not 0 <= q < total or mate[q] != p:
+                raise ValueError("not a perfect matching on the boundary points")
 
     @staticmethod
     def from_pairs(bottom: int, top: int, pairs: Iterable[Iterable[int]]) -> "BrauerMatching":
-        return BrauerMatching(bottom, top, frozenset(frozenset(p) for p in pairs))
+        total = bottom + top
+        if total % 2:
+            raise ValueError("odd number of boundary points")
+        ends = [tuple(set(pair)) for pair in pairs]
+        if any(len(pair) != 2 for pair in ends):
+            raise ValueError("pairs must have two distinct points")
+        # an unpaired point keeps -1, which the constructor refuses
+        mate = [-1] * total
+        for p, q in ends:
+            for x, y in ((p, q), (q, p)):
+                if x not in range(total) or mate[x] not in (-1, y):
+                    raise ValueError("not a perfect matching on the boundary points")
+                mate[x] = y
+        return BrauerMatching(bottom, top, tuple(mate))
 
     @staticmethod
     def identity(n: int) -> "BrauerMatching":
@@ -63,94 +82,77 @@ class BrauerMatching:
     def cap() -> "BrauerMatching":
         return BrauerMatching.from_pairs(2, 0, [(0, 1)])
 
+    @property
+    def pairs(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset((p, q)) for p, q in enumerate(self.mate) if p < q)
+
     def partner(self, point: int) -> int:
-        for pair in self.pairs:
-            if point in pair:
-                for other in pair:
-                    if other != point:
-                        return other
-                return point
-        raise KeyError(point)
+        if point not in range(len(self.mate)):
+            raise KeyError(point)
+        return self.mate[point]
 
     def then(self, other: "BrauerMatching") -> tuple["BrauerMatching", int]:
-        """Compose self: a -> b with other: b -> c; returns (diagram, loops)."""
+        """Compose self: a -> b with other: b -> c; returns (diagram, loops).
+
+        Middle point i is self's top point a + i and other's bottom point i.
+        Each strand from an outer point alternates between the two diagrams
+        through middle points until it leaves at an outer point; the middle
+        points it never reaches lie on closed loops.
+        """
         if self.top != other.bottom:
             raise ValueError(
                 f"arity mismatch: {self.top} outputs composed into {other.bottom} inputs"
             )
-        a, b, c = self.bottom, self.top, other.top
-
-        # namespace: self points as-is; other point p becomes a + b + p
-        neighbors: dict[int, list[int]] = {}
-
-        def add(u: int, v: int) -> None:
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-
-        for pair in self.pairs:
-            u, v = tuple(pair)
-            add(u, v)
-        for pair in other.pairs:
-            u, v = tuple(pair)
-            add(a + b + u, a + b + v)
-        # fuse self top point a+i with other bottom point i
-        for i in range(b):
-            add(a + i, a + b + i)
-
-        external = set(range(a)) | {a + b + b + j for j in range(c)}
-        seen: set[int] = set()
-        new_pairs = []
-        for start in sorted(external):
-            if start in seen:
+        a, b = self.bottom, self.top
+        lower, upper = self.mate, other.mate
+        # result point a + j is other's top point b + j
+        mate = [-1] * (a + other.top)
+        reached = bytearray(b)
+        for start in range(len(mate)):
+            if mate[start] >= 0:
                 continue
-            seen.add(start)
-            prev = None
-            point = start
+            in_upper = start >= a
+            p = upper[b + start - a] if in_upper else lower[start]
             while True:
-                if prev is None:
-                    step = neighbors[point][0]
+                if in_upper:
+                    if p >= b:
+                        end = a + p - b
+                        break
+                    reached[p] = 1
+                    p = lower[a + p]
                 else:
-                    step = next(p for p in neighbors[point] if p != prev)
-                prev, point = point, step
-                seen.add(point)
-                if point in external:
-                    break
-            end = point if point < a else a + (point - (a + b + b))
-            first = start if start < a else a + (start - (a + b + b))
-            new_pairs.append((first, end))
+                    if p < a:
+                        end = p
+                        break
+                    p -= a
+                    reached[p] = 1
+                    p = upper[p]
+                in_upper = not in_upper
+            mate[start], mate[end] = end, start
         loops = 0
-        interior = [p for p in neighbors if p not in seen]
-        visited: set[int] = set()
-        for start in interior:
-            if start in visited:
+        for i in range(b):
+            if reached[i]:
                 continue
             loops += 1
-            prev = None
-            point = start
-            while point not in visited:
-                visited.add(point)
-                nexts = [p for p in neighbors[point] if p != prev]
-                step = nexts[0] if prev is not None else neighbors[point][0]
-                prev, point = point, step
-        return BrauerMatching.from_pairs(a, c, new_pairs), loops
+            p = i
+            while not reached[p]:
+                reached[p] = 1
+                p = lower[a + p] - a
+                reached[p] = 1
+                p = upper[p]
+        return BrauerMatching(a, other.top, tuple(mate)), loops
 
     def tensor(self, other: "BrauerMatching") -> "BrauerMatching":
+        """Side by side: self's bottom points, then other's, and likewise on top."""
         a, b = self.bottom, self.top
         c, d = other.bottom, other.top
-
-        def relabel(p: int) -> int:
-            if p < c:
-                return a + p
-            return a + c + b + (p - c)
-
-        def relabel_self(p: int) -> int:
-            if p < a:
-                return p
-            return a + c + (p - a)
-
-        pairs = [tuple(relabel_self(x) for x in pair) for pair in self.pairs]
-        pairs += [tuple(relabel(x) for x in pair) for pair in other.pairs]
-        return BrauerMatching.from_pairs(a + c, b + d, pairs)
+        left = [*range(a), *range(a + c, a + c + b)]
+        right = [*range(a, a + c), *range(a + b + c, a + b + c + d)]
+        mate = [0] * (a + b + c + d)
+        for place, matching in ((left, self.mate), (right, other.mate)):
+            for p, q in enumerate(matching):
+                mate[place[p]] = place[q]
+        return BrauerMatching(a + c, b + d, tuple(mate))
 
 
 class BrauerVector:
@@ -262,15 +264,7 @@ def _vertex_diagram(m: CombMap) -> tuple[BrauerMatching, int]:
     and 2h+1, and rotationless vertices close into free circles.
     """
     partner, circles = _corner_partners(m)
-    pairs = [(p, q) for p, q in enumerate(partner) if p < q]
-    return BrauerMatching.from_pairs(0, len(partner), pairs), circles
-
-
-def _edge_arcs(m: CombMap, e: int, cut: bool) -> list[tuple[int, int]]:
-    a, b = m.edges[e]
-    if cut:
-        return [(2 * a, 2 * a + 1), (2 * b, 2 * b + 1)]
-    return [(2 * a, 2 * b + 1), (2 * a + 1, 2 * b)]
+    return BrauerMatching(0, len(partner), tuple(partner)), circles
 
 
 def phi_evaluate(m: CombMap) -> HalfLaurent:
@@ -278,27 +272,30 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
 
     Every edge expands into (band - cut) with a weight of one half power of Q
     per band, each vertex contributes its corner arcs, and closed loops count
-    half powers of Q; the aggregate is scaled by Q^(-V/2).
+    half powers of Q; the aggregate is scaled by Q^(-V/2).  Each edge state
+    is a fresh (2H, 0) diagram composed with the vertex diagram.
     """
     if m.edge_twists:
         raise ValueError("the functor needs a twist-free map")
     vertex_side, circles = _vertex_diagram(m)
     e_count = m.edge_count
     h2 = 2 * m.half_edge_count
-    result = HalfLaurent.zero("Q")
+    ends = [(2 * a, 2 * b) for a, b in m.edges]
+    tally: dict[int, int] = {}
     for mask in range(1 << e_count):
-        arcs: list[tuple[int, int]] = []
-        for e in range(e_count):
-            arcs.extend(_edge_arcs(m, e, cut=bool(mask >> e & 1)))
-        edge_side = BrauerMatching.from_pairs(h2, 0, arcs)
-        closed, loops = vertex_side.then(edge_side)
-        assert not closed.pairs
-        cut_count = bin(mask).count("1")
-        sign = -1 if cut_count % 2 else 1
+        mate = [0] * h2
+        for e, (x, y) in enumerate(ends):
+            if mask >> e & 1:  # cut
+                mate[x], mate[x + 1], mate[y], mate[y + 1] = x + 1, x, y + 1, y
+            else:  # band
+                mate[x], mate[x + 1], mate[y], mate[y + 1] = y + 1, y, x + 1, x
+        closed, loops = vertex_side.then(BrauerMatching(h2, 0, tuple(mate)))
+        if closed.mate:
+            raise ValueError("a closed diagram kept boundary points")
+        cut_count = mask.bit_count()
         half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
-        term = HalfLaurent.from_dict("Q", {half_exponent: sign})
-        result = result + term
-    return result
+        tally[half_exponent] = tally.get(half_exponent, 0) + (-1 if cut_count % 2 else 1)
+    return HalfLaurent.from_dict("Q", tally)
 
 
 brauer_evaluate = phi_evaluate

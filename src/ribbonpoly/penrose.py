@@ -18,6 +18,7 @@ gives N(N-1)(N-2), and subdividing an edge doubles ``w_so``.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -231,15 +232,24 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
     for v in range(m.vertex_count):
         if m.degree(v) <= 2:
             prefactor *= 1 + chosen[v]
+    # Reversing every rotation swaps points 2h and 2h+1, which keeps bands,
+    # crossed bands and cuts, so a flip set W and its complement in
+    # ``flippable`` share one tally.  Only the masks with the top bit clear
+    # are walked, each weighed by prod_W s + prod_complement s, which is
+    # prod_W s (1 + prod s) since every sign is +1 or -1.
+    flippable = m.flippable_vertices()
+    masks = 1
+    if flippable:
+        masks = 1 << (len(flippable) - 1)
+        prefactor *= 1 + math.prod(chosen[v] for v in flippable)
     if not prefactor:
         return HalfLaurent.zero("N")
     # Each edge is cut or joined: by a band, or by a crossed band when
     # twisted.  Joined edges and strands each count a power of N.
     joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
     by_cd = not m.edge_twists and resolve_engine(m, "auto") == "contraction-deletion"
-    flippable = m.flippable_vertices()
     tally: dict[int, int] = {}
-    for vmask in range(1 << len(flippable)):
+    for vmask in range(masks):
         subset = frozenset(flippable[i] for i in range(len(flippable)) if vmask >> i & 1)
         weight = prefactor
         for v in subset:

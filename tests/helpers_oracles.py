@@ -15,7 +15,10 @@ contraction-deletion oracles recurse on ``CombMap.contract`` and
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
 oracles list every rotation on a fixed edge involution, and every cubic
 adjacency matrix, and reject isomorphs by a canonical form that walks the full
-individualization tree with dense refinement and no pruning.
+individualization tree with dense refinement and no pruning.  The Brauer
+oracles compose and juxtapose matchings through their sets of pairs and a
+neighbour graph, and evaluate the functor one ``HalfLaurent`` term per edge
+state, apart from the partner arrays of ``BrauerMatching``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_square
+from ribbonpoly.brauer import BrauerMatching
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
 from ribbonpoly.invariants import s_poly
@@ -350,6 +354,110 @@ def w_sl_flip_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
 
 
 _CD_MEMO: dict = {}
+
+
+def matching_then_oracle(
+    first: BrauerMatching, second: BrauerMatching
+) -> tuple[BrauerMatching, int]:
+    """``first.then(second)`` by walking a neighbour graph of both pair sets."""
+    if first.top != second.bottom:
+        raise ValueError("arity mismatch")
+    a, b, c = first.bottom, first.top, second.top
+
+    # namespace: first's points as-is; second's point p becomes a + b + p
+    neighbors: dict[int, list[int]] = {}
+
+    def add(u: int, v: int) -> None:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
+
+    for pair in first.pairs:
+        u, v = tuple(pair)
+        add(u, v)
+    for pair in second.pairs:
+        u, v = tuple(pair)
+        add(a + b + u, a + b + v)
+    # fuse first's top point a+i with second's bottom point i
+    for i in range(b):
+        add(a + i, a + b + i)
+
+    external = set(range(a)) | {a + b + b + j for j in range(c)}
+    seen: set[int] = set()
+    new_pairs = []
+    for start in sorted(external):
+        if start in seen:
+            continue
+        seen.add(start)
+        prev = None
+        point = start
+        while True:
+            if prev is None:
+                step = neighbors[point][0]
+            else:
+                step = next(p for p in neighbors[point] if p != prev)
+            prev, point = point, step
+            seen.add(point)
+            if point in external:
+                break
+        end = point if point < a else a + (point - (a + b + b))
+        first_end = start if start < a else a + (start - (a + b + b))
+        new_pairs.append((first_end, end))
+    loops = 0
+    interior = [p for p in neighbors if p not in seen]
+    visited: set[int] = set()
+    for start in interior:
+        if start in visited:
+            continue
+        loops += 1
+        prev = None
+        point = start
+        while point not in visited:
+            visited.add(point)
+            nexts = [p for p in neighbors[point] if p != prev]
+            step = nexts[0] if prev is not None else neighbors[point][0]
+            prev, point = point, step
+    return BrauerMatching.from_pairs(a, c, new_pairs), loops
+
+
+def matching_tensor_oracle(first: BrauerMatching, second: BrauerMatching) -> BrauerMatching:
+    """``first.tensor(second)`` by relabelling each pair."""
+    a, b = first.bottom, first.top
+    c, d = second.bottom, second.top
+
+    def relabel(p: int) -> int:
+        if p < c:
+            return a + p
+        return a + c + b + (p - c)
+
+    def relabel_first(p: int) -> int:
+        if p < a:
+            return p
+        return a + c + (p - a)
+
+    pairs = [tuple(relabel_first(x) for x in pair) for pair in first.pairs]
+    pairs += [tuple(relabel(x) for x in pair) for pair in second.pairs]
+    return BrauerMatching.from_pairs(a + c, b + d, pairs)
+
+
+def phi_evaluate_oracle(m: CombMap) -> HalfLaurent:
+    """``phi_evaluate`` with each edge state composed by ``matching_then_oracle``."""
+    h2 = 2 * m.half_edge_count
+    vertex_side = BrauerMatching.from_pairs(0, h2, _corner_arcs(m, frozenset()))
+    circles = sum(1 for cycle in m.vertices if not cycle)
+    e_count = m.edge_count
+    result = HalfLaurent.zero("Q")
+    for mask in range(1 << e_count):
+        arcs: list[tuple[int, int]] = []
+        for e, (a, b) in enumerate(m.edges):
+            arcs += _resolution_arcs(a, b, "cut" if mask >> e & 1 else "band")
+        edge_side = BrauerMatching.from_pairs(h2, 0, arcs)
+        closed, loops = matching_then_oracle(vertex_side, edge_side)
+        assert not closed.pairs
+        cut_count = bin(mask).count("1")
+        sign = -1 if cut_count % 2 else 1
+        half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
+        result = result + HalfLaurent.from_dict("Q", {half_exponent: sign})
+    return result
 
 
 def _cd_memo(name: str, m: CombMap, compute) -> HalfLaurent:

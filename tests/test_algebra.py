@@ -8,6 +8,7 @@ from ribbonpoly.algebra import (
     CyclotomicElement,
     HalfLaurent,
     TagMismatchError,
+    _poly_divide_exact,
     cyclotomic_polynomial,
     eval_cyclotomic,
     euler_phi,
@@ -118,6 +119,14 @@ class TestCyclotomic:
             eval_cyclotomic(p, 10, 8)
         value = eval_cyclotomic(p, 10, 8, allow_nonprimitive=True)
         assert value == CyclotomicElement.root_power(10, 8)
+
+    def test_exact_division_refuses_a_remainder(self):
+        # x^2 - 1 = (x - 1)(x + 1); x^2 + 1 leaves 2, and x over 2x is not integral
+        assert _poly_divide_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+        with pytest.raises(ValueError, match="inexact"):
+            _poly_divide_exact([1, 0, 1], [-1, 1])
+        with pytest.raises(ValueError, match="inexact"):
+            _poly_divide_exact([0, 1], [0, 2])
 
     def test_rational_detection(self):
         z = CyclotomicElement.root_power(6, 1)

@@ -1,8 +1,16 @@
 """Matching category, the map functor, Gramians, and negligible elements."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from helpers_oracles import (
+    EDGE_CASES,
+    matching_tensor_oracle,
+    matching_then_oracle,
+    phi_evaluate_oracle,
+)
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import (
@@ -17,12 +25,18 @@ from ribbonpoly.brauer import (
     partitions_min_two,
     sym_negligible_verify,
 )
-from ribbonpoly.generate import exhaustive_connected_maps
+from ribbonpoly.generate import exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import s_poly
 
 
 def qpoly(data):
     return HalfLaurent.from_dict("Q", {2 * k: v for k, v in data.items()})
+
+
+def random_matching(rng, bottom, top):
+    points = list(range(bottom + top))
+    rng.shuffle(points)
+    return BrauerMatching.from_pairs(bottom, top, zip(points[::2], points[1::2]))
 
 
 class TestMatchings:
@@ -56,11 +70,93 @@ class TestMatchings:
         report = br2_idempotent_verify()
         assert all(bool(v) for v in report.values()), report
 
+    def test_pairs_and_partner_read_the_mate(self):
+        rng = random.Random(89)
+        for bottom, top in [(0, 0), (0, 4), (3, 1), (2, 6)]:
+            matching = random_matching(rng, bottom, top)
+            assert BrauerMatching.from_pairs(bottom, top, matching.pairs) == matching
+            for p in range(bottom + top):
+                assert frozenset((p, matching.partner(p))) in matching.pairs
+            with pytest.raises(KeyError):
+                matching.partner(bottom + top)
+            with pytest.raises(KeyError):
+                matching.partner(-1)
+
+    def test_then_matches_oracle(self):
+        # Every arity with at most 5 points a side, zeros included; a = c = 0
+        # leaves closed diagrams, which only count loops.
+        rng = random.Random(97)
+        looped = closed = 0
+        for a, b, c in itertools.product(range(6), repeat=3):
+            if (a + b) % 2 or (b + c) % 2:
+                continue
+            for _ in range(6):
+                first, second = random_matching(rng, a, b), random_matching(rng, b, c)
+                got = first.then(second)
+                assert got == matching_then_oracle(first, second), (first, second)
+                looped += got[1] > 0
+                closed += not got[0].mate
+        assert looped > 40 and closed == 18
+
+    def test_tensor_matches_oracle(self):
+        rng = random.Random(101)
+        arities = [(x, y) for x, y in itertools.product(range(5), repeat=2) if (x + y) % 2 == 0]
+        for (a, b), (c, d) in itertools.product(arities, repeat=2):
+            first, second = random_matching(rng, a, b), random_matching(rng, c, d)
+            assert first.tensor(second) == matching_tensor_oracle(first, second), (first, second)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="odd number"):
+            BrauerMatching(1, 2, (1, 0, 2))
+        with pytest.raises(ValueError, match="odd number"):
+            BrauerMatching.from_pairs(1, 2, [(0, 1)])
+        with pytest.raises(ValueError, match="two distinct"):
+            BrauerMatching(1, 1, (0, 1))
+        with pytest.raises(ValueError, match="two distinct"):
+            BrauerMatching.from_pairs(1, 1, [(0, 0), (1, 1)])
+        # 0 -> 1 -> 2: not an involution
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching(2, 2, (1, 2, 3, 0))
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching.from_pairs(2, 2, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching(2, 2, (1, 0))
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching(1, 1, (1, 0, 3, 2))
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching(1, 1, (-1, 0))
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching.from_pairs(2, 2, [(0, 1)])
+        # point 0 lies in two pairs; keeping the last pair of each point
+        # would leave the involution (3, 2, 1, 0)
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            BrauerMatching.from_pairs(2, 2, [(0, 1), (1, 2), (0, 3)])
+        # a pair given twice is one pair
+        assert BrauerMatching.from_pairs(1, 1, [(0, 1), (1, 0)]) == BrauerMatching.identity(1)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            BrauerMatching.identity(2).then(BrauerMatching.identity(4))
+        with pytest.raises(ValueError, match="arity mismatch"):
+            BrauerMatching.cup().then(BrauerMatching.cup())
+
 
 class TestFunctor:
-    def test_agrees_with_s_small_exhaustive(self):
-        for m in exhaustive_connected_maps(3):
-            assert brauer_evaluate(m) == s_poly(m), m
+    def test_agrees_with_s(self):
+        family = exhaustive_connected_maps(5) + EDGE_CASES
+        family += random_maps(seed=103, count=12, max_edges=10)
+        assert max(m.edge_count for m in family) == 10
+        for m in family:
+            assert brauer_evaluate(m) == s_poly(m, engine="state-sum"), m
+
+    def test_matches_oracle(self):
+        family = exhaustive_connected_maps(4) + EDGE_CASES
+        family += random_maps(seed=107, count=6, max_edges=8)
+        for m in family:
+            assert brauer_evaluate(m) == phi_evaluate_oracle(m), m
+
+    def test_refuses_twists(self):
+        m = exhaustive_connected_maps(2)[-1].toggle_twist(0)
+        with pytest.raises(ValueError, match="twist-free"):
+            brauer_evaluate(m)
 
 
 class TestGramian:

@@ -1,5 +1,6 @@
 """Metric Lie algebra graph evaluations and the flip census polynomial."""
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from ribbonpoly.generate import (
     is_bridgeless,
     random_maps,
 )
-from ribbonpoly.invariants import _flip_genera, g_min, resolve_engine, s_poly_at
+from ribbonpoly.invariants import _cut_exponents, _flip_genera, g_min, resolve_engine, s_poly_at
 from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
@@ -160,6 +161,24 @@ class TestSpecialLinearAnchors:
         assert w_sl_brauer(LOOP1, (-1,)).is_zero()
         assert w_sl_brauer_oracle(LOOP1, (-1,)).is_zero()
         assert not w_sl_brauer(LOOP1, (1,)).is_zero()
+
+    def test_flip_set_and_complement_share_a_tally(self):
+        # Reversing every rotation keeps each edge state's strands, which is
+        # why w_sl_brauer walks only the flip masks with the top bit clear.
+        rng = random.Random(193)
+        checked = 0
+        for m in exhaustive_connected_maps(5):
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
+            m = CombMap(m.vertices, m.edges, None, twists)
+            joined = [2 * b if e in twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
+            flippable = frozenset(m.flippable_vertices())
+            for size in range(len(flippable) + 1):
+                for subset in itertools.combinations(sorted(flippable), size):
+                    flipped = frozenset(subset)
+                    tally = _cut_exponents(m, joined, flipped)
+                    assert tally == _cut_exponents(m, joined, flippable - flipped), (m, flipped)
+                    checked += 1
+        assert checked > 2000
 
     def test_relations(self):
         for e in range(3):
