@@ -244,11 +244,6 @@ def substitute_q_shift(poly: HalfLaurent, new_tag: str = "q") -> HalfLaurent:
     return HalfLaurent.from_dict(new_tag, data)
 
 
-def substitute_square(poly: HalfLaurent, new_tag: str) -> HalfLaurent:
-    """Substitute ``Q := N^2``: every exponent doubles, tag changes."""
-    return HalfLaurent.from_dict(new_tag, {2 * exp: coeff for exp, coeff in poly.terms})
-
-
 # ---------------------------------------------------------------------------
 # Four-variable rank polynomial support.
 # ---------------------------------------------------------------------------

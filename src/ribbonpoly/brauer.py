@@ -7,17 +7,23 @@ uses: the functor that evaluates a combinatorial map to its S-polynomial by
 doubling edges into bands, the Gramian matrices of the n-point pairing with
 their exactly interpolated determinants, and the symmetrized negligible
 combinations that give local relations at square integer values of Q.
+
+The functor composes its local diagrams in a frontier sweep: vertices enter
+one at a time, edges close once both ends are placed, and the pairings of
+the open points merge as they repeat.  The same sweep evaluates ``W_sl``
+(``penrose``) and ``R^S`` (``spatial``), whose vertices enter as weighted
+choices of corner diagrams.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import HalfLaurent
-from .invariants import _corner_partners
 from .maps import CombMap
 
 
@@ -253,48 +259,203 @@ def br2_idempotent_verify() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The functor evaluating a closed map to its S-polynomial.
+# The frontier sweep, and the functor evaluating a closed map to its
+# S-polynomial.
 # ---------------------------------------------------------------------------
 
 
-def _vertex_diagram(m: CombMap) -> tuple[BrauerMatching, int]:
-    """Corner arcs of all rotations as a (0, 2H) diagram, plus free circles.
+def _corner_pairs(cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """Corner arcs of one rotation: point 2h pairs with 2h'+1, h' the successor of h."""
+    size = len(cycle)
+    return [(2 * h, 2 * cycle[(i + 1) % size] + 1) for i, h in enumerate(cycle)]
 
-    The arcs are ``_corner_partners``': half-edge h doubles into points 2h
-    and 2h+1, and rotationless vertices close into free circles.
+
+def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
+    """Vertex order of the frontier sweep, its width and its state bound.
+
+    From each start vertex a greedy order places next the vertex that
+    leaves the fewest open half-edges, ties going to the one next to the
+    most recently placed vertex and then to the smallest label.  After step
+    i, w_i half-edges are open, and a state pairs their 2 w_i points, so
+    there are at most (2 w_i - 1)!! states.  The order with the least sum of
+    these bounds is kept, ties going to the smaller start.  The width w is
+    the largest w_i, and the state bound is (2w - 1)!!.
     """
-    partner, circles = _corner_partners(m)
-    return BrauerMatching(0, len(partner), tuple(partner)), circles
+    best: tuple[int, int, list[int]] = (0, 0, [])
+    for start in range(m.vertex_count):
+        cost, width, order = _greedy_order(m, start)
+        if start == 0 or cost < best[0]:
+            best = (cost, width, order)
+    _cost, width, order = best
+    return tuple(order), width, _double_factorial(2 * width - 1)
+
+
+def _double_factorial(n: int) -> int:
+    return math.prod(range(n, 0, -2))
+
+
+def _greedy_order(m: CombMap, start: int) -> tuple[int, int, list[int]]:
+    """The greedy order from ``start``, its sum of state bounds and its width."""
+    vertex_of, alpha = m.vertex_of, m.alpha
+    count = m.vertex_count
+    # open half-edges that placing v adds, less those it closes
+    growth = [
+        sum(1 for h in cycle if vertex_of[alpha[h]] != v) for v, cycle in enumerate(m.vertices)
+    ]
+    # the last step that placed a neighbour of each vertex
+    touched = [-1] * count
+    unplaced = set(range(count))
+    order: list[int] = []
+    open_count = width = cost = 0
+    v = start
+    for step in range(count):
+        if step:
+            v = min(unplaced, key=lambda u: (growth[u], -touched[u], u))
+        unplaced.discard(v)
+        order.append(v)
+        open_count += growth[v]
+        width = max(width, open_count)
+        cost += _double_factorial(2 * open_count - 1)
+        for h in m.vertices[v]:
+            w = vertex_of[alpha[h]]
+            if w in unplaced:
+                growth[w] -= 2
+                touched[w] = step
+    return cost, width, order
+
+
+def _frontier_sweep(
+    m: CombMap,
+    options: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int, int]]],
+    joins: Sequence[int],
+) -> dict[int, int]:
+    """Weighted loop sum over local states, tallied by an integer key.
+
+    Half-edge h doubles into points 2h and 2h+1.  Vertex v enters in one of
+    ``options[v]``, each (arcs, weight, shift): arcs pair the points of v's
+    half-edges, the weight multiplies and the shift moves the key.  Edge
+    e = (a, b) closes once both ends are placed, either joined, with 2a
+    paired to ``joins[e]`` and 2a+1 to ``joins[e] ^ 1`` and the key moved
+    by 1, or cut, with 2a paired to 2a+1 and 2b to 2b+1 and weight -1.
+    Each closed loop moves the key by 1.
+
+    A state pairs the open points by slot: ``state[i]`` is the slot joined
+    to slot i through the placed diagrams, and closed slots hold -1 until
+    the next vertex drops them.  Equal states merge, each keeping a tally
+    of key -> weight.  A vertex with a single option scales every tally
+    alike, so its weight and shift are applied once, at the end.
+    """
+    order, _width, _bound = _sweep_plan(m)
+    vertex_of, alpha, edge_of = m.vertex_of, m.alpha, m.edge_of
+    placed = [False] * m.vertex_count
+    frontier: list[int] = []  # the point in each slot, -1 once closed
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    common_weight, common_shift = 1, 0
+    for v in order:
+        cycle = m.vertices[v]
+        placed[v] = True
+        keep = [i for i, point in enumerate(frontier) if point >= 0]
+        renumber = [0] * len(frontier)
+        for i, old in enumerate(keep):
+            renumber[old] = i
+        frontier = [frontier[i] for i in keep]
+        base = len(frontier)
+        frontier += [point for h in cycle for point in (2 * h, 2 * h + 1)]
+        slot = {point: i for i, point in enumerate(frontier)}
+        entries = []
+        for arcs, weight, shift in options[v]:
+            tail = [0] * (len(frontier) - base)
+            for p, q in arcs:
+                tail[slot[p] - base], tail[slot[q] - base] = slot[q], slot[p]
+            entries.append((tuple(tail), weight, shift))
+        compact = len(keep) < len(renumber)
+        if len(entries) == 1:
+            tail, weight, shift = entries[0]
+            common_weight *= weight
+            common_shift += shift
+            if compact or tail:
+                states = {
+                    (tuple([renumber[state[i]] for i in keep]) if compact else state) + tail: tally
+                    for state, tally in states.items()
+                }
+        else:
+            grown: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                if compact:
+                    state = tuple([renumber[state[i]] for i in keep])
+                for tail, weight, shift in entries:
+                    _merge(grown, state + tail, tally, weight, shift)
+            states = grown
+        for h in cycle:
+            mate = alpha[h]
+            if not placed[vertex_of[mate]] or (vertex_of[mate] == v and mate < h):
+                continue
+            e = edge_of[h]
+            a, b = m.edges[e]
+            x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
+            j0, j1 = slot[joins[e]], slot[joins[e] ^ 1]
+            for i in (x0, x1, y0, y1):
+                frontier[i] = -1
+            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                for p1, q1, p2, q2, weight, shift in (
+                    (x0, j0, x1, j1, 1, 1),  # joined
+                    (x0, x1, y0, y1, -1, 0),  # cut
+                ):
+                    pairing = list(state)
+                    end = pairing[p1]
+                    if end == q1:
+                        shift += 1
+                    else:
+                        other = pairing[q1]
+                        pairing[end], pairing[other] = other, end
+                    end = pairing[p2]
+                    if end == q2:
+                        shift += 1
+                    else:
+                        other = pairing[q2]
+                        pairing[end], pairing[other] = other, end
+                    pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
+                    _merge(closed, tuple(pairing), tally, weight, shift)
+            states = closed
+    total: dict[int, int] = {}
+    for tally in states.values():
+        for key, count in tally.items():
+            key += common_shift
+            total[key] = total.get(key, 0) + common_weight * count
+    return total
+
+
+def _merge(
+    states: dict[tuple[int, ...], dict[int, int]],
+    state: tuple[int, ...],
+    tally: dict[int, int],
+    weight: int,
+    shift: int,
+) -> None:
+    """Add ``tally``, times ``weight`` with every key moved by ``shift``, to ``states[state]``."""
+    target = states.get(state)
+    if target is None:
+        states[state] = {key + shift: weight * count for key, count in tally.items()}
+        return
+    for key, count in tally.items():
+        key += shift
+        target[key] = target.get(key, 0) + weight * count
 
 
 def phi_evaluate(m: CombMap) -> HalfLaurent:
     """S-polynomial through the diagram category.
 
-    Every edge expands into (band - cut) with a weight of one half power of Q
-    per band, each vertex contributes its corner arcs, and closed loops count
-    half powers of Q; the aggregate is scaled by Q^(-V/2).  Each edge state
-    is a fresh (2H, 0) diagram composed with the vertex diagram.
+    Every vertex contributes its corner arcs and one factor Q^(-1/2), and
+    every edge expands into (band - cut) with a factor Q^(1/2) per band;
+    each closed loop, and each isolated vertex, counts Q^(1/2).  The local
+    diagrams compose in one frontier sweep (``_frontier_sweep``).
     """
     if m.edge_twists:
         raise ValueError("the functor needs a twist-free map")
-    vertex_side, circles = _vertex_diagram(m)
-    e_count = m.edge_count
-    h2 = 2 * m.half_edge_count
-    ends = [(2 * a, 2 * b) for a, b in m.edges]
-    tally: dict[int, int] = {}
-    for mask in range(1 << e_count):
-        mate = [0] * h2
-        for e, (x, y) in enumerate(ends):
-            if mask >> e & 1:  # cut
-                mate[x], mate[x + 1], mate[y], mate[y + 1] = x + 1, x, y + 1, y
-            else:  # band
-                mate[x], mate[x + 1], mate[y], mate[y + 1] = y + 1, y, x + 1, x
-        closed, loops = vertex_side.then(BrauerMatching(h2, 0, tuple(mate)))
-        if closed.mate:
-            raise ValueError("a closed diagram kept boundary points")
-        cut_count = mask.bit_count()
-        half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
-        tally[half_exponent] = tally.get(half_exponent, 0) + (-1 if cut_count % 2 else 1)
+    # an isolated vertex is one free loop against its own factor
+    options = [[(_corner_pairs(cycle), 1, -1 if cycle else 0)] for cycle in m.vertices]
+    tally = _frontier_sweep(m, options, [2 * b + 1 for _a, b in m.edges])
     return HalfLaurent.from_dict("Q", tally)
 
 

@@ -170,26 +170,6 @@ def petersen_map() -> CombMap:
     return CombMap(tuple(vertices), edges)
 
 
-def structured_family() -> list[CombMap]:
-    """Hand-built connected maps with five or six edges."""
-    five_bouquet = bouquet([(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)])
-    six_bouquet = bouquet([(0, 3), (1, 7), (2, 9), (4, 10), (5, 8), (6, 11)])
-    theta_plus = dipole(3).subdivide(0).subdivide(1)
-    family = [
-        cycle_map(5),
-        cycle_map(6),
-        dipole(5),
-        dipole(5, twist_second_vertex=True),
-        dipole(6),
-        dipole(6, twist_second_vertex=True),
-        five_bouquet,
-        six_bouquet,
-        theta_plus,
-        complete_map(4),
-    ]
-    return family
-
-
 def random_connected_map(rng: random.Random, edge_count: int) -> CombMap:
     """A uniformly random rotation on 2e half-edges, resampled until connected."""
     labels = list(range(2 * edge_count))

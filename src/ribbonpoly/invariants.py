@@ -64,24 +64,19 @@ def _gray_toggles(count: int) -> Iterator[int]:
         yield (i & -i).bit_length() - 1
 
 
-def _corner_partners(
-    m: CombMap, reversed_vertices: frozenset[int] = frozenset()
-) -> tuple[list[int], int]:
+def _corner_partners(m: CombMap) -> tuple[list[int], int]:
     """Vertex-side partner of each doubled strand point, plus free circles.
 
     Half-edge h doubles into points 2h and 2h+1; the corner between
-    consecutive half-edges h, h' pairs point 2h with point 2h'+1.  Vertices
-    in ``reversed_vertices`` take their rotation backwards.  Each isolated
-    vertex is a free circle.
+    consecutive half-edges h, h' pairs point 2h with point 2h'+1.  Each
+    isolated vertex is a free circle.
     """
     partner = [0] * (2 * m.half_edge_count)
     circles = 0
-    for index, cycle in enumerate(m.vertices):
+    for cycle in m.vertices:
         if not cycle:
             circles += 1
             continue
-        if index in reversed_vertices:
-            cycle = tuple(reversed(cycle))
         size = len(cycle)
         for i, h in enumerate(cycle):
             succ = cycle[(i + 1) % size]
@@ -118,13 +113,8 @@ class _StrandWalker:
 
     __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "pairings", "strands")
 
-    def __init__(
-        self,
-        m: CombMap,
-        resolutions: list[tuple[int, int]],
-        reversed_vertices: frozenset[int] = frozenset(),
-    ) -> None:
-        vertex_partner, circles = _corner_partners(m, reversed_vertices)
+    def __init__(self, m: CombMap, resolutions: list[tuple[int, int]]) -> None:
+        vertex_partner, circles = _corner_partners(m)
         edge_partner = [0] * len(vertex_partner)
         self.ends = [(2 * a, 2 * b) for a, b in m.edges]
         self.pairings = []
@@ -209,16 +199,14 @@ def _check_doubled(value: int) -> None:
         raise ValueError(f"face count is inconsistent with an oriented surface: doubled value {value}")
 
 
-def _cut_exponents(
-    m: CombMap, joined: list[int], reversed_vertices: frozenset[int] = frozenset()
-) -> dict[int, int]:
+def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
     """Signed state counts by joined edges + strands - vertices.
 
     Edge e is either joined by resolution ``joined[e]`` (a band or a crossed
     band) or cut, and a state with c cut edges counts (-1)^c.
     """
     resolutions = [(point, 2 * a + 1) for point, (a, _b) in zip(joined, m.edges)]
-    walker = _StrandWalker(m, resolutions, reversed_vertices)
+    walker = _StrandWalker(m, resolutions)
     cut, sign = 0, 1
     exponent = m.edge_count - m.vertex_count + walker.strands
     tally = {exponent: 1}
@@ -312,23 +300,18 @@ def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(
-    m: CombMap, reversed_vertices: frozenset[int] = frozenset()
-) -> tuple[list[int], int]:
+def _kernel(m: CombMap) -> tuple[list[int], int]:
     """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated-vertex count.
 
     S, flow and the chromatic polynomial recurse on this pair, where alpha
     is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
     and vertex signs, which none of the three reads, are dropped here.
-    Vertices in ``reversed_vertices`` take their rotation backwards.
     """
     label = [0] * m.half_edge_count
     for k, (a, b) in enumerate(m.edges):
         label[a], label[b] = 2 * k, 2 * k + 1
     sigma = [0] * m.half_edge_count
-    for index, cycle in enumerate(m.vertices):
-        if index in reversed_vertices:
-            cycle = cycle[::-1]
+    for cycle in m.vertices:
         for i, h in enumerate(cycle):
             sigma[label[cycle[i - 1]]] = label[h]
     return sigma, sum(1 for cycle in m.vertices if not cycle)

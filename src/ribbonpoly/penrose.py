@@ -5,11 +5,11 @@ cyclic strand diagram and every edge with (straight - crossed), so closed
 strands count powers of N; twist marks swap the two edge resolutions and
 negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
 maps through the flip expansion of the S-polynomial: ``w_sl_brauer`` sums
-over the sets of reversed vertices, and evaluates each set's diagrams with
-each edge joined or cut, by the strand walker of ``invariants`` or, on the
-larger twist-free maps, by S's contraction-deletion on the reversed
-rotation.  The strand walker also serves ``w_so``, S, the rank polynomial
-and the vertex flips of the cellular embedding polynomial.  The
+over the sets of reversed vertices and the edge states (each edge joined
+or cut) in one frontier sweep of ``brauer``, in which each vertex enters
+with its cyclic or its reversed corners.  The strand walker of
+``invariants`` serves ``w_so`` and the vertex flips of the cellular
+embedding polynomial.  The
 normalization is pinned by the anchor values: an isolated vertex gives N
 (so) and 1 + s(v) (sl), a single-vertex loop gives N(N-1), the planar theta
 gives N(N-1)(N-2), and subdividing an edge doubles ``w_so``.
@@ -23,16 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import HalfLaurent
-from .invariants import (
-    _cut_exponents,
-    _flip_genera,
-    _gray_toggles,
-    _kernel,
-    _s_cd,
-    _StrandWalker,
-    g_min,
-    resolve_engine,
-)
+from .brauer import _corner_pairs, _frontier_sweep
+from .invariants import _flip_genera, _gray_toggles, _StrandWalker, g_min
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
 __all__ = [
@@ -222,10 +214,10 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
     Vertices expand as (cyclic + s(v) reversed) / N, untwisted edges as
     (N band - cut), twisted edges as (N crossed - cut); closed strands and
     isolated vertices count powers of N.  Reversing a vertex of degree <= 2
-    is a no-op, so those vertices factor out as (1 + s(v)).  Twist-free,
-    the diagrams of flip_W sum to S_{flip_W}(N^2): where ``auto`` would run
-    S by contraction-deletion, each W takes S from that kernel with W's
-    rotations reversed, and otherwise from the strand walker.
+    is a no-op, so those vertices factor out as (1 + s(v)).  The local
+    diagrams compose in one frontier sweep, in which each vertex of degree
+    >= 3 enters with its cyclic corners (weight 1) or its reversed ones
+    (weight s(v)).
     """
     chosen = _signs_of(m, signs)
     prefactor = 1
@@ -234,34 +226,27 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
             prefactor *= 1 + chosen[v]
     # Reversing every rotation swaps points 2h and 2h+1, which keeps bands,
     # crossed bands and cuts, so a flip set W and its complement in
-    # ``flippable`` share one tally.  Only the masks with the top bit clear
-    # are walked, each weighed by prod_W s + prod_complement s, which is
-    # prod_W s (1 + prod s) since every sign is +1 or -1.
+    # ``flippable`` share one tally.  The first flippable vertex enters
+    # cyclic only, and the tally is weighed by prod_W s + prod_complement s,
+    # which is prod_W s (1 + prod s) since every sign is +1 or -1.
     flippable = m.flippable_vertices()
-    masks = 1
     if flippable:
-        masks = 1 << (len(flippable) - 1)
         prefactor *= 1 + math.prod(chosen[v] for v in flippable)
     if not prefactor:
         return HalfLaurent.zero("N")
+    options = []
+    for v, cycle in enumerate(m.vertices):
+        # an isolated vertex is one free strand against its own factor
+        cyclic = (_corner_pairs(cycle), 1, -1 if cycle else 0)
+        if len(cycle) <= 2 or v == flippable[0]:
+            options.append([cyclic])
+        else:
+            options.append([cyclic, (_corner_pairs(cycle[::-1]), chosen[v], -1)])
     # Each edge is cut or joined: by a band, or by a crossed band when
     # twisted.  Joined edges and strands each count a power of N.
-    joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
-    by_cd = not m.edge_twists and resolve_engine(m, "auto") == "contraction-deletion"
-    tally: dict[int, int] = {}
-    for vmask in range(masks):
-        subset = frozenset(flippable[i] for i in range(len(flippable)) if vmask >> i & 1)
-        weight = prefactor
-        for v in subset:
-            weight *= chosen[v]
-        if by_cd:
-            # S's doubled Q exponent is the power of N
-            exponents = _s_cd(*_kernel(m, subset)).terms
-        else:
-            exponents = _cut_exponents(m, joined, subset).items()
-        for exponent, count in exponents:
-            tally[2 * exponent] = tally.get(2 * exponent, 0) + weight * count
-    return HalfLaurent.from_dict("N", tally)
+    joins = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
+    tally = _frontier_sweep(m, options, joins)
+    return HalfLaurent.from_dict("N", {2 * k: prefactor * c for k, c in tally.items()})
 
 
 def _merge_contract(

@@ -12,8 +12,11 @@ every crossing into a q-weighted smoothing, a q^{-1}-weighted smoothing and
 a flat 4-valent vertex with coefficient -1, then evaluate a polynomial of
 each resolved map at Q = q + 2 + q^{-1}:
 
-* variant "s" uses the rotation-sensitive polynomial ``s_poly``,
-* variant "f" uses the flow polynomial and ignores the embedding.
+* variant "s" uses the rotation-sensitive polynomial S; the crossing
+  states and the edge states of S are summed in one frontier sweep of
+  ``brauer``, with a tally per power of q,
+* variant "f" uses the flow polynomial of each of the 3^c resolved maps
+  and ignores the embedding.
 
 Disagreement of the two certifies that the diagram is not equivalent to a
 classical (planar-diagram) spatial graph.  The module also carries a move
@@ -36,6 +39,7 @@ from .algebra import (
     eval_cyclotomic,
     substitute_q_shift,
 )
+from .brauer import _corner_pairs, _frontier_sweep
 from .invariants import flow_poly, s_poly
 from .maps import CombMap, InvalidMapError
 from .penrose import planarity_by_flips
@@ -347,11 +351,51 @@ def yamada(d: SpatialDiagram, variant: str = "s", mirror: bool = False) -> HalfL
     cached = _YAMADA_CACHE.get(key)
     if cached is not None:
         return cached
-    total = HalfLaurent.zero("q")
-    for coeff, resolved in expand_crossings(d, mirror=mirror):
-        poly = s_poly(resolved) if variant == "s" else flow_poly(resolved)
-        total = total + coeff * substitute_q_shift(poly)
+    if variant == "s":
+        total = _rs_sweep(d, mirror)
+    else:
+        total = HalfLaurent.zero("q")
+        for coeff, resolved in expand_crossings(d, mirror=mirror):
+            total = total + coeff * substitute_q_shift(flow_poly(resolved))
     _YAMADA_CACHE[key] = total
+    return total
+
+
+def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
+    """R^S from one frontier sweep over the crossing states and edge states.
+
+    A crossing enters flat, as its 4-valent corners with weight -1, or
+    smoothed, as two degree-2 vertices joining the half-edges that
+    ``_smoothing_pairs`` joins, with one factor q or q^{-1}.  The smoothed
+    map is a subdivision of the resolved map of ``expand_crossings``, so
+    each crossing state sums to S of that map.  The sweep key packs the q
+    exponent k and the Q key j as k * stride + j, with |j| < stride / 2.
+    """
+    base = d.base
+    stride = 2 * (base.half_edge_count + base.vertex_count + d.crossing_count) + 1
+    crossing_of = {c.vertex: c for c in d.crossings}
+    options = []
+    for v, cycle in enumerate(base.vertices):
+        crossing = crossing_of.get(v)
+        if crossing is None:
+            # an isolated vertex is one free loop against its own factor
+            options.append([(_corner_pairs(cycle), 1, -1 if cycle else 0)])
+            continue
+        states = [(_corner_pairs(cycle), -1, -1)]
+        for state, power in (("q", 1), ("qbar", -1)):
+            junction = _smoothing_pairs(cycle, crossing.over_pair, state, mirror)
+            arcs = [arc for h, g in junction.items() if h < g for arc in _corner_pairs((h, g))]
+            # two vertices, each a factor Q^(-1/2)
+            states.append((arcs, 1, power * stride - 2))
+        options.append(states)
+    tally = _frontier_sweep(base, options, [2 * b + 1 for _a, b in base.edges])
+    by_power: dict[int, dict[int, int]] = {}
+    for key, count in tally.items():
+        power, half_exp = divmod(key + stride // 2, stride)
+        by_power.setdefault(power, {})[half_exp - stride // 2] = count
+    total = HalfLaurent.zero("q")
+    for power, data in by_power.items():
+        total = total + substitute_q_shift(HalfLaurent.from_dict("Q", data)).shift(2 * power)
     return total
 
 

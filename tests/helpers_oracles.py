@@ -5,9 +5,11 @@ validated maps.
 Each state-sum oracle rebuilds its per-subset data from scratch and builds its
 own corner arcs and strand count, so it shares no code with the strand walker
 in ``ribbonpoly``.  The flip oracles build every rotation variant as a
-``CombMap`` and read its genus from ``euler_data``; the flip expansion of
-``w_sl`` builds each flip likewise and takes its S by contraction-deletion,
-apart from the strand walker.  The signature oracle
+``CombMap`` and read its genus from ``euler_data``; the flip expansions of
+``w_sl`` build each flip likewise and take its edge states from S by
+contraction-deletion or from the strand walker, apart from the frontier
+sweep.  The R^S oracle sums S over every crossing resolution that
+``expand_crossings`` builds.  The signature oracle
 builds every start's full code and takes the minimum, with no early exit.  The
 bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
@@ -26,11 +28,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_square
+from ribbonpoly import spatial as sp
+from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
 from ribbonpoly.brauer import BrauerMatching
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
-from ribbonpoly.invariants import s_poly
+from ribbonpoly.invariants import _cut_exponents, s_poly
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import parity_signs, w_sl_extended
 
@@ -291,6 +294,15 @@ def w_so_oracle(m: CombMap) -> HalfLaurent:
     return HalfLaurent.from_dict("N", data)
 
 
+def _flip_prefactor(m: CombMap, signs: Sequence[int]) -> int:
+    """prod over the vertices of degree <= 2 of (1 + s(v))."""
+    prefactor = 1
+    for v in range(m.vertex_count):
+        if m.degree(v) <= 2:
+            prefactor *= 1 + signs[v]
+    return prefactor
+
+
 def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
     """``w_sl_brauer`` with every vertex reversal and edge resolution rebuilt.
 
@@ -299,10 +311,7 @@ def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
     isolated vertices count powers of N.  A vertex of degree <= 2 reads the
     same reversed, so it factors out as (1 + s(v)).
     """
-    prefactor = 1
-    for v in range(m.vertex_count):
-        if m.degree(v) <= 2:
-            prefactor *= 1 + signs[v]
+    prefactor = _flip_prefactor(m, signs)
     data: dict[int, int] = {}
     if not prefactor:
         return HalfLaurent.from_dict("N", data)
@@ -328,6 +337,11 @@ def w_sl_brauer_oracle(m: CombMap, signs: list[int]) -> HalfLaurent:
     return HalfLaurent.from_dict("N", data)
 
 
+def substitute_square(poly: HalfLaurent, new_tag: str) -> HalfLaurent:
+    """Substitute ``Q := N^2``: every exponent doubles, tag changes."""
+    return HalfLaurent.from_dict(new_tag, {2 * exp: coeff for exp, coeff in poly.terms})
+
+
 def w_sl_flip_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
     """Flip expansion: sum over W of (prod of s on W) S_{flip_W}(N^2), twist-free.
 
@@ -335,10 +349,7 @@ def w_sl_flip_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
     contraction-deletion.  A vertex of degree <= 2 reads the same reversed,
     so it factors out as (1 + s(v)).
     """
-    prefactor = 1
-    for v in range(m.vertex_count):
-        if m.degree(v) <= 2:
-            prefactor *= 1 + signs[v]
+    prefactor = _flip_prefactor(m, signs)
     result = HalfLaurent.zero("N")
     if not prefactor:
         return result
@@ -351,6 +362,47 @@ def w_sl_flip_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
         s = s_poly(m.flip_subset(subset), engine="contraction-deletion")
         result = result + substitute_square(s, "N").scale(weight)
     return result
+
+
+def w_sl_walker_tally(m: CombMap, flipped: Sequence[int]) -> dict[int, int]:
+    """Signed edge-state counts of ``m.flip_subset(flipped)`` by joined edges + strands - vertices.
+
+    Each edge is cut or joined, by a band or, when twisted, by a crossed
+    band; the strand walker switches one edge per state.  Flipping keeps the
+    half-edge and edge labels, so ``m``'s joins apply.
+    """
+    joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
+    return _cut_exponents(m.flip_subset(flipped), joined)
+
+
+def w_sl_walker_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
+    """Flip expansion with each flip's edge states walked by the strand walker.
+
+    Sums (prod of s on W) times the tally of flip_W over every set W of
+    vertices of degree >= 3; a twist joins its edge as a crossed band, so
+    twisted maps are covered too.
+    """
+    prefactor = _flip_prefactor(m, signs)
+    if not prefactor:
+        return HalfLaurent.zero("N")
+    data: dict[int, int] = {}
+    flippable = m.flippable_vertices()
+    for mask in range(1 << len(flippable)):
+        subset = [flippable[i] for i in range(len(flippable)) if mask >> i & 1]
+        weight = prefactor
+        for v in subset:
+            weight *= signs[v]
+        for exponent, count in w_sl_walker_tally(m, subset).items():
+            data[2 * exponent] = data.get(2 * exponent, 0) + weight * count
+    return HalfLaurent.from_dict("N", data)
+
+
+def yamada_resolution_oracle(d: sp.SpatialDiagram, mirror: bool = False) -> HalfLaurent:
+    """R^S as the sum over all 3^c resolutions of coefficient times S at Q = q + 2 + q^{-1}."""
+    total = HalfLaurent.zero("q")
+    for coeff, resolved in sp.expand_crossings(d, mirror=mirror):
+        total = total + coeff * substitute_q_shift(s_poly(resolved))
+    return total
 
 
 _CD_MEMO: dict = {}

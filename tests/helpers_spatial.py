@@ -33,6 +33,21 @@ def seeded_diagram(rng: random.Random, max_edges: int = 4, crossings: int = 1) -
     return d
 
 
+def crossed_diagram(m: CombMap, rng: random.Random, crossings: int) -> sp.SpatialDiagram:
+    """Crossings inserted one by one between two random distinct edges of m."""
+    d = sp.crossingless_diagram(m)
+    for _ in range(crossings):
+        e1, e2 = rng.sample(range(d.base.edge_count), 2)
+        d = sp.insert_crossing(
+            d,
+            rng.choice(d.base.edges[e1]),
+            rng.choice(d.base.edges[e2]),
+            over=rng.choice(["first", "second"]),
+            chirality=rng.choice([1, -1]),
+        )
+    return d
+
+
 def woven_triangle(m: CombMap, rng: random.Random, a_over: bool = True, r_over_b: bool = True):
     """Cut three edges of m and wire in the standard slide-ready triangle.
 

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracles import w_sl_flip_oracle
+from helpers_oracles import w_sl_flip_oracle, yamada_resolution_oracle
 from helpers_spatial import (
+    crossed_diagram,
     forbidden_examples,
     planar_r2,
     random_iv_site,
@@ -40,6 +41,7 @@ from ribbonpoly.fixtures import (
     THETA_T_AS_SPATIAL,
 )
 from ribbonpoly.generate import (
+    complete_map,
     exhaustive_connected_maps,
     is_bridgeless,
     k33_standard,
@@ -359,3 +361,45 @@ def test_11_census_validation(cubic_census):
             else:
                 assert poly.is_zero()
     assert total == 483
+
+
+def _bridgeless_cubic_map(rng, v):
+    """A connected bridgeless cubic map on v vertices: random stub pairing and rotations."""
+    while True:
+        stubs = list(range(3 * v))
+        rng.shuffle(stubs)
+        edges = tuple((stubs[2 * i], stubs[2 * i + 1]) for i in range(3 * v // 2))
+        vertices = tuple(tuple(rng.sample(range(3 * k, 3 * k + 3), 3)) for k in range(v))
+        m = CombMap(vertices, edges)
+        if m.component_count == 1 and is_bridgeless(m):
+            return m
+
+
+def test_12_functor_on_large_cubic_maps():
+    rng = random.Random(20261018)
+    maps = [_bridgeless_cubic_map(rng, v) for v in (16, 16, 18, 18, 20)]
+    assert [m.edge_count for m in maps] == [24, 24, 27, 27, 30]
+    start = time.monotonic()
+    values = [brauer_evaluate(m) for m in maps]
+    assert time.monotonic() - start < 1
+    # the check is contraction-deletion, which takes seconds per map here
+    for m, value in zip(maps, values):
+        assert value == s_poly(m, engine="contraction-deletion"), m
+
+
+def test_13_rs_on_k33_with_seven_crossings():
+    d = crossed_diagram(k33_standard(), random.Random(20261018), 7)
+    assert d.crossing_count == 7
+    start = time.monotonic()
+    rs = sp.yamada(d, "s")
+    assert time.monotonic() - start <= 1
+    s = s_poly(sp.underlying_map(d))
+    assert rs.evaluate(-1) == s.evaluate(0)  # rs_minus_one_equals_s_at_zero
+    assert rs.evaluate(1) == s.evaluate(4)  # rs_one_equals_s_at_four
+
+
+def test_14_rs_on_k4_with_six_crossings():
+    d = crossed_diagram(complete_map(4), random.Random(20261018), 6)
+    assert d.crossing_count == 6
+    for mirror in (False, True):
+        assert sp.yamada(d, "s", mirror=mirror) == yamada_resolution_oracle(d, mirror)

@@ -1,6 +1,7 @@
 """Matching category, the map functor, Gramians, and negligible elements."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,10 @@ from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import (
     BrauerMatching,
     BrauerVector,
+    _corner_pairs,
+    _frontier_sweep,
+    _greedy_order,
+    _sweep_plan,
     br2_idempotent_verify,
     brauer_evaluate,
     fpf_permutations,
@@ -25,7 +30,8 @@ from ribbonpoly.brauer import (
     partitions_min_two,
     sym_negligible_verify,
 )
-from ribbonpoly.generate import exhaustive_connected_maps, random_maps
+from ribbonpoly.fixtures import PETERSEN
+from ribbonpoly.generate import complete_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import s_poly
 
 
@@ -157,6 +163,31 @@ class TestFunctor:
         m = exhaustive_connected_maps(2)[-1].toggle_twist(0)
         with pytest.raises(ValueError, match="twist-free"):
             brauer_evaluate(m)
+
+    def test_sweep_plan(self):
+        # (order, width, (2 width - 1)!!), pinned for Petersen and K6
+        assert _sweep_plan(PETERSEN) == ((0, 1, 2, 3, 4, 9, 6, 8, 5, 7), 6, 10395)
+        assert _sweep_plan(complete_map(6)) == ((0, 1, 2, 3, 4, 5), 9, 34459425)
+        for m in EDGE_CASES + random_maps(seed=109, count=12, max_edges=10):
+            order, width, bound = _sweep_plan(m)
+            assert sorted(order) == list(range(m.vertex_count)), m
+            assert width <= m.edge_count
+            assert bound == math.prod(range(2 * width - 1, 0, -2))
+            # the kept order is the cheapest greedy one, the first among equals
+            greedy = [_greedy_order(m, start) for start in range(m.vertex_count)]
+            if greedy:
+                cheapest = min(cost for cost, _width, _order in greedy)
+                first = next(g for g in greedy if g[0] == cheapest)
+                assert (first[1], tuple(first[2])) == (width, order), m
+
+    def test_sweep_weights_and_shifts(self):
+        # every vertex entering with weight 3 and one more shift scales S by
+        # 3^V and Q^(V/2)
+        for m in EDGE_CASES + random_maps(seed=113, count=8, max_edges=8):
+            options = [[(_corner_pairs(cycle), 3, 0 if cycle else 1)] for cycle in m.vertices]
+            tally = _frontier_sweep(m, options, [2 * b + 1 for _a, b in m.edges])
+            want = brauer_evaluate(m).scale(3**m.vertex_count).shift(m.vertex_count)
+            assert HalfLaurent.from_dict("Q", tally) == want, m
 
 
 class TestGramian:

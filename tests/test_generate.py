@@ -24,7 +24,6 @@ from ribbonpoly.generate import (
     k33_standard,
     petersen_map,
     random_maps,
-    structured_family,
 )
 from ribbonpoly.invariants import flow_poly, s_poly
 from ribbonpoly.algebra import HalfLaurent
@@ -90,10 +89,6 @@ class TestNamedFamilies:
         m = petersen_map()
         assert (m.vertex_count, m.edge_count) == (10, 15)
         assert is_bridgeless(m)
-
-    def test_structured_family_valid(self):
-        for m in structured_family():
-            assert m.component_count == 1
 
 
 class TestRandomModel:

@@ -195,14 +195,20 @@ class TestDegree:
 
 
 def _walk_against_oracle(m, names, reversed_vertices=frozenset()):
-    """Walk edge e between its resolutions names[e], checking every state's strands."""
+    """Walk edge e between its resolutions names[e], checking every state's strands.
+
+    The walker runs on the flipped map, which keeps the half-edge and edge
+    labels; the oracle reverses the corners of ``reversed_vertices`` itself.
+    """
 
     def point(a, b, name):
         # the point a resolution joins to 2a
         return {"band": 2 * b + 1, "crossed": 2 * b, "cut": 2 * a + 1}[name]
 
     resolutions = [tuple(point(a, b, name) for name in pair) for (a, b), pair in zip(m.edges, names)]
-    walker = _StrandWalker(m, resolutions, reversed_vertices)
+    flipped = m.flip_subset(reversed_vertices)
+    assert flipped.edges == m.edges
+    walker = _StrandWalker(flipped, resolutions)
     state = [pair[0] for pair in names]
     assert walker.strands == strand_count(m, state, reversed_vertices), m
     for e in _gray_toggles(m.edge_count):

@@ -12,6 +12,8 @@ from helpers_oracles import (
     planarity_oracle,
     w_sl_brauer_oracle,
     w_sl_flip_oracle,
+    w_sl_walker_oracle,
+    w_sl_walker_tally,
     w_so_oracle,
 )
 
@@ -24,7 +26,7 @@ from ribbonpoly.generate import (
     is_bridgeless,
     random_maps,
 )
-from ribbonpoly.invariants import _cut_exponents, _flip_genera, g_min, resolve_engine, s_poly_at
+from ribbonpoly.invariants import _flip_genera, g_min, resolve_engine, s_poly_at
 from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
     cellular_embedding_poly,
@@ -120,7 +122,7 @@ class TestSpecialLinearAnchors:
                 assert w_sl_extended(m, signs) == want, (m, signs)
 
     def test_contraction_deletion_route(self, cubic_census):
-        # 15 edges: each flip takes S from the contraction-deletion kernel
+        # 15 edges: the oracle takes each flip's S by contraction-deletion
         rng = random.Random(89)
         census = [m for m in cubic_census[10] if is_bridgeless(m)]
         for m in rng.sample(census, 3):
@@ -132,7 +134,7 @@ class TestSpecialLinearAnchors:
             assert value == 2**m.vertex_count * s_poly_at(m, 4), m
 
     def test_twisted_map_beyond_state_sum_size(self):
-        # twist marks keep a 14-edge map on the strand walker
+        # a 14-edge map with twist marks, against the brute-force oracle
         rng = random.Random(149)
         halves = list(range(28))
         rng.shuffle(halves)
@@ -164,21 +166,31 @@ class TestSpecialLinearAnchors:
 
     def test_flip_set_and_complement_share_a_tally(self):
         # Reversing every rotation keeps each edge state's strands, which is
-        # why w_sl_brauer walks only the flip masks with the top bit clear.
+        # why w_sl_brauer sweeps its first flippable vertex cyclic only.
         rng = random.Random(193)
         checked = 0
         for m in exhaustive_connected_maps(5):
             twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
             m = CombMap(m.vertices, m.edges, None, twists)
-            joined = [2 * b if e in twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
             flippable = frozenset(m.flippable_vertices())
             for size in range(len(flippable) + 1):
                 for subset in itertools.combinations(sorted(flippable), size):
                     flipped = frozenset(subset)
-                    tally = _cut_exponents(m, joined, flipped)
-                    assert tally == _cut_exponents(m, joined, flippable - flipped), (m, flipped)
+                    tally = w_sl_walker_tally(m, flipped)
+                    assert tally == w_sl_walker_tally(m, flippable - flipped), (m, flipped)
                     checked += 1
         assert checked > 2000
+
+    def test_matches_walker_oracle(self):
+        # the flip sum with every flip walked, on twisted maps too
+        rng = random.Random(197)
+        family = exhaustive_connected_maps(5) + EDGE_CASES + random_maps(seed=199, count=8, max_edges=12)
+        for m in family:
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
+            for candidate in (m, CombMap(m.vertices, m.edges, None, twists)):
+                signs = [rng.choice((1, -1)) for _v in range(m.vertex_count)]
+                want = w_sl_walker_oracle(candidate, signs)
+                assert w_sl_brauer(candidate, signs) == want, (candidate, signs)
 
     def test_relations(self):
         for e in range(3):
@@ -360,10 +372,6 @@ class TestConnectSums:
         rng = random.Random(179)
         checked = 0
         for m1, m2 in connect_sum_pairs:
-            # w_sl_extended walks 2^V flips with a state sum each; an
-            # 8-vertex census map takes about ten seconds.
-            if m1.edge_count + m2.edge_count > 12:
-                continue
             for _ in range(2):
                 v1 = rng.choice([v for v in range(m1.vertex_count) if m1.degree(v) == 3])
                 v2 = rng.choice([v for v in range(m2.vertex_count) if m2.degree(v) == 3])
@@ -371,7 +379,7 @@ class TestConnectSums:
                 want = {"degree2_rule": True, "degree3_rule": True, "passed": True}
                 assert report == want, (m1, v1, m2, v2)
                 checked += 1
-        assert checked == 6
+        assert checked == 24
         with pytest.raises(ConnectSumError):
             sl_connect_sum_checks(LOOP1, 0, THETA_P, 0)
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers_oracles import yamada_resolution_oracle
 from helpers_spatial import (
     forbidden_examples,
     random_iv_site,
@@ -18,6 +19,7 @@ from ribbonpoly.fixtures import (
     K4,
     K4_SPATIAL,
     LOOP1,
+    SPATIAL_FIXTURES,
     THETA_CURL,
     THETA_P,
     THETA_R2,
@@ -78,6 +80,17 @@ class TestExpandCrossings:
     def test_single_crossing_coefficients(self):
         coeffs = sorted(term[0].render() for term in sp.expand_crossings(THETA_CURL))
         assert coeffs == ["-1", "q", "q^-1"]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_matches_resolution_oracle(self, mirror):
+        rng = random.Random(211)
+        diagrams = list(SPATIAL_FIXTURES.values())
+        diagrams += [seeded_diagram(rng, max_edges=5, crossings=c) for c in (0, 1, 2, 3, 4) * 4]
+        assert max(d.crossing_count for d in diagrams) == 4
+        for d in diagrams:
+            assert sp.yamada(d, "s", mirror=mirror) == yamada_resolution_oracle(d, mirror), d
 
 
 class TestMirror:
