@@ -10,9 +10,12 @@ combinations that give local relations at square integer values of Q.
 
 The functor composes its local diagrams in a frontier sweep: vertices enter
 one at a time, edges close once both ends are placed, and the pairings of
-the open points merge as they repeat.  The same sweep evaluates ``W_sl``
-(``penrose``) and ``R^S`` (``spatial``), whose vertices enter as weighted
-choices of corner diagrams.
+the open points merge as they repeat.  The same sweep evaluates ``W_so``
+and ``W_sl`` (``penrose``) and ``R^S`` (``spatial``), whose vertices enter
+as weighted choices of corner diagrams and whose edges close in weighted
+resolutions.  Flow is not a loop sum, so ``R^F`` (``spatial``) has a
+second sweep in the same vertex order, which keeps set partitions of the
+open half-edges in place of pairings.
 """
 
 from __future__ import annotations
@@ -279,7 +282,9 @@ def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
     i, w_i half-edges are open, and a state pairs their 2 w_i points, so
     there are at most (2 w_i - 1)!! states.  The order with the least sum of
     these bounds is kept, ties going to the smaller start.  The width w is
-    the largest w_i, and the state bound is (2w - 1)!!.
+    the largest w_i, and the state bound is (2w - 1)!!.  The partition
+    sweep takes the same order; a state there partitions the w_i open
+    half-edges, so it keeps at most Bell(w) states.
     """
     best: tuple[int, int, list[int]] = (0, 0, [])
     for start in range(m.vertex_count):
@@ -327,17 +332,18 @@ def _greedy_order(m: CombMap, start: int) -> tuple[int, int, list[int]]:
 def _frontier_sweep(
     m: CombMap,
     options: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int, int]]],
-    joins: Sequence[int],
+    closings: Sequence[Sequence[tuple[int, int, int]]],
 ) -> dict[int, int]:
     """Weighted loop sum over local states, tallied by an integer key.
 
     Half-edge h doubles into points 2h and 2h+1.  Vertex v enters in one of
     ``options[v]``, each (arcs, weight, shift): arcs pair the points of v's
     half-edges, the weight multiplies and the shift moves the key.  Edge
-    e = (a, b) closes once both ends are placed, either joined, with 2a
-    paired to ``joins[e]`` and 2a+1 to ``joins[e] ^ 1`` and the key moved
-    by 1, or cut, with 2a paired to 2a+1 and 2b to 2b+1 and weight -1.
-    Each closed loop moves the key by 1.
+    e = (a, b) closes once both ends are placed, in one of ``closings[e]``,
+    each (point, weight, shift) naming the point paired to 2a: 2b+1 for a
+    band and 2b for a crossed band, which pair 2a+1 to the other point of
+    b, or 2a+1 for a cut, which pairs 2b to 2b+1.  Each closed loop moves
+    the key by 1.
 
     A state pairs the open points by slot: ``state[i]`` is the slot joined
     to slot i through the placed diagrams, and closed slots hold -1 until
@@ -393,15 +399,17 @@ def _frontier_sweep(
             e = edge_of[h]
             a, b = m.edges[e]
             x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
-            j0, j1 = slot[joins[e]], slot[joins[e] ^ 1]
+            ways = [
+                (x0, x1, y0, y1, weight, shift)
+                if point == 2 * a + 1
+                else (x0, slot[point], x1, slot[point ^ 1], weight, shift)
+                for point, weight, shift in closings[e]
+            ]
             for i in (x0, x1, y0, y1):
                 frontier[i] = -1
             closed: dict[tuple[int, ...], dict[int, int]] = {}
             for state, tally in states.items():
-                for p1, q1, p2, q2, weight, shift in (
-                    (x0, j0, x1, j1, 1, 1),  # joined
-                    (x0, x1, y0, y1, -1, 0),  # cut
-                ):
+                for p1, q1, p2, q2, weight, shift in ways:
                     pairing = list(state)
                     end = pairing[p1]
                     if end == q1:
@@ -418,11 +426,106 @@ def _frontier_sweep(
                     pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
                     _merge(closed, tuple(pairing), tally, weight, shift)
             states = closed
+    return _scaled_total(states, common_weight, common_shift)
+
+
+def _join_or_cut(m: CombMap) -> list[tuple[tuple[int, int, int], ...]]:
+    """Closings of ``_frontier_sweep``: each edge joined, moving the key by 1, or cut with weight -1.
+
+    An edge joins by a band, or by a crossed band when it is twisted.
+    """
+    return [
+        ((2 * b if e in m.edge_twists else 2 * b + 1, 1, 1), (2 * a + 1, -1, 0))
+        for e, (a, b) in enumerate(m.edges)
+    ]
+
+
+def _partition_sweep(
+    m: CombMap,
+    options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
+) -> dict[int, int]:
+    """Weighted sum over local states and kept edge sets A, by 2(|A| - |V| + c(A)).
+
+    Vertex v enters in one of ``options[v]``, each (groups, weight, shift):
+    the groups partition v's half-edges into local vertices, each of which
+    moves the key by -2, the weight multiplies and the shift moves the key.
+    Edge e = (a, b) closes once both ends are placed, either joined, which
+    merges the blocks of a and b and moves the key by 2, or cut, with
+    weight -1.  A block that loses its last open half-edge is a closed
+    component and moves the key by 2, so an empty group moves nothing.
+
+    A state gives the block of each open half-edge by slot, blocks labelled
+    0, 1, ... in order of first occurrence.  Equal states merge, each
+    keeping a tally of key -> weight, and with w open half-edges there are
+    at most Bell(w) states.  A vertex with a single option scales every
+    tally alike, so its weight and shift are applied once, at the end.
+    """
+    order, _width, _bound = _sweep_plan(m)
+    vertex_of, alpha = m.vertex_of, m.alpha
+    placed = [False] * m.vertex_count
+    frontier: list[int] = []  # the half-edge in each slot
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    common_weight, common_shift = 1, 0
+    for v in order:
+        cycle = m.vertices[v]
+        placed[v] = True
+        frontier += cycle
+        entries = []
+        for groups, weight, shift in options[v]:
+            group_of = {h: i for i, group in enumerate(groups) for h in group}
+            first: dict[int, int] = {}
+            tail = tuple([first.setdefault(group_of[h], len(first)) for h in cycle])
+            entries.append((tail, weight, shift - 2 * sum(1 for group in groups if group)))
+        if len(entries) == 1:
+            tail, weight, shift = entries[0]
+            common_weight *= weight
+            common_shift += shift
+            if tail:
+                grown = {}
+                for state, tally in states.items():
+                    blocks = max(state) + 1 if state else 0
+                    grown[state + tuple([blocks + label for label in tail])] = tally
+                states = grown
+        else:
+            grown = {}
+            for state, tally in states.items():
+                blocks = max(state) + 1 if state else 0
+                for tail, weight, shift in entries:
+                    _merge(grown, state + tuple([blocks + label for label in tail]), tally, weight, shift)
+            states = grown
+        for h in cycle:
+            mate = alpha[h]
+            if not placed[vertex_of[mate]] or (vertex_of[mate] == v and mate < h):
+                continue
+            i, j = sorted((frontier.index(h), frontier.index(mate)))
+            del frontier[j], frontier[i]
+            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                x, y = state[i], state[j]
+                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
+                seen: dict[int, int] = {}
+                cut = tuple([seen.setdefault(z, len(seen)) for z in rest])
+                ends = (x not in seen) + (y != x and y not in seen)
+                _merge(closed, cut, tally, -1, 2 * ends)
+                if x == y:
+                    _merge(closed, cut, tally, 1, 2 + 2 * ends)
+                    continue
+                seen = {}
+                joined = tuple([seen.setdefault(x if z == y else z, len(seen)) for z in rest])
+                _merge(closed, joined, tally, 1, 4 if x not in seen else 2)
+            states = closed
+    return _scaled_total(states, common_weight, common_shift)
+
+
+def _scaled_total(
+    states: dict[tuple[int, ...], dict[int, int]], weight: int, shift: int
+) -> dict[int, int]:
+    """The tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
     total: dict[int, int] = {}
     for tally in states.values():
         for key, count in tally.items():
-            key += common_shift
-            total[key] = total.get(key, 0) + common_weight * count
+            key += shift
+            total[key] = total.get(key, 0) + weight * count
     return total
 
 
@@ -455,7 +558,7 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
         raise ValueError("the functor needs a twist-free map")
     # an isolated vertex is one free loop against its own factor
     options = [[(_corner_pairs(cycle), 1, -1 if cycle else 0)] for cycle in m.vertices]
-    tally = _frontier_sweep(m, options, [2 * b + 1 for _a, b in m.edges])
+    tally = _frontier_sweep(m, options, _join_or_cut(m))
     return HalfLaurent.from_dict("Q", tally)
 
 

@@ -6,13 +6,13 @@ strands count powers of N; twist marks swap the two edge resolutions and
 negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
 maps through the flip expansion of the S-polynomial: ``w_sl_brauer`` sums
 over the sets of reversed vertices and the edge states (each edge joined
-or cut) in one frontier sweep of ``brauer``, in which each vertex enters
-with its cyclic or its reversed corners.  The strand walker of
-``invariants`` serves ``w_so`` and the vertex flips of the cellular
-embedding polynomial.  The
-normalization is pinned by the anchor values: an isolated vertex gives N
-(so) and 1 + s(v) (sl), a single-vertex loop gives N(N-1), the planar theta
-gives N(N-1)(N-2), and subdividing an edge doubles ``w_so``.
+or cut), in which each vertex enters with its cyclic or its reversed
+corners.  Both are computed in one frontier sweep of ``brauer``.  The
+strand walker of ``invariants`` serves the vertex flips of the cellular
+embedding polynomial.  The normalization is pinned by the anchor values:
+an isolated vertex gives N (so) and 1 + s(v) (sl), a single-vertex loop
+gives N(N-1), the planar theta gives N(N-1)(N-2), and subdividing an edge
+doubles ``w_so``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import HalfLaurent
-from .brauer import _corner_pairs, _frontier_sweep
-from .invariants import _flip_genera, _gray_toggles, _StrandWalker, g_min
+from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut
+from .invariants import _flip_genera, g_min
 from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
 
 __all__ = [
@@ -80,17 +80,17 @@ def w_so(m: CombMap) -> HalfLaurent:
 
     Each untwisted edge splits into a straight band (+1) and a crossed band
     (-1); a twist mark swaps the two signs.  Every closed strand contributes
-    a factor of N, as does every isolated vertex.  The resolutions are walked
-    in Gray-code order by the strand walker, one edge switch per state.
+    a factor of N, as does every isolated vertex.  Each vertex enters as its
+    cyclic strand diagram, and the edge resolutions compose in one frontier
+    sweep of ``brauer``.
     """
-    # every edge starts as a band, and a twist mark gives the band -1
-    walker = _StrandWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
-    sign = -1 if len(m.edge_twists) % 2 else 1
-    tally = {walker.strands: sign}
-    for e in _gray_toggles(m.edge_count):
-        walker.toggle(e)
-        sign = -sign
-        tally[walker.strands] = tally.get(walker.strands, 0) + sign
+    # an isolated vertex is one free strand
+    options = [[(_corner_pairs(cycle), 1, 0 if cycle else 1)] for cycle in m.vertices]
+    closings = []
+    for e, (_a, b) in enumerate(m.edges):
+        sign = -1 if e in m.edge_twists else 1
+        closings.append(((2 * b + 1, sign, 0), (2 * b, -sign, 0)))
+    tally = _frontier_sweep(m, options, closings)
     return HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
 
 
@@ -244,8 +244,7 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
             options.append([cyclic, (_corner_pairs(cycle[::-1]), chosen[v], -1)])
     # Each edge is cut or joined: by a band, or by a crossed band when
     # twisted.  Joined edges and strands each count a power of N.
-    joins = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
-    tally = _frontier_sweep(m, options, joins)
+    tally = _frontier_sweep(m, options, _join_or_cut(m))
     return HalfLaurent.from_dict("N", {2 * k: prefactor * c for k, c in tally.items()})
 
 

@@ -15,8 +15,12 @@ each resolved map at Q = q + 2 + q^{-1}:
 * variant "s" uses the rotation-sensitive polynomial S; the crossing
   states and the edge states of S are summed in one frontier sweep of
   ``brauer``, with a tally per power of q,
-* variant "f" uses the flow polynomial of each of the 3^c resolved maps
-  and ignores the embedding.
+* variant "f" uses the flow polynomial and ignores the embedding; the
+  crossing states and the kept edge sets are summed in one partition
+  sweep of ``brauer``, with a tally per power of q.
+
+Neither sweep builds the 3^c resolved maps; ``expand_crossings`` still
+lists them.
 
 Disagreement of the two certifies that the diagram is not equivalent to a
 classical (planar-diagram) spatial graph.  The module also carries a move
@@ -39,7 +43,7 @@ from .algebra import (
     eval_cyclotomic,
     substitute_q_shift,
 )
-from .brauer import _corner_pairs, _frontier_sweep
+from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut, _partition_sweep
 from .invariants import flow_poly, s_poly
 from .maps import CombMap, InvalidMapError
 from .penrose import planarity_by_flips
@@ -349,46 +353,46 @@ def yamada(d: SpatialDiagram, variant: str = "s", mirror: bool = False) -> HalfL
         raise ValueError("variant must be 's' or 'f'")
     key = (d, variant, mirror)
     cached = _YAMADA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if variant == "s":
-        total = _rs_sweep(d, mirror)
-    else:
-        total = HalfLaurent.zero("q")
-        for coeff, resolved in expand_crossings(d, mirror=mirror):
-            total = total + coeff * substitute_q_shift(flow_poly(resolved))
-    _YAMADA_CACHE[key] = total
-    return total
+    if cached is None:
+        cached = _YAMADA_CACHE[key] = (_rs_sweep if variant == "s" else _rf_sweep)(d, mirror)
+    return cached
 
 
-def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
-    """R^S from one frontier sweep over the crossing states and edge states.
+def _local_states(
+    d: SpatialDiagram, mirror: bool
+) -> list[list[tuple[list[tuple[int, ...]], int, int]]]:
+    """Per vertex, its states as (local vertices, weight, q power).
 
-    A crossing enters flat, as its 4-valent corners with weight -1, or
-    smoothed, as two degree-2 vertices joining the half-edges that
-    ``_smoothing_pairs`` joins, with one factor q or q^{-1}.  The smoothed
-    map is a subdivision of the resolved map of ``expand_crossings``, so
-    each crossing state sums to S of that map.  The sweep key packs the q
-    exponent k and the Q key j as k * stride + j, with |j| < stride / 2.
+    A graph vertex is one local vertex.  A crossing is flat, its 4-valent
+    vertex with weight -1, or smoothed, two degree-2 vertices joining the
+    half-edges that ``_smoothing_pairs`` joins, with one factor q or
+    q^{-1}.  The smoothed map is a subdivision of the resolved map of
+    ``expand_crossings``, so each crossing state sums to the polynomial of
+    that map: S and flow are both subdivision-invariant.
     """
-    base = d.base
-    stride = 2 * (base.half_edge_count + base.vertex_count + d.crossing_count) + 1
     crossing_of = {c.vertex: c for c in d.crossings}
-    options = []
-    for v, cycle in enumerate(base.vertices):
+    states = []
+    for v, cycle in enumerate(d.base.vertices):
         crossing = crossing_of.get(v)
         if crossing is None:
-            # an isolated vertex is one free loop against its own factor
-            options.append([(_corner_pairs(cycle), 1, -1 if cycle else 0)])
+            states.append([([cycle], 1, 0)])
             continue
-        states = [(_corner_pairs(cycle), -1, -1)]
+        local = [([cycle], -1, 0)]
         for state, power in (("q", 1), ("qbar", -1)):
             junction = _smoothing_pairs(cycle, crossing.over_pair, state, mirror)
-            arcs = [arc for h, g in junction.items() if h < g for arc in _corner_pairs((h, g))]
-            # two vertices, each a factor Q^(-1/2)
-            states.append((arcs, 1, power * stride - 2))
-        options.append(states)
-    tally = _frontier_sweep(base, options, [2 * b + 1 for _a, b in base.edges])
+            local.append(([(h, g) for h, g in junction.items() if h < g], 1, power))
+        states.append(local)
+    return states
+
+
+def _q_stride(d: SpatialDiagram) -> int:
+    """Packing of a sweep key: q power k and Q key j as k * stride + j, with |j| < stride / 2."""
+    base = d.base
+    return 2 * (base.half_edge_count + base.vertex_count + d.crossing_count) + 1
+
+
+def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
+    """Unpack a sweep tally by q power and substitute Q = q + 2 + q^{-1} once per power."""
     by_power: dict[int, dict[int, int]] = {}
     for key, count in tally.items():
         power, half_exp = divmod(key + stride // 2, stride)
@@ -397,6 +401,37 @@ def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
     for power, data in by_power.items():
         total = total + substitute_q_shift(HalfLaurent.from_dict("Q", data)).shift(2 * power)
     return total
+
+
+def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
+    """R^S from one frontier sweep over the crossing states and edge states.
+
+    Each local vertex enters as its corners with one factor Q^(-1/2); an
+    isolated vertex is one free loop against its own factor.
+    """
+    stride = _q_stride(d)
+    options = [
+        [
+            (
+                [arc for group in groups for arc in _corner_pairs(group)],
+                weight,
+                power * stride - sum(1 for group in groups if group),
+            )
+            for groups, weight, power in local
+        ]
+        for local in _local_states(d, mirror)
+    ]
+    return _q_polynomial(_frontier_sweep(d.base, options, _join_or_cut(d.base)), stride)
+
+
+def _rf_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
+    """R^F from one partition sweep over the crossing states and kept edge sets."""
+    stride = _q_stride(d)
+    options = [
+        [(groups, weight, power * stride) for groups, weight, power in local]
+        for local in _local_states(d, mirror)
+    ]
+    return _q_polynomial(_partition_sweep(d.base, options), stride)
 
 
 # -- the move engine ---------------------------------------------------------

@@ -8,10 +8,11 @@ in ``ribbonpoly``.  The flip oracles build every rotation variant as a
 ``CombMap`` and read its genus from ``euler_data``; the flip expansions of
 ``w_sl`` build each flip likewise and take its edge states from S by
 contraction-deletion or from the strand walker, apart from the frontier
-sweep.  The R^S oracle sums S over every crossing resolution that
-``expand_crossings`` builds.  The signature oracle
-builds every start's full code and takes the minimum, with no early exit.  The
-bridge oracle deletes the edge and counts components.  The
+sweep; the walker oracle of ``w_so`` switches one edge resolution per
+state, apart from the sweep as well.  The R^S and R^F oracle sums S or
+flow over every crossing resolution that ``expand_crossings`` builds.  The
+signature oracle builds every start's full code and takes the minimum, with
+no early exit.  The bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
@@ -33,7 +34,7 @@ from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
 from ribbonpoly.brauer import BrauerMatching
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
-from ribbonpoly.invariants import _cut_exponents, s_poly
+from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
 from ribbonpoly.maps import CombMap
 from ribbonpoly.penrose import parity_signs, w_sl_extended
 
@@ -294,6 +295,23 @@ def w_so_oracle(m: CombMap) -> HalfLaurent:
     return HalfLaurent.from_dict("N", data)
 
 
+def w_so_walker_oracle(m: CombMap) -> HalfLaurent:
+    """``w_so`` with the edge resolutions walked by the strand walker.
+
+    Every edge starts as a band and the walker switches one edge between
+    band and crossed band per state, in Gray-code order.
+    """
+    # every edge starts as a band, and a twist mark gives the band -1
+    walker = _StrandWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
+    sign = -1 if len(m.edge_twists) % 2 else 1
+    tally = {walker.strands: sign}
+    for e in _gray_toggles(m.edge_count):
+        walker.toggle(e)
+        sign = -sign
+        tally[walker.strands] = tally.get(walker.strands, 0) + sign
+    return HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
+
+
 def _flip_prefactor(m: CombMap, signs: Sequence[int]) -> int:
     """prod over the vertices of degree <= 2 of (1 + s(v))."""
     prefactor = 1
@@ -397,11 +415,15 @@ def w_sl_walker_oracle(m: CombMap, signs: Sequence[int]) -> HalfLaurent:
     return HalfLaurent.from_dict("N", data)
 
 
-def yamada_resolution_oracle(d: sp.SpatialDiagram, mirror: bool = False) -> HalfLaurent:
-    """R^S as the sum over all 3^c resolutions of coefficient times S at Q = q + 2 + q^{-1}."""
+def yamada_resolution_oracle(
+    d: sp.SpatialDiagram, mirror: bool = False, variant: str = "s"
+) -> HalfLaurent:
+    """R^S (variant "s") or R^F (variant "f") as the sum over all 3^c
+    resolutions of coefficient times S or flow at Q = q + 2 + q^{-1}."""
+    poly = {"s": s_poly, "f": flow_poly}[variant]
     total = HalfLaurent.zero("q")
     for coeff, resolved in sp.expand_crossings(d, mirror=mirror):
-        total = total + coeff * substitute_q_shift(s_poly(resolved))
+        total = total + coeff * substitute_q_shift(poly(resolved))
     return total
 
 

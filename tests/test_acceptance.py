@@ -403,3 +403,14 @@ def test_14_rs_on_k4_with_six_crossings():
     assert d.crossing_count == 6
     for mirror in (False, True):
         assert sp.yamada(d, "s", mirror=mirror) == yamada_resolution_oracle(d, mirror)
+        assert sp.yamada(d, "f", mirror=mirror) == yamada_resolution_oracle(d, mirror, "f")
+
+
+def test_15_rf_on_k33_with_seven_crossings():
+    d = crossed_diagram(k33_standard(), random.Random(20261018), 7)
+    assert d.crossing_count == 7
+    start = time.monotonic()
+    rf = sp.yamada(d, "f")
+    assert time.monotonic() - start <= 1
+    f = flow_poly(sp.underlying_map(d))
+    assert rf.evaluate(-1) == f.evaluate(0)  # rf_minus_one_equals_f_at_zero

@@ -20,6 +20,8 @@ from ribbonpoly.brauer import (
     _corner_pairs,
     _frontier_sweep,
     _greedy_order,
+    _join_or_cut,
+    _partition_sweep,
     _sweep_plan,
     br2_idempotent_verify,
     brauer_evaluate,
@@ -32,7 +34,7 @@ from ribbonpoly.brauer import (
 )
 from ribbonpoly.fixtures import PETERSEN
 from ribbonpoly.generate import complete_map, exhaustive_connected_maps, random_maps
-from ribbonpoly.invariants import s_poly
+from ribbonpoly.invariants import flow_poly, s_poly
 
 
 def qpoly(data):
@@ -181,12 +183,15 @@ class TestFunctor:
                 assert (first[1], tuple(first[2])) == (width, order), m
 
     def test_sweep_weights_and_shifts(self):
-        # every vertex entering with weight 3 and one more shift scales S by
-        # 3^V and Q^(V/2)
+        # every vertex entering with weight 3 and one more shift scales S and
+        # flow by 3^V and Q^(V/2)
         for m in EDGE_CASES + random_maps(seed=113, count=8, max_edges=8):
             options = [[(_corner_pairs(cycle), 3, 0 if cycle else 1)] for cycle in m.vertices]
-            tally = _frontier_sweep(m, options, [2 * b + 1 for _a, b in m.edges])
+            tally = _frontier_sweep(m, options, _join_or_cut(m))
             want = brauer_evaluate(m).scale(3**m.vertex_count).shift(m.vertex_count)
+            assert HalfLaurent.from_dict("Q", tally) == want, m
+            tally = _partition_sweep(m, [[([cycle], 3, 1)] for cycle in m.vertices])
+            want = flow_poly(m).scale(3**m.vertex_count).shift(m.vertex_count)
             assert HalfLaurent.from_dict("Q", tally) == want, m
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers_oracles import yamada_resolution_oracle
+from helpers_oracles import EDGE_CASES, yamada_resolution_oracle
 from helpers_spatial import (
     forbidden_examples,
     random_iv_site,
@@ -28,7 +28,7 @@ from ribbonpoly.fixtures import (
     THETA_T_AS_SPATIAL,
     TRIANGLE,
 )
-from ribbonpoly.generate import random_connected_map
+from ribbonpoly.generate import exhaustive_connected_maps, random_connected_map
 from ribbonpoly.invariants import flow_poly, s_poly
 from ribbonpoly.maps import CombMap, InvalidMapError
 
@@ -91,6 +91,24 @@ class TestSweep:
         assert max(d.crossing_count for d in diagrams) == 4
         for d in diagrams:
             assert sp.yamada(d, "s", mirror=mirror) == yamada_resolution_oracle(d, mirror), d
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_rf_matches_resolution_oracle(self, mirror):
+        rng = random.Random(223)
+        diagrams = list(SPATIAL_FIXTURES.values())
+        diagrams += [seeded_diagram(rng, max_edges=5, crossings=c) for c in (0, 1, 2, 3, 4) * 4]
+        assert max(d.crossing_count for d in diagrams) == 4
+        for d in diagrams:
+            want = yamada_resolution_oracle(d, mirror, "f")
+            assert sp.yamada(d, "f", mirror=mirror) == want, d
+
+    def test_partition_sweep_on_plain_maps(self):
+        rng = random.Random(227)
+        family = exhaustive_connected_maps(5) + EDGE_CASES
+        family += [random_connected_map(rng, e) for e in range(6, 13) for _ in range(2)]
+        for m in family:
+            want = substitute_q_shift(flow_poly(m))
+            assert sp.yamada(sp.crossingless_diagram(m), "f") == want, m
 
 
 class TestMirror:

@@ -9,6 +9,7 @@ from ribbonpoly import cli
 from ribbonpoly.fixtures import (
     ALL_FIXTURES,
     K4_SPATIAL,
+    SPATIAL_FIXTURES,
     THETA_P,
     THETA_T,
     THETA_T_AS_SPATIAL,
@@ -234,6 +235,27 @@ class TestCliSpatial:
         assert lines[0] == "nonclassical"
         assert lines[1].startswith("rs: ")
         assert lines[2].startswith("rf: ")
+
+    def test_spatial_golden_digest(self, capsys):
+        # yamada in both variants and mirrors, then classify, over the five
+        # spatial fixtures, as first recorded
+        chunks = []
+        for name in sorted(SPATIAL_FIXTURES):
+            path = str(fixture_path(name))
+            for argv in (
+                ("yamada", "--variant", "s", path),
+                ("yamada", "--variant", "s", "--mirror", path),
+                ("yamada", "--variant", "f", path),
+                ("yamada", "--variant", "f", "--mirror", path),
+                ("classify", path),
+            ):
+                code, out, _ = run(capsys, *argv)
+                assert code == 0, argv
+                chunks.append(out)
+        text = "".join(chunks)
+        assert len(text.splitlines()) == 40
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "b4e54939a0d8d8e364e1e2ef91095528cc87665ea93e6a17882f6658fbeba4c4"
 
     def test_golden(self, capsys):
         code, out, _ = run(capsys, "golden", str(fixture_path("k4_spatial")))
