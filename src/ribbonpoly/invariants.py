@@ -12,8 +12,10 @@ with independent engines (state sum and memoized contraction-deletion) so the
 test suite can cross-check them term by term.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
-``_kernel``), memoizes on the canonical code that ``CombMap.signature`` uses,
-and builds only the branches that can be nonzero.  S and flow vanish at a degree-1 vertex, so a
+``_kernel``), memoizes integer tallies by doubled exponent under a canonical
+code of that form alone, tried only from the half-edges of least (vertex
+degree, face length) (see ``_kernel_key``), and builds only the branches that
+can be nonzero.  S and flow vanish at a degree-1 vertex, so a
 non-loop edge at a degree-2 vertex recurses on its contraction alone.  For the
 chromatic polynomial, deleting a pendant edge is contracting it and adding an
 isolated vertex, so that edge contributes a factor (t - 1).
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .maps import CombMap, _canonical_code
+from .maps import CombMap
 
 _S_CACHE: dict = {}
 _FLOW_CACHE: dict = {}
@@ -318,15 +320,119 @@ def _kernel(m: CombMap) -> tuple[list[int], int]:
 
 
 def _kernel_key(sigma: list[int], isolated: int) -> tuple:
-    """The memo key: ``CombMap.signature`` of the same twist-free, unsigned map."""
+    """The memo key: a canonical code of the bare kernel, equal exactly for isomorphic kernels.
+
+    Each component is encoded by its least breadth-first code, in which the
+    entry of half-edge h packs the labels of ``sigma[h]`` and ``h ^ 1`` into
+    the one int ``ls * n + la``.  Only the half-edges with the least (vertex
+    degree, face length) are tried as starts, the faces being the cycles of
+    h -> sigma[h ^ 1].  That pair is an isomorphism invariant, so the least
+    code over these starts is still canonical.  The key is not
+    ``CombMap.signature``, but it splits maps into the same classes.
+    """
     n = len(sigma)
-    zeros = [0] * n
-    return _canonical_code(sigma, [h ^ 1 for h in range(n)], zeros, zeros, [0] * isolated)
+    # rank[h] orders half-edges by (degree of h's vertex, length of h's face)
+    rank = [0] * n
+    for h in range(n):
+        if not rank[h]:
+            cycle = [h]
+            x = sigma[h]
+            while x != h:
+                cycle.append(x)
+                x = sigma[x]
+            degree = len(cycle) * (n + 1)
+            for x in cycle:
+                rank[x] = degree
+    in_face = [False] * n
+    for h in range(n):
+        if not in_face[h]:
+            cycle = [h]
+            x = sigma[h ^ 1]
+            while x != h:
+                cycle.append(x)
+                x = sigma[x ^ 1]
+            length = len(cycle)
+            for x in cycle:
+                in_face[x] = True
+                rank[x] += length
+
+    def code_from(start: int, best: Optional[list[int]]) -> tuple[Optional[list[int]], list[int]]:
+        # As in maps._canonical_code: entry i is final once order[i] is
+        # processed, so the code is dropped at its first entry above ``best``.
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        count = 1
+        out: list[int] = []
+        smaller = best is None
+        for i, h in enumerate(order):
+            s = sigma[h]
+            ls = label[s]
+            if ls < 0:
+                ls = label[s] = count
+                count += 1
+                order.append(s)
+            a = h ^ 1
+            la = label[a]
+            if la < 0:
+                la = label[a] = count
+                count += 1
+                order.append(a)
+            entry = ls * n + la
+            if not smaller:
+                if entry > best[i]:
+                    return None, order
+                if entry == best[i]:
+                    continue
+                smaller = True
+                out = best[:i]
+            out.append(entry)
+        return (out if smaller else None), order
+
+    covered = [False] * n
+    codes = []
+    # the first uncovered half-edge in rank order has its component's least rank
+    for h0 in sorted(range(n), key=rank.__getitem__):
+        if covered[h0]:
+            continue
+        best, members = code_from(h0, None)
+        least = rank[h0]
+        for h in members:
+            covered[h] = True
+        for start in members[1:]:
+            if rank[start] == least:
+                best = code_from(start, best)[0] or best
+        codes.append(tuple(best))
+    codes.sort()
+    return tuple(codes), isolated
+
+
+def _tally_difference(
+    plus: dict[int, int], plus_shift: int, minus: dict[int, int], minus_shift: int
+) -> dict[int, int]:
+    """A new tally: ``plus`` shifted by ``plus_shift`` minus ``minus`` shifted by ``minus_shift``.
+
+    Tallies map doubled exponents to nonzero integer coefficients, so a
+    shift by 2 multiplies by the variable.  The inputs are memo values and
+    are never changed.
+    """
+    out = {exp + plus_shift: coeff for exp, coeff in plus.items()}
+    for exp, coeff in minus.items():
+        exp += minus_shift
+        coeff = out.get(exp, 0) - coeff
+        if coeff:
+            out[exp] = coeff
+        else:
+            del out[exp]
+    return out
 
 
 def _memoized(
-    cache: dict, compute: Callable[[list[int], int], HalfLaurent], sigma: list[int], isolated: int
-) -> HalfLaurent:
+    cache: dict,
+    compute: Callable[[list[int], int], dict[int, int]],
+    sigma: list[int],
+    isolated: int,
+) -> dict[int, int]:
     """``compute(sigma, isolated)``, looked up in and stored to ``cache`` by the kernel key."""
     key = _kernel_key(sigma, isolated)
     result = cache.get(key)
@@ -416,27 +522,30 @@ def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     if engine == "state-sum":
         return HalfLaurent.from_dict("Q", _flow_exponents(m))
     if engine == "contraction-deletion":
-        return _flow_cd(*_kernel(m))
+        return HalfLaurent.from_dict("Q", _flow_cd(*_kernel(m)))
     raise ValueError(f"unknown flow engine {engine!r}")
 
 
-def _flow_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+def _flow_cd(sigma: list[int], isolated: int) -> dict[int, int]:
     return _memoized(_FLOW_CACHE, _flow_cd_compute, sigma, isolated)
 
 
-def _flow_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+def _flow_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
     if _lone_half_edge(sigma) >= 0:
-        return HalfLaurent.zero("Q")
+        return {}
     if not sigma:
-        return HalfLaurent.one("Q")
+        return {0: 1}
     e = _subdivision_edge(sigma)
     if e >= 0:
         return _flow_cd(*_minor(sigma, isolated, e, True))
     e, loop = _preferred_edge(sigma)
     if loop:
-        q_minus_1 = HalfLaurent.from_dict("Q", {2: 1, 0: -1})
-        return q_minus_1 * _flow_cd(*_minor(sigma, isolated, e, False))
-    return _flow_cd(*_minor(sigma, isolated, e, True)) - _flow_cd(*_minor(sigma, isolated, e, False))
+        # (Q - 1) F(G - e)
+        deleted = _flow_cd(*_minor(sigma, isolated, e, False))
+        return _tally_difference(deleted, 2, deleted, 0)
+    contracted = _flow_cd(*_minor(sigma, isolated, e, True))
+    deleted = _flow_cd(*_minor(sigma, isolated, e, False))
+    return _tally_difference(contracted, 0, deleted, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +563,7 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     if engine == "state-sum":
         return HalfLaurent.from_dict("Q", _s_exponents(m))
     if engine == "contraction-deletion":
-        return _s_cd(*_kernel(m))
+        return HalfLaurent.from_dict("Q", _s_cd(*_kernel(m)))
     if engine == "brauer":
         from .brauer import brauer_evaluate
 
@@ -462,24 +571,23 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     raise ValueError(f"unknown S engine {engine!r}")
 
 
-def _s_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+def _s_cd(sigma: list[int], isolated: int) -> dict[int, int]:
     return _memoized(_S_CACHE, _s_cd_compute, sigma, isolated)
 
 
-def _s_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+def _s_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
     if _lone_half_edge(sigma) >= 0:
-        return HalfLaurent.zero("Q")
+        return {}
     if not sigma:
-        return HalfLaurent.one("Q")
+        return {0: 1}
     e = _subdivision_edge(sigma)
     if e >= 0:
         return _s_cd(*_minor(sigma, isolated, e, True))
     e, loop = _preferred_edge(sigma)
     contracted = _s_cd(*_minor(sigma, isolated, e, True))
     deleted = _s_cd(*_minor(sigma, isolated, e, False))
-    if loop:
-        return contracted.shift(2) - deleted
-    return contracted - deleted
+    # S(G) = Q S(G/e) - S(G - e) at a loop, S(G/e) - S(G - e) otherwise
+    return _tally_difference(contracted, 2 if loop else 0, deleted, 0)
 
 
 def s_poly_at(m: CombMap, value: Fraction | int) -> Fraction:
@@ -584,27 +692,25 @@ def virtual_chromatic(m: CombMap) -> HalfLaurent:
     """
     if m.edge_twists:
         raise ValueError("the chromatic polynomial needs a twist-free map")
-    return _chrom_cd(*_kernel(m))
+    return HalfLaurent.from_dict("t", _chrom_cd(*_kernel(m)))
 
 
-def _chrom_cd(sigma: list[int], isolated: int) -> HalfLaurent:
+def _chrom_cd(sigma: list[int], isolated: int) -> dict[int, int]:
     return _memoized(_CHROM_CACHE, _chrom_cd_compute, sigma, isolated)
 
 
-def _chrom_cd_compute(sigma: list[int], isolated: int) -> HalfLaurent:
+def _chrom_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
     if not sigma:
-        return HalfLaurent.monomial("t", 2 * isolated)
+        return {2 * isolated: 1}
     pendant = _lone_half_edge(sigma)
     if pendant >= 0:
         # G - e is G/e plus an isolated vertex, so P(G) = (t - 1) P(G/e).
-        t_minus_1 = HalfLaurent.from_dict("t", {2: 1, 0: -1})
-        return t_minus_1 * _chrom_cd(*_minor(sigma, isolated, pendant >> 1, True))
+        contracted = _chrom_cd(*_minor(sigma, isolated, pendant >> 1, True))
+        return _tally_difference(contracted, 2, contracted, 0)
     e, loop = _preferred_edge(sigma)
     deleted = _chrom_cd(*_minor(sigma, isolated, e, False))
     contracted = _chrom_cd(*_minor(sigma, isolated, e, True))
-    if loop:
-        return deleted - contracted.shift(-2)
-    return deleted - contracted
+    return _tally_difference(deleted, 0, contracted, -2 if loop else 0)
 
 
 def chromatic_via_dual(m: CombMap) -> HalfLaurent:

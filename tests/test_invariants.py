@@ -350,23 +350,73 @@ def _decorated(seed, count, max_edges):
     return out
 
 
+def _relabeled_kernel(sigma, rng):
+    """The kernel with its edges renumbered, edge ends swapped and vertex cycles rotated.
+
+    Returns the new rotation and the new index of each old edge.
+    """
+    edge_to = list(range(len(sigma) // 2))
+    rng.shuffle(edge_to)
+    swapped = [rng.randrange(2) for _ in edge_to]
+    label = [2 * edge_to[h >> 1] + ((h & 1) ^ swapped[h >> 1]) for h in range(len(sigma))]
+    cycles, seen = [], set()
+    for h in range(len(sigma)):
+        if h not in seen:
+            cycle = [h]
+            while sigma[cycle[-1]] != h:
+                cycle.append(sigma[cycle[-1]])
+            seen.update(cycle)
+            k = rng.randrange(len(cycle))
+            cycles.append(cycle[k:] + cycle[:k])
+    rng.shuffle(cycles)
+    out = [0] * len(sigma)
+    for cycle in cycles:
+        for i, h in enumerate(cycle):
+            out[label[cycle[i - 1]]] = label[h]
+    return out, edge_to
+
+
 class TestKernel:
     """The half-edge kernel of contraction-deletion against validated maps."""
 
-    def test_minor_keys_match_signatures(self):
+    def test_minor_keys_partition_like_signatures(self, six_edge_family):
+        # The key is its own code, not the signature, but two minors share a
+        # key exactly when their stripped maps share a signature.
+        keys = {_kernel_key(*_kernel(m)) for m in six_edge_family}
+        assert len(keys) == len(six_edge_family)  # pairwise non-isomorphic
         family = exhaustive_connected_maps(5) + EDGE_CASES + _decorated(109, 30, 10)
+        signature_of, key_of = {}, {}
         minors = 0
+
+        def record(kernel, plain):
+            key, signature = _kernel_key(*kernel), plain.signature
+            assert signature_of.setdefault(key, signature) == signature, plain
+            assert key_of.setdefault(signature, key) == key, plain
+
         for m in family:
             plain = _stripped(m)
             sigma, isolated = _kernel(m)
-            assert _kernel_key(sigma, isolated) == plain.signature, m
+            record((sigma, isolated), plain)
             for e in range(m.edge_count):
-                deleted = _minor(sigma, isolated, e, False)
-                contracted = _minor(sigma, isolated, e, True)
-                assert _kernel_key(*deleted) == plain.delete_edge(e).signature, (m, e)
-                assert _kernel_key(*contracted) == plain.contract(e).signature, (m, e)
+                record(_minor(sigma, isolated, e, False), plain.delete_edge(e))
+                record(_minor(sigma, isolated, e, True), plain.contract(e))
                 minors += 2
         assert minors > 8000
+        assert len(signature_of) == len(key_of) > 1000
+
+    def test_key_invariant_under_relabeling(self):
+        rng = random.Random(167)
+        for m in random_maps(seed=163, count=30, max_edges=12):
+            sigma, isolated = _kernel(m)
+            relabeled, edge_to = _relabeled_kernel(sigma, rng)
+            assert _kernel_key(relabeled, isolated) == _kernel_key(sigma, isolated), m
+            for e in range(m.edge_count):
+                for contract in (False, True):
+                    minor = _minor(sigma, isolated, e, contract)
+                    key = _kernel_key(*minor)
+                    moved = _minor(relabeled, isolated, edge_to[e], contract)
+                    assert _kernel_key(*moved) == key, (m, e)
+                    assert _kernel_key(_relabeled_kernel(minor[0], rng)[0], minor[1]) == key, (m, e)
 
     def test_edge_choices_match_combmap(self):
         for m in exhaustive_connected_maps(4) + EDGE_CASES + _decorated(113, 20, 9):
@@ -418,6 +468,25 @@ class TestConnectSumChecks:
             }, (m1, e1, m2, e2, v1, h1, v2, h2)
             beyond_state_sum += resolve_engine(m1.disjoint_union(m2), "auto") == "contraction-deletion"
         assert beyond_state_sum >= 4
+
+
+class TestWarmMemo:
+    def test_warm_memo_agrees_with_cold(self):
+        # Memo values are shared between recursions; a combine step that
+        # changed one in place would make the warm run differ.
+        family = exhaustive_connected_maps(5) + EDGE_CASES
+        cd = "contraction-deletion"
+
+        def compute(m):
+            if m.edge_twists:
+                return None, flow_poly(m, engine=cd), None
+            return s_poly(m, engine=cd), flow_poly(m, engine=cd), virtual_chromatic(m)
+
+        clear_caches()
+        cold = [compute(m) for m in family]
+        warm = [compute(m) for m in reversed(family)][::-1]
+        for m, a, b in zip(family, cold, warm):
+            assert a == b, m
 
 
 class TestClearCaches:
