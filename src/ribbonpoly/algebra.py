@@ -87,12 +87,6 @@ class HalfLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, half_exp: int) -> Fraction:
-        for exp, coeff in self.terms:
-            if exp == half_exp:
-                return coeff
-        return Fraction(0)
-
     def degree_leading(self) -> tuple[Union[Fraction, float], Fraction]:
         """Return ``(max exponent, leading coefficient)``.
 
@@ -265,21 +259,11 @@ class KrushkalPoly:
         cleaned.sort(key=lambda item: item[0], reverse=True)
         return KrushkalPoly(tuple(cleaned))  # type: ignore[arg-type]
 
-    @staticmethod
-    def zero() -> "KrushkalPoly":
-        return KrushkalPoly(())
-
     def __add__(self, other: "KrushkalPoly") -> "KrushkalPoly":
         data = dict(self.terms)
         for key, coeff in other.terms:
             data[key] = data.get(key, Fraction(0)) + coeff
         return KrushkalPoly.from_dict(data)
-
-    def coefficient(self, key: tuple[int, int, int, int]) -> Fraction:
-        for exponents, coeff in self.terms:
-            if exponents == key:
-                return coeff
-        return Fraction(0)
 
     def render(self) -> str:
         if not self.terms:

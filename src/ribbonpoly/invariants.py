@@ -814,8 +814,14 @@ def connect_sum_checks(
     v2: Optional[int] = None,
     h2: Optional[int] = None,
 ) -> dict:
-    """Verify the multiplicative connect-sum identities for S."""
+    """Verify the multiplicative connect-sum identities for S.
+
+    The vertex rule runs when ``v1``, ``h1``, ``v2`` and ``h2`` are all given.
+    """
     from .maps import edge_connect_sum, vertex_connect_sum
+
+    if len({x is None for x in (v1, h1, v2, h2)}) > 1:
+        raise ValueError("v1, h1, v2 and h2 must be given together")
 
     q = HalfLaurent.variable("Q")
     one = HalfLaurent.one("Q")
@@ -829,12 +835,10 @@ def connect_sum_checks(
     report["edge_rule"] = q1 * s_poly(joined) == s1 * s2
 
     if v1 is not None:
-        assert h1 is not None and v2 is not None and h2 is not None
         plain = vertex_connect_sum(m1, v1, h1, m2, v2, h2)
+        # a flip keeps the least half-edge of the vertex, so its index stays
         m2_flipped = m2.vertex_flip(v2)
-        # the designated vertex may move under canonicalization; find it again
-        fv2 = _find_vertex(m2_flipped, m2.vertices[v2])
-        twisted = vertex_connect_sum(m1, v1, h1, m2_flipped, fv2, h2)
+        twisted = vertex_connect_sum(m1, v1, h1, m2_flipped, v2, h2)
         s1f = s_poly(m1.vertex_flip(v1))
         s2f = s_poly(m2_flipped)
         lhs = q1 * q2 * s_poly(twisted) - q1.scale(2) * s_poly(plain)
@@ -846,10 +850,3 @@ def connect_sum_checks(
     report["passed"] = all(v for k, v in report.items() if k != "passed")
     return report
 
-
-def _find_vertex(m: CombMap, original_cycle: tuple[int, ...]) -> int:
-    want = set(original_cycle)
-    for index, cycle in enumerate(m.vertices):
-        if set(cycle) == want:
-            return index
-    raise KeyError("vertex not found after flip")

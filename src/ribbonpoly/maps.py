@@ -8,8 +8,12 @@ counterclockwise successor at a vertex and ``alpha`` swaps the two half-edges
 of every edge.
 
 Edges may carry a half-twist parity mark.  Twisted edges change the face
-traversal (the walk switches sides when crossing them), which is implemented
-by walking the orientation double cover.
+traversal (the walk switches sides when crossing them), so faces are counted
+on the orientation double cover, for every map.
+
+Every surgery that removes vertices and fuses the strands through their
+half-edges goes through ``resolve_strands``: the connect sums here and in
+``penrose`` by ``_splice``, and the crossing resolutions of ``spatial``.
 """
 
 from __future__ import annotations
@@ -209,24 +213,7 @@ class CombMap:
 
     @cached_property
     def face_count(self) -> int:
-        isolated = sum(1 for cycle in self.vertices if not cycle)
-        if not self.edges:
-            return isolated
-        if not self.edge_twists:
-            seen = [False] * self.half_edge_count
-            count = 0
-            for start in range(self.half_edge_count):
-                if seen[start]:
-                    continue
-                count += 1
-                h = start
-                while not seen[h]:
-                    seen[h] = True
-                    h = self.sigma[self.alpha[h]]
-            return count + isolated
-        return self._twisted_boundary_count() + isolated
-
-    def _twisted_boundary_count(self) -> int:
+        """Boundary components: orbits of the orientation double cover, halved."""
         twisted = [self.edge_of[h] in self.edge_twists for h in range(self.half_edge_count)]
         seen = [[False, False] for _ in range(self.half_edge_count)]
         orbits = 0
@@ -242,7 +229,8 @@ class CombMap:
                     r = r ^ (1 if twisted[h] else 0)
                     h = self.sigma[h2] if r == 0 else self.sigma_inv[h2]
         assert orbits % 2 == 0
-        return orbits // 2
+        isolated = sum(1 for cycle in self.vertices if not cycle)
+        return orbits // 2 + isolated
 
     def euler_data(self) -> EulerData:
         v = len(self.vertices)
@@ -591,7 +579,7 @@ def _remap(pairs: set[frozenset[int]], rank: dict[int, int]) -> set[frozenset[in
 
 
 # ---------------------------------------------------------------------------
-# Connect sums.
+# Strand splices and connect sums.
 # ---------------------------------------------------------------------------
 
 
@@ -691,36 +679,32 @@ def vertex_connect_sum(
     if m1.vertex_of[h1] != v1 or m2.vertex_of[h2] != v2:
         raise ConnectSumError("designated half-edge not at the designated vertex")
     shift = m1.half_edge_count
-    union = m1.disjoint_union(m2)
-    a_cycle = m1._cycle_from(h1)
-    b_cycle = tuple(h + shift for h in m2._cycle_from(h2))
-    ha, p, q = a_cycle
-    hb, r, s = b_cycle
+    ha, p, q = m1._cycle_from(h1)
+    hb, r, s = (h + shift for h in m2._cycle_from(h2))
     junction = {}
     for x, y in ((ha, hb), (p, s), (q, r)):
         junction[x] = y
         junction[y] = x
-    twisted_halves = set()
-    for t in union.edge_twists:
-        twisted_halves.update(union.edges[t])
-    alpha = {h: union.alpha[h] for h in range(union.half_edge_count)}
-    fused, circles = resolve_strands(alpha, junction, twisted_halves)
+    return _splice(m1.disjoint_union(m2), junction, None)
+
+
+def _splice(union: CombMap, junction: dict[int, int], signs: Optional[Sequence[int]]) -> CombMap:
+    """Remove the half-edges that ``junction`` pairs up and fuse the strands through them.
+
+    Each vertex whose half-edges all go is dropped, with its entry of
+    ``signs``; the result is unsigned when ``signs`` is None.  Untouched
+    edges keep their twists and each fused edge takes its strand's parity.
+    """
+    twisted_halves = {h for t in union.edge_twists for h in union.edges[t]}
+    fused, circles = resolve_strands(dict(enumerate(union.alpha)), junction, twisted_halves)
     if circles:
         raise ConnectSumError("connect sum would produce a vertex-free circle")
-    deleted = set(junction)
-    # Only the two removed vertices contain deleted half-edges.
-    vertices = [list(c) for c in union.vertices if not (c and set(c) <= deleted)]
-    union_twisted = {frozenset(union.edges[t]) for t in union.edge_twists}
-    edges = []
-    twisted_pairs = set()
-    for a, b in union.edges:
-        if a in deleted or b in deleted:
-            continue
-        edges.append((a, b))
-        if frozenset((a, b)) in union_twisted:
-            twisted_pairs.add(frozenset((a, b)))
+    kept = [i for i, c in enumerate(union.vertices) if not (c and set(c) <= junction.keys())]
+    kept_signs = None if signs is None else [signs[i] for i in kept]
+    edges = [(a, b) for a, b in union.edges if a not in junction and b not in junction]
+    twisted = union._twisted_pairs()
     for end1, end2, parity in fused:
         edges.append((end1, end2))
         if parity:
-            twisted_pairs.add(frozenset((end1, end2)))
-    return _rebuild(vertices, edges, None, twisted_pairs)
+            twisted.add(frozenset((end1, end2)))
+    return _rebuild([union.vertices[i] for i in kept], edges, kept_signs, twisted)

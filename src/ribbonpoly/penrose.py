@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .algebra import HalfLaurent
 from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut
 from .invariants import _flip_genera, g_min
-from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, resolve_strands
+from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, _splice
 
 __all__ = [
     "parity_signs",
@@ -130,45 +130,16 @@ def degree2_connect_sum(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:
     """Connect sum along two degree-2 vertices.
 
     Both vertices are removed and their stubs fused in reversed rotation
-    order.  Vertex signs of the survivors are kept.
+    order by ``maps._splice``, as in ``vertex_connect_sum``.  Vertex signs
+    of the survivors are kept.
     """
     if m1.degree(v1) != 2 or m2.degree(v2) != 2:
         raise ConnectSumError("degree-2 connect sum needs degree-2 vertices")
     shift = m1.half_edge_count
-    union = m1.disjoint_union(m2)
     p, q = m1.vertices[v1]
     r, s = (h + shift for h in m2.vertices[v2])
-    junction = {p: s, s: p, q: r, r: q}
-    twisted_halves = set()
-    for t in union.edge_twists:
-        twisted_halves.update(union.edges[t])
-    alpha = {h: union.alpha[h] for h in range(union.half_edge_count)}
-    fused, circles = resolve_strands(alpha, junction, twisted_halves)
-    if circles:
-        raise ConnectSumError("connect sum would produce a vertex-free circle")
-    deleted = set(junction)
-    vertices = []
-    signs: Optional[list[int]] = [] if union.vertex_signs is not None else None
-    for i, cycle in enumerate(union.vertices):
-        if cycle and set(cycle) <= deleted:
-            continue
-        vertices.append(list(cycle))
-        if signs is not None:
-            signs.append(union.vertex_signs[i])
-    union_twisted = union._twisted_pairs()
-    edges = []
-    twisted_pairs = set()
-    for a, b in union.edges:
-        if a in deleted or b in deleted:
-            continue
-        edges.append((a, b))
-        if frozenset((a, b)) in union_twisted:
-            twisted_pairs.add(frozenset((a, b)))
-    for end1, end2, parity in fused:
-        edges.append((end1, end2))
-        if parity:
-            twisted_pairs.add(frozenset((end1, end2)))
-    return _rebuild(vertices, edges, signs, twisted_pairs)
+    union = m1.disjoint_union(m2)
+    return _splice(union, {p: s, s: p, q: r, r: q}, union.vertex_signs)
 
 
 def so_connect_sum_checks(m1: CombMap, m2: CombMap) -> dict:
@@ -176,8 +147,8 @@ def so_connect_sum_checks(m1: CombMap, m2: CombMap) -> dict:
     from .maps import vertex_connect_sum
 
     g1, g2 = m1.subdivide(0), m2.subdivide(0)
-    u1 = next(i for i, c in enumerate(g1.vertices) if min(c, default=-1) >= m1.half_edge_count)
-    u2 = next(i for i, c in enumerate(g2.vertices) if min(c, default=-1) >= m2.half_edge_count)
+    # the subdivision vertex holds the first fresh half-edge
+    u1, u2 = g1.vertex_of[m1.half_edge_count], g2.vertex_of[m2.half_edge_count]
     two_sum = degree2_connect_sum(g1, u1, g2, u2)
     scale2 = HalfLaurent.from_dict("N", {4: 2, 2: -2})
     report = {"degree2_rule": scale2 * w_so(two_sum) == w_so(g1) * w_so(g2)}
@@ -295,19 +266,9 @@ def _split_contract(m: CombMap, signs: Sequence[int], e: int, sign_pair: tuple[i
 
 def _subdivide_signed(m: CombMap, signs: Sequence[int], e: int, a: int) -> CombMap:
     """Subdivide an edge, giving the new vertex sign ``a``."""
-    fresh = m.half_edge_count
-    divided = m.subdivide(e)
-    # isolated vertices are interchangeable; hand their signs out in order
-    isolated = [signs[i] for i, cycle in enumerate(m.vertices) if not cycle]
-    new_signs = []
-    for cycle in divided.vertices:
-        if not cycle:
-            new_signs.append(isolated.pop(0))
-        elif min(cycle) >= fresh:
-            new_signs.append(a)
-        else:
-            # subdivision keeps old labels, so any member locates the vertex
-            new_signs.append(signs[m.vertex_of[cycle[0]]])
+    divided = with_signs(m, signs).subdivide(e)
+    new_signs = list(divided.vertex_signs)
+    new_signs[divided.vertex_of[m.half_edge_count]] = a
     return with_signs(divided, new_signs)
 
 
@@ -375,8 +336,8 @@ def sl_connect_sum_checks(m1: CombMap, v1: int, m2: CombMap, v2: int) -> dict:
     if m1.degree(v1) != 3 or m2.degree(v2) != 3:
         raise ConnectSumError("the designated vertices must be trivalent")
     g1, g2 = m1.subdivide(0), m2.subdivide(0)
-    u1 = next(i for i, c in enumerate(g1.vertices) if min(c, default=-1) >= m1.half_edge_count)
-    u2 = next(i for i, c in enumerate(g2.vertices) if min(c, default=-1) >= m2.half_edge_count)
+    # the subdivision vertex holds the first fresh half-edge
+    u1, u2 = g1.vertex_of[m1.half_edge_count], g2.vertex_of[m2.half_edge_count]
     two_sum = degree2_connect_sum(with_signs(g1), u1, with_signs(g2), u2)
     # pairing object for degree-2 sums: the doubled edge with two positive
     # vertices, whose value is 4(N^2 - 1)

@@ -20,7 +20,8 @@ each resolved map at Q = q + 2 + q^{-1}:
   sweep of ``brauer``, with a tally per power of q.
 
 Neither sweep builds the 3^c resolved maps; ``expand_crossings`` still
-lists them.
+lists them.  It and ``underlying_map`` fuse the strands through the removed
+crossings with ``maps.resolve_strands``, as the connect sums do.
 
 Disagreement of the two certifies that the diagram is not equivalent to a
 classical (planar-diagram) spatial graph.  The module also carries a move
@@ -45,7 +46,7 @@ from .algebra import (
 )
 from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut, _partition_sweep
 from .invariants import flow_poly, s_poly
-from .maps import CombMap, InvalidMapError
+from .maps import CombMap, InvalidMapError, _rebuild, resolve_strands
 from .penrose import planarity_by_flips
 
 __all__ = [
@@ -237,58 +238,25 @@ def _strand_data(d: SpatialDiagram) -> StrandData:
     return StrandData(sid, tuple(strand_of), tuple(endpoints), frozenset(entered))
 
 
-def _resolve(base: CombMap, junction: dict[int, int], dropped: set[int]) -> CombMap:
-    """Delete the vertices in ``dropped``, rejoining their half-edges by
-    ``junction``; closed strands become one-vertex loop components."""
-    alpha = base.alpha
-    vertex_of = base.vertex_of
-    total = base.half_edge_count
-    kept_halves = [h for h in range(total) if vertex_of[h] not in dropped]
-    keep = set(kept_halves)
-    rank = {h: i for i, h in enumerate(kept_halves)}
-    used = [False] * total
-    fused: list[tuple[int, int]] = []
-    for h in kept_halves:
-        if used[h]:
-            continue
-        used[h] = True
-        cur = alpha[h]
-        while cur not in keep:
-            used[cur] = True
-            cur = junction[cur]
-            used[cur] = True
-            cur = alpha[cur]
-        used[cur] = True
-        fused.append((rank[h], rank[cur]))
-    circles = 0
-    for h in range(total):
-        if used[h]:
-            continue
-        circles += 1
-        cur = h
-        while not used[cur]:
-            used[cur] = True
-            cur = junction[cur]
-            used[cur] = True
-            cur = alpha[cur]
-    vertices = [
-        tuple(rank[h] for h in cycle)
-        for i, cycle in enumerate(base.vertices)
-        if i not in dropped
-    ]
-    n = len(kept_halves)
-    for k in range(circles):
-        a, b = n + 2 * k, n + 2 * k + 1
-        vertices.append((a, b))
-        fused.append((a, b))
-    return CombMap(tuple(vertices), tuple(fused))
+def _resolve(base: CombMap, junction: dict[int, int]) -> CombMap:
+    """Delete the vertices whose half-edges ``junction`` pairs up, fusing the
+    strands through them; closed strands become one-vertex loop components,
+    labelled after the base map's half-edges."""
+    fused, circles = resolve_strands(dict(enumerate(base.alpha)), junction, set())
+    vertices = [c for c in base.vertices if not (c and set(c) <= junction.keys())]
+    edges = [(a, b) for a, b in base.edges if a not in junction and b not in junction]
+    edges += [(a, b) for a, b, _parity in fused]
+    for k in range(base.half_edge_count, base.half_edge_count + 2 * circles, 2):
+        vertices.append((k, k + 1))
+        edges.append((k, k + 1))
+    return _rebuild(vertices, edges, None, set())
 
 
 def underlying_map(d: SpatialDiagram) -> CombMap:
     """The ribbon graph beneath the diagram: every crossing is removed and
     the strands pass straight through it.  Closed strands that meet no graph
     vertex are kept as one-vertex loop components."""
-    return _resolve(d.base, _pass_junction(d), set(d.crossing_vertices()))
+    return _resolve(d.base, _pass_junction(d))
 
 
 # -- crossing expansion and the polynomials ----------------------------------
@@ -326,19 +294,17 @@ def expand_crossings(
     out: list[tuple[HalfLaurent, CombMap]] = []
     for states in itertools.product(_STATES, repeat=len(d.crossings)):
         junction: dict[int, int] = {}
-        dropped: set[int] = set()
         exponent = 0
         sign = 1
         for c, state in zip(d.crossings, states):
             if state == "flat":
                 sign = -sign
                 continue
-            dropped.add(c.vertex)
             cycle = base.vertices[c.vertex]
             junction.update(_smoothing_pairs(cycle, c.over_pair, state, mirror))
             exponent += 1 if state == "q" else -1
         coeff = HalfLaurent.monomial("q", 2 * exponent, sign)
-        out.append((coeff, _resolve(base, junction, dropped)))
+        out.append((coeff, _resolve(base, junction)))
     return tuple(out)
 
 

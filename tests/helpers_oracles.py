@@ -21,7 +21,11 @@ adjacency matrix, and reject isomorphs by a canonical form that walks the full
 individualization tree with dense refinement and no pruning.  The Brauer
 oracles compose and juxtapose matchings through their sets of pairs and a
 neighbour graph, and evaluate the functor one ``HalfLaurent`` term per edge
-state, apart from the partner arrays of ``BrauerMatching``.
+state, apart from the partner arrays of ``BrauerMatching``.  The face oracle walks the
+twist-free face permutation, or joins band sides by union-find, apart from the
+double cover of ``CombMap.face_count``.  The surgery oracles are the connect
+sums, crossing resolution and signed subdivision as they were before every
+strand splice went through ``maps._splice`` or ``spatial._resolve``.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from ribbonpoly.brauer import BrauerMatching
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
 from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
-from ribbonpoly.maps import CombMap
-from ribbonpoly.penrose import parity_signs, w_sl_extended
+from ribbonpoly.maps import CombMap, ConnectSumError, _rebuild, resolve_strands
+from ribbonpoly.penrose import parity_signs, w_sl_extended, with_signs
 
 # Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
 # vertices, degree-1 vertices, adjacent loops and several components.
@@ -102,6 +106,221 @@ def signature_oracle(m: CombMap) -> tuple:
 def is_bridge_oracle(m: CombMap, e: int) -> bool:
     """Whether deleting edge ``e`` adds a component."""
     return m.delete_edge(e).component_count == m.component_count + 1
+
+
+def face_count_oracle(m: CombMap) -> int:
+    """Faces of ``m``, without the orientation double cover.
+
+    A twist-free map counts the orbits of h -> sigma(alpha(h)), the walk that
+    ``CombMap.face_count`` took for such maps before it walked the double
+    cover for every map.  A twisted map joins the two boundary points at each
+    band end by union-find: a corner joins the counterclockwise point of h to
+    the clockwise point of sigma(h), and a band joins the points of its two
+    ends crosswise, or straight across when it is twisted.
+    """
+    n = m.half_edge_count
+    isolated = sum(1 for cycle in m.vertices if not cycle)
+    if not m.edge_twists:
+        seen = [False] * n
+        count = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            count += 1
+            h = start
+            while not seen[h]:
+                seen[h] = True
+                h = m.sigma[m.alpha[h]]
+        return count + isolated
+    # point 2h is the clockwise side of half-edge h, 2h + 1 the counterclockwise one
+    parent = list(range(2 * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def join(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    for cycle in m.vertices:
+        for i, h in enumerate(cycle):
+            join(2 * h + 1, 2 * cycle[(i + 1) % len(cycle)])
+    for e, (a, b) in enumerate(m.edges):
+        straight = 1 if e in m.edge_twists else 0
+        join(2 * a + 1, 2 * b + straight)
+        join(2 * a, 2 * b + 1 - straight)
+    return len({find(x) for x in range(2 * n)}) + isolated
+
+
+# The strand splices before they shared ``maps._splice``: the two connect
+# sums and the crossing resolution each fused their own strands, and signed
+# subdivision handed out the signs vertex by vertex.
+
+
+def map_key(m: CombMap) -> tuple:
+    """The canonical data of a map: ``(vertices, edges, vertex_signs, edge_twists)``."""
+    return (m.vertices, m.edges, m.vertex_signs, m.edge_twists)
+
+
+def surgery_outcome(surgery, *args) -> tuple:
+    """``map_key`` of the map a surgery returns, or the message of the
+    ``ConnectSumError`` it raises."""
+    try:
+        return map_key(surgery(*args))
+    except ConnectSumError as exc:
+        return ("refused", str(exc))
+
+
+def vertex_connect_sum_oracle(
+    m1: CombMap, v1: int, h1: int, m2: CombMap, v2: int, h2: int
+) -> CombMap:
+    """``maps.vertex_connect_sum`` with its own edge and twist bookkeeping."""
+    if m1.degree(v1) != 3 or m2.degree(v2) != 3:
+        raise ConnectSumError("vertex connect sum needs trivalent vertices")
+    if m1.vertex_of[h1] != v1 or m2.vertex_of[h2] != v2:
+        raise ConnectSumError("designated half-edge not at the designated vertex")
+    shift = m1.half_edge_count
+    union = m1.disjoint_union(m2)
+    a_cycle = m1._cycle_from(h1)
+    b_cycle = tuple(h + shift for h in m2._cycle_from(h2))
+    ha, p, q = a_cycle
+    hb, r, s = b_cycle
+    junction = {}
+    for x, y in ((ha, hb), (p, s), (q, r)):
+        junction[x] = y
+        junction[y] = x
+    twisted_halves = set()
+    for t in union.edge_twists:
+        twisted_halves.update(union.edges[t])
+    alpha = {h: union.alpha[h] for h in range(union.half_edge_count)}
+    fused, circles = resolve_strands(alpha, junction, twisted_halves)
+    if circles:
+        raise ConnectSumError("connect sum would produce a vertex-free circle")
+    deleted = set(junction)
+    # Only the two removed vertices contain deleted half-edges.
+    vertices = [list(c) for c in union.vertices if not (c and set(c) <= deleted)]
+    union_twisted = {frozenset(union.edges[t]) for t in union.edge_twists}
+    edges = []
+    twisted_pairs = set()
+    for a, b in union.edges:
+        if a in deleted or b in deleted:
+            continue
+        edges.append((a, b))
+        if frozenset((a, b)) in union_twisted:
+            twisted_pairs.add(frozenset((a, b)))
+    for end1, end2, parity in fused:
+        edges.append((end1, end2))
+        if parity:
+            twisted_pairs.add(frozenset((end1, end2)))
+    return _rebuild(vertices, edges, None, twisted_pairs)
+
+
+def degree2_connect_sum_oracle(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:
+    """``penrose.degree2_connect_sum`` with its own edge, twist and sign bookkeeping."""
+    if m1.degree(v1) != 2 or m2.degree(v2) != 2:
+        raise ConnectSumError("degree-2 connect sum needs degree-2 vertices")
+    shift = m1.half_edge_count
+    union = m1.disjoint_union(m2)
+    p, q = m1.vertices[v1]
+    r, s = (h + shift for h in m2.vertices[v2])
+    junction = {p: s, s: p, q: r, r: q}
+    twisted_halves = set()
+    for t in union.edge_twists:
+        twisted_halves.update(union.edges[t])
+    alpha = {h: union.alpha[h] for h in range(union.half_edge_count)}
+    fused, circles = resolve_strands(alpha, junction, twisted_halves)
+    if circles:
+        raise ConnectSumError("connect sum would produce a vertex-free circle")
+    deleted = set(junction)
+    vertices = []
+    signs: Optional[list[int]] = [] if union.vertex_signs is not None else None
+    for i, cycle in enumerate(union.vertices):
+        if cycle and set(cycle) <= deleted:
+            continue
+        vertices.append(list(cycle))
+        if signs is not None:
+            signs.append(union.vertex_signs[i])
+    union_twisted = union._twisted_pairs()
+    edges = []
+    twisted_pairs = set()
+    for a, b in union.edges:
+        if a in deleted or b in deleted:
+            continue
+        edges.append((a, b))
+        if frozenset((a, b)) in union_twisted:
+            twisted_pairs.add(frozenset((a, b)))
+    for end1, end2, parity in fused:
+        edges.append((end1, end2))
+        if parity:
+            twisted_pairs.add(frozenset((end1, end2)))
+    return _rebuild(vertices, edges, signs, twisted_pairs)
+
+
+def resolve_oracle(base: CombMap, junction: dict[int, int], dropped: set[int]) -> CombMap:
+    """``spatial._resolve`` by its own strand walk: delete the vertices in
+    ``dropped``, rejoining their half-edges by ``junction``; closed strands
+    become one-vertex loop components."""
+    alpha = base.alpha
+    vertex_of = base.vertex_of
+    total = base.half_edge_count
+    kept_halves = [h for h in range(total) if vertex_of[h] not in dropped]
+    keep = set(kept_halves)
+    rank = {h: i for i, h in enumerate(kept_halves)}
+    used = [False] * total
+    fused: list[tuple[int, int]] = []
+    for h in kept_halves:
+        if used[h]:
+            continue
+        used[h] = True
+        cur = alpha[h]
+        while cur not in keep:
+            used[cur] = True
+            cur = junction[cur]
+            used[cur] = True
+            cur = alpha[cur]
+        used[cur] = True
+        fused.append((rank[h], rank[cur]))
+    circles = 0
+    for h in range(total):
+        if used[h]:
+            continue
+        circles += 1
+        cur = h
+        while not used[cur]:
+            used[cur] = True
+            cur = junction[cur]
+            used[cur] = True
+            cur = alpha[cur]
+    vertices = [
+        tuple(rank[h] for h in cycle)
+        for i, cycle in enumerate(base.vertices)
+        if i not in dropped
+    ]
+    n = len(kept_halves)
+    for k in range(circles):
+        a, b = n + 2 * k, n + 2 * k + 1
+        vertices.append((a, b))
+        fused.append((a, b))
+    return CombMap(tuple(vertices), tuple(fused))
+
+
+def subdivide_signed_oracle(m: CombMap, signs: Sequence[int], e: int, a: int) -> CombMap:
+    """``penrose._subdivide_signed`` by handing the signs out vertex by vertex."""
+    fresh = m.half_edge_count
+    divided = m.subdivide(e)
+    # isolated vertices are interchangeable; hand their signs out in order
+    isolated = [signs[i] for i, cycle in enumerate(m.vertices) if not cycle]
+    new_signs = []
+    for cycle in divided.vertices:
+        if not cycle:
+            new_signs.append(isolated.pop(0))
+        elif min(cycle) >= fresh:
+            new_signs.append(a)
+        else:
+            # subdivision keeps old labels, so any member locates the vertex
+            new_signs.append(signs[m.vertex_of[cycle[0]]])
+    return with_signs(divided, new_signs)
 
 
 def flip_genera_oracle(m: CombMap) -> Iterator[tuple[int, int]]:

@@ -232,3 +232,10 @@ class TestNegligible:
         assert sym_negligible_verify(9)
         # p(4) alone is not negligible at Q = 9; the correction term matters.
         assert not sym_negligible_verify(9, [(Fraction(1), (4,))])
+
+    def test_q36_combination(self):
+        assert sym_negligible_verify(36)
+
+    @pytest.mark.slow
+    def test_q49_combination(self):
+        assert sym_negligible_verify(49)

@@ -470,6 +470,15 @@ class TestConnectSumChecks:
         assert beyond_state_sum >= 4
 
 
+    def test_vertex_arguments_come_together(self):
+        # a missing member of the vertex group raises even under python -O
+        e = THETA_P.edges[0]
+        h = THETA_P.vertices[0][0]
+        for partial in ((0, h, 0, None), (0, None, None, None), (None, h, 0, h)):
+            with pytest.raises(ValueError, match="together"):
+                connect_sum_checks(THETA_P, e, THETA_P, e, *partial)
+
+
 class TestWarmMemo:
     def test_warm_memo_agrees_with_cold(self):
         # Memo values are shared between recursions; a combine step that

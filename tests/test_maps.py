@@ -3,10 +3,17 @@
 import random
 
 import pytest
-from helpers_oracles import EDGE_CASES, is_bridge_oracle, signature_oracle
+from helpers_oracles import (
+    EDGE_CASES,
+    face_count_oracle,
+    is_bridge_oracle,
+    signature_oracle,
+    surgery_outcome,
+    vertex_connect_sum_oracle,
+)
 
 from ribbonpoly.algebra import HalfLaurent
-from ribbonpoly.generate import dipole, exhaustive_connected_maps, random_maps
+from ribbonpoly.generate import POINT, dipole, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import flow_poly
 from ribbonpoly.maps import (
     CombMap,
@@ -68,6 +75,20 @@ class TestStructure:
         family += random_maps(seed=7, count=25, max_edges=8)
         for m in family:
             assert m.face_count == oracle_face_count(m), m
+
+    def test_face_count_matches_oracle(self):
+        rng = random.Random(181)
+        twisted = []
+        for m in random_maps(seed=181, count=120, max_edges=8):
+            if m.edge_count:
+                mask = rng.getrandbits(m.edge_count) or 1
+                chosen = frozenset(e for e in range(m.edge_count) if mask >> e & 1)
+                twisted.append(CombMap(m.vertices, m.edges, None, chosen))
+        twisted += [m.disjoint_union(POINT) for m in twisted[:10]]
+        for m in exhaustive_connected_maps(5) + EDGE_CASES + twisted:
+            assert m.face_count == face_count_oracle(m), m
+        # an odd Euler defect: the walk also counts faces of non-orientable maps
+        assert sum(1 for m in twisted if (m.edge_count - m.vertex_count - m.face_count) % 2) >= 10
 
     def test_theta_pair_genera(self):
         assert THETA_P.genus() == 0
@@ -133,6 +154,13 @@ class TestSurgery:
         assert THETA_T.vertex_flip(1) == THETA_P
         for m in random_maps(seed=9, count=10, max_edges=6):
             assert m.vertex_flip(0).vertex_flip(0) == m
+
+    def test_vertex_flip_keeps_vertex_index(self):
+        # canonical order sorts vertices by their least half-edge, which a flip keeps
+        family = exhaustive_connected_maps(5) + random_maps(seed=191, count=40, max_edges=9)
+        for m in family:
+            for v in range(m.vertex_count):
+                assert sorted(m.vertex_flip(v).vertices[v]) == sorted(m.vertices[v]), (m, v)
 
     def test_partial_dual_involution(self):
         for m in [LOOP1, BOUQUET2_INT, THETA_P, THETA_T]:
@@ -244,6 +272,32 @@ class TestConnectSums:
             vertex_connect_sum(lollipop, 1, 3, lollipop, 0, 2)
         with pytest.raises(ConnectSumError, match="designated half-edge"):
             vertex_connect_sum(lollipop, 0, 3, lollipop, 0, 2)
+
+    def test_vertex_sum_matches_oracle(self, connect_sum_pairs):
+        rng = random.Random(193)
+        checked = 0
+        for m1, m2 in connect_sum_pairs:
+            twists = [frozenset(e for e in range(m.edge_count) if rng.random() < 0.3) for m in (m1, m2)]
+            variants = [
+                (m1, m2),
+                tuple(CombMap(m.vertices, m.edges, None, t) for m, t in zip((m1, m2), twists)),
+                tuple(CombMap(m.vertices, m.edges, [rng.choice((1, -1)) for _ in m.vertices]) for m in (m1, m2)),
+                (m1.disjoint_union(POINT), m2),
+            ]
+            for g1, g2 in variants:
+                v1, v2 = rng.choice(_trivalent(g1)), rng.choice(_trivalent(g2))
+                h1 = rng.choice(g1.vertices[v1])
+                for h2 in g2.vertices[v2]:
+                    args = (g1, v1, h1, g2, v2, h2)
+                    want = surgery_outcome(vertex_connect_sum_oracle, *args)
+                    assert surgery_outcome(vertex_connect_sum, *args) == want, args
+                    checked += 1
+        assert checked == 4 * 3 * len(connect_sum_pairs)
+        lollipop = CombMap(((0, 1, 2), (3,)), ((0, 1), (2, 3)))
+        for args in ((0, 2, lollipop, 0, 2), (1, 3, lollipop, 0, 2), (0, 3, lollipop, 0, 2)):
+            want = surgery_outcome(vertex_connect_sum_oracle, lollipop, *args)
+            assert want[0] == "refused"
+            assert surgery_outcome(vertex_connect_sum, lollipop, *args) == want
 
     def test_resolve_strands(self):
         alpha = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}

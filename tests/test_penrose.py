@@ -7,9 +7,12 @@ import pytest
 from helpers_oracles import (
     EDGE_CASES,
     cellular_embedding_oracle,
+    degree2_connect_sum_oracle,
     flip_genera_oracle,
     g_min_oracle,
     planarity_oracle,
+    subdivide_signed_oracle,
+    surgery_outcome,
     w_sl_brauer_oracle,
     w_sl_flip_oracle,
     w_sl_walker_oracle,
@@ -30,6 +33,7 @@ from ribbonpoly.generate import (
 from ribbonpoly.invariants import _flip_genera, g_min, resolve_engine, s_poly_at
 from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
+    _subdivide_signed,
     cellular_embedding_poly,
     degree2_connect_sum,
     ihx_check,
@@ -207,6 +211,17 @@ class TestSpecialLinearAnchors:
             suite = w_sl_relation_suite(THETA_P, e)
             assert all(bool(v) for v in suite.values()), (e, suite)
 
+    def test_signed_subdivision_matches_oracle(self):
+        rng = random.Random(197)
+        family = [m for m in exhaustive_connected_maps(4) + EDGE_CASES if m.edge_count]
+        family += [m.toggle_twist(0) for m in family[::3]]
+        for m in family:
+            signs = [rng.choice((1, -1)) for _ in m.vertices]
+            for e in range(m.edge_count):
+                for a in (1, -1):
+                    want = surgery_outcome(subdivide_signed_oracle, m, signs, e, a)
+                    assert surgery_outcome(_subdivide_signed, m, signs, e, a) == want, (m, e, a)
+
     def test_so_as_sl(self):
         for m in [LOOP1, THETA_P, BOUQUET2_INT]:
             report = so_as_sl_check(m)
@@ -366,6 +381,29 @@ class TestConnectSums:
         # Two single-loop vertices close into a vertex-free circle.
         with pytest.raises(ConnectSumError):
             degree2_connect_sum(LOOP1, 0, LOOP1, 0)
+
+    def test_degree2_sum_matches_oracle(self, connect_sum_pairs):
+        rng = random.Random(199)
+        checked = 0
+        for m1, m2 in connect_sum_pairs:
+            for twist, signed in ((False, False), (True, False), (False, True), (True, True)):
+                pair = []
+                for m in (m1, m2.disjoint_union(POINT)):
+                    g = m.subdivide(rng.randrange(m.edge_count))
+                    if twist:
+                        g = g.toggle_twist(rng.randrange(g.edge_count))
+                    if signed:
+                        g = with_signs(g, [rng.choice((1, -1)) for _ in g.vertices])
+                    pair.append((g, g.vertex_of[m.half_edge_count]))
+                args = (pair[0][0], pair[0][1], pair[1][0], pair[1][1])
+                want = surgery_outcome(degree2_connect_sum_oracle, *args)
+                assert surgery_outcome(degree2_connect_sum, *args) == want, args
+                checked += want[0] != "refused"
+        assert checked == 4 * len(connect_sum_pairs)
+        for args in ((THETA_P, 0, LOOP1, 0), (LOOP1, 0, LOOP1, 0)):
+            want = surgery_outcome(degree2_connect_sum_oracle, *args)
+            assert want[0] == "refused"
+            assert surgery_outcome(degree2_connect_sum, *args) == want
 
     def test_so_rules(self, connect_sum_pairs):
         checked = 0

@@ -1,11 +1,13 @@
 """Diagram polynomials, moves, obstruction classes, and verdicts."""
 
+import itertools
 import random
 
 import pytest
 
-from helpers_oracles import EDGE_CASES, yamada_resolution_oracle
+from helpers_oracles import EDGE_CASES, map_key, resolve_oracle, yamada_resolution_oracle
 from helpers_spatial import (
+    crossed_diagram,
     forbidden_examples,
     random_iv_site,
     random_r2_site,
@@ -28,7 +30,7 @@ from ribbonpoly.fixtures import (
     THETA_T_AS_SPATIAL,
     TRIANGLE,
 )
-from ribbonpoly.generate import exhaustive_connected_maps, random_connected_map
+from ribbonpoly.generate import POINT, exhaustive_connected_maps, random_connected_map
 from ribbonpoly.invariants import flow_poly, s_poly
 from ribbonpoly.maps import CombMap, InvalidMapError
 
@@ -80,6 +82,45 @@ class TestExpandCrossings:
     def test_single_crossing_coefficients(self):
         coeffs = sorted(term[0].render() for term in sp.expand_crossings(THETA_CURL))
         assert coeffs == ["-1", "q", "q^-1"]
+
+
+def _resolve_battery(cubic_census) -> list:
+    """The spatial fixtures, seeded diagrams, and crossed diagrams on census maps
+    and on a theta with an isolated vertex."""
+    rng = random.Random(229)
+    diagrams = list(SPATIAL_FIXTURES.values())
+    diagrams += [seeded_diagram(rng, max_edges=5, crossings=c) for c in (0, 1, 2, 3) * 3]
+    census = [m for v in (2, 4, 6) for m in cubic_census[v]]
+    diagrams += [crossed_diagram(rng.choice(census), rng, c) for c in (1, 2, 3, 4) * 4]
+    diagrams += [crossed_diagram(THETA_P.disjoint_union(POINT), rng, c) for c in (1, 2)]
+    return diagrams
+
+
+class TestResolveOracle:
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_expansion_matches_oracle(self, mirror, cubic_census):
+        circles = 0
+        for d in _resolve_battery(cubic_census):
+            states = itertools.product(sp._STATES, repeat=d.crossing_count)
+            for (_coeff, resolved), state in zip(sp.expand_crossings(d, mirror), states, strict=True):
+                junction: dict[int, int] = {}
+                dropped: set[int] = set()
+                for c, smoothing in zip(d.crossings, state):
+                    if smoothing != "flat":
+                        dropped.add(c.vertex)
+                        cycle = d.base.vertices[c.vertex]
+                        junction.update(sp._smoothing_pairs(cycle, c.over_pair, smoothing, mirror))
+                want = map_key(resolve_oracle(d.base, junction, dropped))
+                assert map_key(resolved) == want, (d, state)
+                # each closed strand adds a one-vertex loop component
+                circles += resolved.vertex_count - (d.base.vertex_count - len(dropped))
+        assert circles >= 40
+
+    def test_underlying_map_matches_oracle(self, cubic_census):
+        for d in _resolve_battery(cubic_census):
+            dropped = set(d.crossing_vertices())
+            want = map_key(resolve_oracle(d.base, sp._pass_junction(d), dropped))
+            assert map_key(sp.underlying_map(d)) == want, d
 
 
 class TestSweep:
