@@ -24,7 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import HalfLaurent
 from .maps import CombMap
@@ -566,7 +567,11 @@ brauer_evaluate = phi_evaluate
 
 
 # ---------------------------------------------------------------------------
-# Gramians of the n-point pairing.
+# Gramians of the n-point pairing.  Conjugating two diagrams by one pi
+# relabels the boundary points, so G[pi s pi^-1][pi t pi^-1] = G[s][t] and
+# each orbit of pairs is glued once.  The entries are integer polynomials in
+# Q, evaluated by Horner's rule in ints; the determinant's values at
+# consecutive integers are interpolated by integer Newton differences.
 # ---------------------------------------------------------------------------
 
 
@@ -616,9 +621,54 @@ def glue_pairing(sigma: Sequence[int], tau: Sequence[int]) -> HalfLaurent:
     return s_poly(glue_map(sigma, tau))
 
 
+def _conjugate(pi: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """pi perm pi^-1, which sends pi(x) to pi(perm(x))."""
+    image = [0] * len(perm)
+    for x, y in enumerate(perm):
+        image[pi[x]] = pi[y]
+    return tuple(image)
+
+
+def _orbits(seeds: Iterable[tuple], generators: list[list[int]]) -> Iterator[list[tuple]]:
+    """Orbits of the seeds (tuples of permutations) under conjugation, each once."""
+    seen: set[tuple] = set()
+    for seed in seeds:
+        if seed not in seen:
+            seen.add(seed)
+            orbit = [seed]
+            for item in orbit:
+                for pi in generators:
+                    image = tuple([_conjugate(pi, perm) for perm in item])
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            yield orbit
+
+
+def _symmetric_generators(n: int) -> list[list[int]]:
+    """A transposition and an n-cycle, which generate S_n for n >= 2."""
+    return [[1, 0, *range(2, n)], [*range(1, n), 0]]
+
+
 def gram_matrix(n: int) -> list[list[HalfLaurent]]:
+    """Pairings of the fixed-point-free diagrams on n points, glued once per
+    orbit of pairs under S_n; the pairs of an orbit share one entry object."""
     basis = fpf_permutations(n)
-    return [[glue_pairing(s, t) for t in basis] for s in basis]
+    index = {perm: k for k, perm in enumerate(basis)}
+    matrix: list[list] = [[None] * len(basis) for _ in basis]
+    for orbit in _orbits(itertools.product(basis, repeat=2), _symmetric_generators(n)):
+        entry = glue_pairing(*orbit[0])
+        for sigma, tau in orbit:
+            matrix[index[sigma]][index[tau]] = entry
+    return matrix
+
+
+def _int_coefficients(entry: HalfLaurent) -> list[int]:
+    """Integer coefficients of a polynomial in Q, leading term first."""
+    if any(exp % 2 or exp < 0 or coeff.denominator != 1 for exp, coeff in entry.terms):
+        raise ValueError(f"not an integer polynomial in Q: {entry.render()}")
+    coeffs = dict(entry.terms)
+    return [int(coeffs.get(2 * d, 0)) for d in range(max(coeffs, default=-2) // 2, -1, -1)]
 
 
 def _bareiss_det(matrix: list[list[int]]) -> int:
@@ -643,52 +693,39 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _newton_interpolate(xs: list[int], ys: list[int]) -> HalfLaurent:
-    count = len(xs)
-    coeffs = [Fraction(y) for y in ys]
+def _newton_interpolate(start: int, ys: list[int]) -> HalfLaurent:
+    """The integer polynomial in Q with the values ys at start, start + 1, ...:
+    (count-1)! times it is sum_k D^k ys[0] (count-1)!/k! (Q-start)...(Q-start-k+1)."""
+    count = len(ys)
+    diffs = list(ys)
     for level in range(1, count):
         for i in range(count - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form into monomial coefficients
-    poly = [Fraction(0)] * count
-    acc = [Fraction(1)] + [Fraction(0)] * (count - 1)
-    degree = 0
-    for level in range(count):
-        for d in range(degree + 1):
-            poly[d] += coeffs[level] * acc[d]
-        if level < count - 1:
-            shifted = [Fraction(0)] * count
-            for d in range(degree + 1):
-                shifted[d + 1] += acc[d]
-                shifted[d] -= xs[level] * acc[d]
-            acc = shifted
-            degree += 1
-    return HalfLaurent.from_dict("Q", {2 * d: c for d, c in enumerate(poly)})
+            diffs[i] -= diffs[i - 1]
+    scale = math.factorial(count - 1)
+    poly: list[int] = []
+    for k in range(count - 1, -1, -1):
+        poly = [a - (start + k) * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += diffs[k] * (scale // math.factorial(k))
+    if any(c % scale for c in poly):
+        raise ValueError("the values do not come from an integer polynomial")
+    return HalfLaurent.from_dict("Q", {2 * d: c // scale for d, c in enumerate(poly)})
 
 
 def gram_det(n: int, allow_long: bool = False) -> HalfLaurent:
-    """Determinant of the full pairing Gramian for n boundary points.
-
-    Exact evaluation at enough integer points followed by Newton
-    interpolation; the degree bound is the sum over rows of the maximal
-    entry degree.
-    """
+    """Determinant of the full pairing Gramian for n boundary points, by
+    Bareiss at one more consecutive integer than its degree bound, the sum
+    over rows of the largest entry degree."""
     if n < 2 or n > 6:
         raise ValueError("supported range is 2 <= n <= 6")
     if n == 6 and not allow_long:
         raise ValueError("n = 6 runs for a long time; pass allow_long to confirm")
-    matrix = gram_matrix(n)
-    bound = 0
-    for row in matrix:
-        degrees = [entry.degree_leading()[0] for entry in row if not entry.is_zero()]
-        if degrees:
-            bound += int(max(degrees))
-    points = list(range(2, 2 + bound + 1))
-    values = []
-    for q in points:
-        numeric = [[int(entry.evaluate(q)) for entry in row] for row in matrix]
-        values.append(_bareiss_det(numeric))
-    return _newton_interpolate(points, values)
+    distinct: dict[HalfLaurent, int] = {}
+    layout = [[distinct.setdefault(e, len(distinct)) for e in row] for row in gram_matrix(n)]
+    polys = [_int_coefficients(entry) for entry in distinct]
+    bound = sum(max([len(polys[k]) - 1 for k in row] + [0]) for row in layout)
+    points = ([reduce(lambda v, c: v * q + c, p, 0) for p in polys] for q in range(2, bound + 3))
+    values = [_bareiss_det([[at[k] for k in row] for row in layout]) for at in points]
+    return _newton_interpolate(2, values)
 
 
 # ---------------------------------------------------------------------------
@@ -708,17 +745,16 @@ def partition_permutation(partition: Sequence[int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted((len(c) for c in _perm_cycles(perm)), reverse=True))
-
-
 def sym_pairing_at(
     lam: Sequence[int], mu: Sequence[int], q_value: int | Fraction
 ) -> Fraction:
     """Pairing of symmetrized diagrams with cycle types lam, mu at Q = q_value.
 
-    Averaging over boundary relabelings reduces to averaging glue pairings
-    of one fixed diagram of type lam against the full conjugacy class of mu.
+    Averaging over boundary relabelings reduces to averaging glue pairings of
+    one sigma of type lam against the class of mu, and so to one pairing per
+    orbit of the centralizer of sigma, weighted by the orbit size.  Rotating
+    the first cycle of each length and swapping each later equal cycle with
+    the one before generate that centralizer.
     """
     from .invariants import s_poly_at
 
@@ -726,14 +762,18 @@ def sym_pairing_at(
     if sum(mu) != n:
         raise ValueError("cycle types must partition the same point count")
     sigma = partition_permutation(lam)
-    target = tuple(sorted(mu, reverse=True))
-    class_members = [
-        perm for perm in fpf_permutations(n) if _cycle_type(perm) == target
-    ]
+    gens = []
+    for part, before, offset in zip(lam, (0, *lam), itertools.accumulate(lam, initial=0)):
+        block = range(offset, offset + part)
+        if part != before:
+            gens.append([sigma[p] if p in block else p for p in range(n)])
+        else:
+            gens.append([p - part if p in block else p + part if p + part in block else p for p in range(n)])
+    (members,) = _orbits([(partition_permutation(mu),)], _symmetric_generators(n))
     total = Fraction(0)
-    for tau in class_members:
-        total += s_poly_at(glue_map(sigma, tau), q_value)
-    return total / len(class_members)
+    for orbit in _orbits(members, gens):
+        total += len(orbit) * s_poly_at(glue_map(sigma, *orbit[0]), q_value)
+    return total / len(members)
 
 
 def partitions_min_two(n: int) -> list[tuple[int, ...]]:

@@ -21,9 +21,12 @@ adjacency matrix, and reject isomorphs by a canonical form that walks the full
 individualization tree with dense refinement and no pruning.  The Brauer
 oracles compose and juxtapose matchings through their sets of pairs and a
 neighbour graph, and evaluate the functor one ``HalfLaurent`` term per edge
-state, apart from the partner arrays of ``BrauerMatching``.  The face oracle walks the
-twist-free face permutation, or joins band sides by union-find, apart from the
-double cover of ``CombMap.face_count``.  The surgery oracles are the connect
+state, apart from the partner arrays of ``BrauerMatching``.  The Gram oracles
+glue every entry on its own, evaluate entries through ``Fraction`` and
+interpolate by divided differences, and average the symmetrized pairing over
+the whole conjugacy class, as before the orbit reduction.  The face oracle
+walks the twist-free face permutation, or joins band sides by union-find,
+apart from the double cover of ``CombMap.face_count``.  The surgery oracles are the connect
 sums, crossing resolution and signed subdivision as they were before every
 strand splice went through ``maps._splice`` or ``spatial._resolve``.
 """
@@ -31,11 +34,20 @@ strand splice went through ``maps._splice`` or ``spatial._resolve``.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from ribbonpoly import spatial as sp
 from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
-from ribbonpoly.brauer import BrauerMatching
+from ribbonpoly.brauer import (
+    BrauerMatching,
+    _bareiss_det,
+    _perm_cycles,
+    fpf_permutations,
+    glue_map,
+    glue_pairing,
+    partition_permutation,
+)
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
 from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
@@ -751,6 +763,69 @@ def phi_evaluate_oracle(m: CombMap) -> HalfLaurent:
         half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
         result = result + HalfLaurent.from_dict("Q", {half_exponent: sign})
     return result
+
+
+def gram_matrix_oracle(n: int) -> list[list[HalfLaurent]]:
+    """``gram_matrix`` with every entry glued on its own, with no orbits."""
+    basis = fpf_permutations(n)
+    return [[glue_pairing(s, t) for t in basis] for s in basis]
+
+
+def newton_interpolate_oracle(xs: list[int], ys: list[int]) -> HalfLaurent:
+    """Newton interpolation in ``Fraction`` divided differences at any distinct xs."""
+    count = len(xs)
+    coeffs = [Fraction(y) for y in ys]
+    for level in range(1, count):
+        for i in range(count - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    # expand the Newton form into monomial coefficients
+    poly = [Fraction(0)] * count
+    acc = [Fraction(1)] + [Fraction(0)] * (count - 1)
+    degree = 0
+    for level in range(count):
+        for d in range(degree + 1):
+            poly[d] += coeffs[level] * acc[d]
+        if level < count - 1:
+            shifted = [Fraction(0)] * count
+            for d in range(degree + 1):
+                shifted[d + 1] += acc[d]
+                shifted[d] -= xs[level] * acc[d]
+            acc = shifted
+            degree += 1
+    return HalfLaurent.from_dict("Q", {2 * d: c for d, c in enumerate(poly)})
+
+
+def gram_det_oracle(n: int) -> HalfLaurent:
+    """``gram_det`` from ``gram_matrix_oracle``, each entry evaluated through
+    ``HalfLaurent.evaluate`` at each point, and ``newton_interpolate_oracle``."""
+    matrix = gram_matrix_oracle(n)
+    bound = 0
+    for row in matrix:
+        degrees = [entry.degree_leading()[0] for entry in row if not entry.is_zero()]
+        if degrees:
+            bound += int(max(degrees))
+    points = list(range(2, 2 + bound + 1))
+    values = []
+    for q in points:
+        numeric = [[int(entry.evaluate(q)) for entry in row] for row in matrix]
+        values.append(_bareiss_det(numeric))
+    return newton_interpolate_oracle(points, values)
+
+
+def sym_pairings_oracle(
+    lam: Sequence[int], mu: Sequence[int], q_values: Sequence[int | Fraction]
+) -> list[Fraction]:
+    """``sym_pairing_at`` at each of q_values, as the plain average over the
+    whole class of mu, filtered from every fixed-point-free permutation."""
+    n = sum(lam)
+    sigma = partition_permutation(lam)
+    target = sorted(mu)
+    members = [t for t in fpf_permutations(n) if sorted(len(c) for c in _perm_cycles(t)) == target]
+    totals = [Fraction(0)] * len(q_values)
+    for tau in members:
+        pairing = s_poly(glue_map(sigma, tau), engine="state-sum")
+        totals = [total + pairing.evaluate(q) for total, q in zip(totals, q_values)]
+    return [total / len(members) for total in totals]
 
 
 def _cd_memo(name: str, m: CombMap, compute) -> HalfLaurent:

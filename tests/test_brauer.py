@@ -8,19 +8,27 @@ from fractions import Fraction
 import pytest
 from helpers_oracles import (
     EDGE_CASES,
+    gram_det_oracle,
+    gram_matrix_oracle,
     matching_tensor_oracle,
     matching_then_oracle,
+    newton_interpolate_oracle,
     phi_evaluate_oracle,
+    sym_pairings_oracle,
 )
 
+from ribbonpoly import brauer
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import (
+    NEGLIGIBLE_TABLE,
     BrauerMatching,
     BrauerVector,
     _corner_pairs,
     _frontier_sweep,
     _greedy_order,
+    _int_coefficients,
     _join_or_cut,
+    _newton_interpolate,
     _partition_sweep,
     _sweep_plan,
     br2_idempotent_verify,
@@ -31,6 +39,7 @@ from ribbonpoly.brauer import (
     gram_matrix,
     partitions_min_two,
     sym_negligible_verify,
+    sym_pairing_at,
 )
 from ribbonpoly.fixtures import PETERSEN
 from ribbonpoly.generate import complete_map, exhaustive_connected_maps, random_maps
@@ -217,8 +226,86 @@ class TestGramian:
             gram_det(7, allow_long=True)
 
     def test_pairing_symmetry(self):
-        matrix = gram_matrix(3)
-        assert matrix[0][1] == matrix[1][0]
+        # symmetric, and G[pi s pi^-1][pi t pi^-1] = G[s][t] for every pi
+        for n in range(2, 6):
+            basis = fpf_permutations(n)
+            index = {perm: k for k, perm in enumerate(basis)}
+            matrix = gram_matrix(n)
+            for i, j in itertools.combinations(range(len(basis)), 2):
+                assert matrix[i][j] == matrix[j][i], (basis[i], basis[j])
+            for pi in itertools.permutations(range(n)):
+                inverse = [pi.index(x) for x in range(n)]
+                image = [index[tuple(pi[perm[x]] for x in inverse)] for perm in basis]
+                for i, j in itertools.product(range(len(basis)), repeat=2):
+                    assert matrix[image[i]][image[j]] == matrix[i][j], (pi, basis[i], basis[j])
+
+    @pytest.mark.parametrize("n, orbits, distinct", [(3, 2, 2), (4, 9, 6), (5, 21, 14), (6, 135, 48)])
+    def test_orbit_and_entry_counts(self, monkeypatch, n, orbits, distinct):
+        glued = []
+        real = brauer.glue_pairing
+        monkeypatch.setattr(brauer, "glue_pairing", lambda s, t: glued.append((s, t)) or real(s, t))
+        matrix = gram_matrix(n)
+        assert len(glued) == orbits
+        assert len({id(entry) for row in matrix for entry in row}) == orbits
+        assert len({entry for row in matrix for entry in row}) == distinct
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matrix_matches_oracle(self, n):
+        matrix, oracle = gram_matrix(n), gram_matrix_oracle(n)
+        assert len(matrix) == len(oracle)
+        for i, (row, want) in enumerate(zip(matrix, oracle)):
+            assert len(row) == len(want)
+            for j, (entry, expected) in enumerate(zip(row, want)):
+                assert entry == expected, (n, i, j)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_det_matches_oracle(self, n):
+        det, oracle = gram_det(n), gram_det_oracle(n)
+        assert det == oracle
+        assert det.render() == oracle.render()
+
+
+class TestGramIntegerPath:
+    def test_int_coefficients(self):
+        assert _int_coefficients(qpoly({3: 2, 1: -5, 0: 7})) == [2, 0, -5, 7]
+        assert _int_coefficients(qpoly({0: -1})) == [-1]
+        assert _int_coefficients(HalfLaurent.zero("Q")) == []
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ((1, Fraction(1)),),  # Q^(1/2)
+            ((4, Fraction(1)), (3, Fraction(-2)), (0, Fraction(1))),  # a half-integer exponent below
+            ((-2, Fraction(1)),),  # Q^-1
+            ((2, Fraction(1)), (-2, Fraction(3))),  # a negative exponent below
+            ((2, Fraction(1, 2)),),  # Q/2
+            ((4, Fraction(1)), (0, Fraction(-3, 2))),  # a non-integer constant
+        ],
+    )
+    def test_int_coefficients_refuses(self, terms):
+        with pytest.raises(ValueError):
+            _int_coefficients(HalfLaurent("Q", terms))
+
+    def test_newton_matches_oracle(self):
+        rng = random.Random(20261019)
+        for degree in range(31):
+            for _ in range(3):
+                coeffs = [rng.randint(-10**6, 10**6) for _ in range(degree + 1)]
+                start = rng.randint(-5, 5)
+                count = degree + 1 + rng.randint(0, 3)
+                xs = list(range(start, start + count))
+                ys = [sum(c * x**d for d, c in enumerate(coeffs)) for x in xs]
+                poly = qpoly(dict(enumerate(coeffs)))
+                got = _newton_interpolate(start, ys)
+                assert got == newton_interpolate_oracle(xs, ys) == poly, (degree, start, count)
+
+    def test_newton_refuses_non_integer_coefficients(self):
+        # Q(Q - 1)/2 takes integer values at integers but has half coefficients
+        xs = [2, 3, 4, 5]
+        ys = [x * (x - 1) // 2 for x in xs]
+        assert newton_interpolate_oracle(xs, ys) == qpoly({2: Fraction(1, 2), 1: Fraction(-1, 2)})
+        with pytest.raises(ValueError):
+            _newton_interpolate(2, ys)
 
 
 class TestNegligible:
@@ -232,6 +319,26 @@ class TestNegligible:
         assert sym_negligible_verify(9)
         # p(4) alone is not negligible at Q = 9; the correction term matters.
         assert not sym_negligible_verify(9, [(Fraction(1), (4,))])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sym_pairing_matches_oracle(self, n):
+        q_values = sorted(NEGLIGIBLE_TABLE) + [0, 2, Fraction(1, 2)]
+        for lam, mu in itertools.product(partitions_min_two(n), repeat=2):
+            want = sym_pairings_oracle(lam, mu, q_values)
+            assert [sym_pairing_at(lam, mu, q) for q in q_values] == want, (lam, mu)
+
+    def test_sym_pairing_unsorted_cycle_types(self):
+        # equal cycles that are not adjacent in lam, and an unsorted mu
+        q_values = [0, 2, 9, Fraction(1, 2)]
+        for lam, mu in [((2, 3, 2), (3, 2, 2)), ((2, 3, 2), (2, 5)), ((2, 2, 3), (2, 3, 2))]:
+            want = sym_pairings_oracle(lam, mu, q_values)
+            assert [sym_pairing_at(lam, mu, q) for q in q_values] == want, (lam, mu)
+
+    def test_sym_pairing_refuses_fixed_points(self):
+        with pytest.raises(ValueError):
+            sym_pairing_at((2, 2), (3, 1), 4)
+        with pytest.raises(ValueError):
+            sym_pairing_at((2, 2), (3, 2), 4)
 
     def test_q36_combination(self):
         assert sym_negligible_verify(36)
