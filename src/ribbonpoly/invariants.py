@@ -12,13 +12,13 @@ with independent engines (state sum and memoized contraction-deletion) so the
 test suite can cross-check them term by term.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
-``_kernel``), memoizes integer tallies by doubled exponent under a canonical
-code of that form alone, tried only from the half-edges of least (vertex
-degree, face length) (see ``_kernel_key``), and builds only the branches that
-can be nonzero.  S and flow vanish at a degree-1 vertex, so a
-non-loop edge at a degree-2 vertex recurses on its contraction alone.  For the
-chromatic polynomial, deleting a pendant edge is contracting it and adding an
-isolated vertex, so that edge contributes a factor (t - 1).
+``maps._kernel``), memoizes integer tallies by doubled exponent under the
+canonical code of that form that ``CombMap.signature`` also uses (see
+``_kernel_key``), and builds only the branches that can be nonzero.  S and
+flow vanish at a degree-1 vertex, so a non-loop edge at a degree-2 vertex
+recurses on its contraction alone.  For the chromatic polynomial, deleting a
+pendant edge is contracting it and adding an isolated vertex, so that edge
+contributes a factor (t - 1).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .maps import CombMap
+from .maps import CombMap, _canonical_code, _kernel
 
 _S_CACHE: dict = {}
 _FLOW_CACHE: dict = {}
@@ -36,14 +36,13 @@ _CHROM_CACHE: dict = {}
 
 
 def clear_caches() -> None:
-    """Empty every module memo: S, flow, chromatic, W_sl, Yamada and cyclotomic."""
-    from . import algebra, penrose, spatial
+    """Empty the five module memos: S, flow, chromatic, Yamada and cyclotomic."""
+    from . import algebra, spatial
 
     for cache in (
         _S_CACHE,
         _FLOW_CACHE,
         _CHROM_CACHE,
-        penrose._W_SL_CACHE,
         spatial._YAMADA_CACHE,
         algebra._CYCLOTOMIC_CACHE,
     ):
@@ -302,109 +301,15 @@ def _flip_set(m: CombMap, mask: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(m: CombMap) -> tuple[list[int], int]:
-    """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated-vertex count.
-
-    S, flow and the chromatic polynomial recurse on this pair, where alpha
-    is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
-    and vertex signs, which none of the three reads, are dropped here.
-    """
-    label = [0] * m.half_edge_count
-    for k, (a, b) in enumerate(m.edges):
-        label[a], label[b] = 2 * k, 2 * k + 1
-    sigma = [0] * m.half_edge_count
-    for cycle in m.vertices:
-        for i, h in enumerate(cycle):
-            sigma[label[cycle[i - 1]]] = label[h]
-    return sigma, sum(1 for cycle in m.vertices if not cycle)
-
-
 def _kernel_key(sigma: list[int], isolated: int) -> tuple:
-    """The memo key: a canonical code of the bare kernel, equal exactly for isomorphic kernels.
+    """The memo key: the canonical code of the bare kernel and its isolated-vertex count.
 
-    Each component is encoded by its least breadth-first code, in which the
-    entry of half-edge h packs the labels of ``sigma[h]`` and ``h ^ 1`` into
-    the one int ``ls * n + la``.  Only the half-edges with the least (vertex
-    degree, face length) are tried as starts, the faces being the cycles of
-    h -> sigma[h ^ 1].  That pair is an isomorphism invariant, so the least
-    code over these starts is still canonical.  The key is not
-    ``CombMap.signature``, but it splits maps into the same classes.
+    The code is ``maps._canonical_code`` from the refined starts, with no
+    decorations.  ``CombMap.signature`` tries every start, so the values
+    differ, but the key and the stripped map's signature split maps into
+    the same classes.
     """
-    n = len(sigma)
-    # rank[h] orders half-edges by (degree of h's vertex, length of h's face)
-    rank = [0] * n
-    for h in range(n):
-        if not rank[h]:
-            cycle = [h]
-            x = sigma[h]
-            while x != h:
-                cycle.append(x)
-                x = sigma[x]
-            degree = len(cycle) * (n + 1)
-            for x in cycle:
-                rank[x] = degree
-    in_face = [False] * n
-    for h in range(n):
-        if not in_face[h]:
-            cycle = [h]
-            x = sigma[h ^ 1]
-            while x != h:
-                cycle.append(x)
-                x = sigma[x ^ 1]
-            length = len(cycle)
-            for x in cycle:
-                in_face[x] = True
-                rank[x] += length
-
-    def code_from(start: int, best: Optional[list[int]]) -> tuple[Optional[list[int]], list[int]]:
-        # As in maps._canonical_code: entry i is final once order[i] is
-        # processed, so the code is dropped at its first entry above ``best``.
-        label = [-1] * n
-        label[start] = 0
-        order = [start]
-        count = 1
-        out: list[int] = []
-        smaller = best is None
-        for i, h in enumerate(order):
-            s = sigma[h]
-            ls = label[s]
-            if ls < 0:
-                ls = label[s] = count
-                count += 1
-                order.append(s)
-            a = h ^ 1
-            la = label[a]
-            if la < 0:
-                la = label[a] = count
-                count += 1
-                order.append(a)
-            entry = ls * n + la
-            if not smaller:
-                if entry > best[i]:
-                    return None, order
-                if entry == best[i]:
-                    continue
-                smaller = True
-                out = best[:i]
-            out.append(entry)
-        return (out if smaller else None), order
-
-    covered = [False] * n
-    codes = []
-    # the first uncovered half-edge in rank order has its component's least rank
-    for h0 in sorted(range(n), key=rank.__getitem__):
-        if covered[h0]:
-            continue
-        best, members = code_from(h0, None)
-        least = rank[h0]
-        for h in members:
-            covered[h] = True
-        for start in members[1:]:
-            if rank[start] == least:
-                best = code_from(start, best)[0] or best
-        codes.append(tuple(best))
-    codes.sort()
-    return tuple(codes), isolated
+    return _canonical_code(sigma, True), isolated
 
 
 def _tally_difference(

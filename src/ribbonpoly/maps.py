@@ -435,67 +435,91 @@ class CombMap:
         """Canonical label-independent code; equal iff maps are isomorphic.
 
         Isomorphism preserves rotation direction, twist marks, and vertex
-        signs.  See ``_canonical_code``.
+        signs.  The code is ``_canonical_code`` of the kernel form, tried from
+        every half-edge, with the twists and signs as decorations when there
+        are any; the isolated vertices add their signs (0 when unsigned).
         """
-        n = self.half_edge_count
-        signs = self.vertex_signs
-        twisted = [1 if self.edge_of[h] in self.edge_twists else 0 for h in range(n)]
-        sign_of = [0] * n if signs is None else [signs[v] for v in self.vertex_of]
-        isolated = [
-            0 if signs is None else signs[i] for i, cycle in enumerate(self.vertices) if not cycle
-        ]
-        return _canonical_code(self.sigma, self.alpha, twisted, sign_of, isolated)
+        sigma, _isolated = _kernel(self)
+        signs, twists = self.vertex_signs, self.edge_twists
+        decoration = None
+        if twists or signs is not None:
+            # 3 * twist + sign + 1 tells every (twist, sign) pair apart; sign 0 is unsigned
+            sign_of = [0] * len(sigma) if signs is None else [signs[v] for v in self.vertex_of]
+            ends = self.edges
+            decoration = [
+                3 * (x >> 1 in twists) + sign_of[ends[x >> 1][x & 1]] + 1 for x in range(len(sigma))
+            ]
+        isolated = [0 if signs is None else signs[i] for i, c in enumerate(self.vertices) if not c]
+        return _canonical_code(sigma, False, decoration), tuple(sorted(isolated))
 
     def isomorphic(self, other: "CombMap") -> bool:
         return self.signature == other.signature
 
 
 # ---------------------------------------------------------------------------
-# Canonical code, canonicalization and rebuilding helpers.
+# The kernel form and its canonical code; canonicalization and rebuilding.
 # ---------------------------------------------------------------------------
 
 
-def _canonical_code(
-    sigma: Sequence[int],
-    alpha: Sequence[int],
-    twisted: Sequence[int],
-    sign_of: Sequence[int],
-    isolated: Iterable[int],
-) -> tuple:
-    """The canonical code of a map given by half-edge arrays.
+def _kernel(m: CombMap) -> tuple[list[int], int]:
+    """The rotation of ``m`` with edge k relabeled (2k, 2k + 1), and its isolated-vertex count.
 
-    ``twisted[h]`` is the twist bit of h's edge and ``sign_of[h]`` the sign
-    of h's vertex (0 when unsigned); ``isolated`` holds the signs of the
-    isolated vertices.  Each connected component is encoded by the minimal
-    breadth-first relabeling code over all starting half-edges.
+    S, flow and the chromatic polynomial recurse on this pair, where alpha
+    is h -> h ^ 1.  Their minors are never validated or canonicalized; twists
+    and vertex signs, which none of the three reads, are dropped here.
+    """
+    label = [0] * m.half_edge_count
+    for k, (a, b) in enumerate(m.edges):
+        label[a], label[b] = 2 * k, 2 * k + 1
+    sigma = [0] * m.half_edge_count
+    for cycle in m.vertices:
+        for i, h in enumerate(cycle):
+            sigma[label[cycle[i - 1]]] = label[h]
+    return sigma, sum(1 for cycle in m.vertices if not cycle)
+
+
+def _canonical_code(
+    sigma: Sequence[int], refined: bool, decoration: Optional[Sequence[int]] = None
+) -> tuple:
+    """The sorted least breadth-first codes of a kernel's components; equal iff isomorphic.
+
+    The entry of half-edge h packs the labels of ``sigma[h]`` and ``h ^ 1``
+    into the one int ``ls * n + la``.  With ``refined``, only the half-edges
+    of least (vertex degree, face length) are tried as starts, faces being
+    the cycles of h -> sigma[h ^ 1]; that pair is an isomorphism invariant,
+    so the code stays canonical (McKay and Piperno's refinement).  Otherwise
+    every half-edge is tried.  With ``decoration``, a component's code is
+    the least pair (code, decorations in breadth-first order), and the
+    decorations are read only for starts whose code is least so far or ties.
     """
     n = len(sigma)
 
-    def code_from(start: int, best: Optional[list]) -> tuple[Optional[list], list[int]]:
+    def code_from(start: int, best: Optional[list[int]]) -> tuple[Optional[list[int]], list[int]]:
         # Entry i is final once order[i] is processed: both of its
         # neighbours have labels by then.  So the code is compared with
-        # ``best`` as it is emitted, and dropped as soon as it is larger; the
-        # prefix equal to ``best`` is copied from it once the code is smaller.
-        # The breadth-first order visits exactly the component of ``start``.
+        # ``best`` as it is emitted, and dropped (None) as soon as it is
+        # larger; the prefix equal to ``best`` is copied from it once the code
+        # is smaller, and a tie returns ``best``.  The order is the component.
         label = [-1] * n
         label[start] = 0
         order = [start]
         count = 1
-        out = []
+        out: list[int] = []
         smaller = best is None
         for i, h in enumerate(order):
-            s, a = sigma[h], alpha[h]
+            s = sigma[h]
             ls = label[s]
             if ls < 0:
                 ls = label[s] = count
                 count += 1
                 order.append(s)
+            a = h ^ 1
             la = label[a]
             if la < 0:
                 la = label[a] = count
                 count += 1
                 order.append(a)
-            entry = (ls, la, twisted[h], sign_of[h])
+            entry = ls * n + la
             if not smaller:
                 if entry > best[i]:
                     return None, order
@@ -504,21 +528,60 @@ def _canonical_code(
                 smaller = True
                 out = best[:i]
             out.append(entry)
-        return (out if smaller else None), order
+        return (out if smaller else best), order
 
+    rank = [0] * n
+    if refined:
+        # rank[h] packs (degree of h's vertex, length of h's face)
+        for h in range(n):
+            if not rank[h]:
+                cycle = [h]
+                x = sigma[h]
+                while x != h:
+                    cycle.append(x)
+                    x = sigma[x]
+                degree = len(cycle) * (n + 1)
+                for x in cycle:
+                    rank[x] = degree
+        in_face = [False] * n
+        for h in range(n):
+            if not in_face[h]:
+                cycle = [h]
+                x = sigma[h ^ 1]
+                while x != h:
+                    cycle.append(x)
+                    x = sigma[x ^ 1]
+                length = len(cycle)
+                for x in cycle:
+                    in_face[x] = True
+                    rank[x] += length
     covered = [False] * n
-    comp_codes = []
-    for h0 in range(n):
+    codes = []
+    # the first uncovered half-edge in rank order has its component's least rank
+    for h0 in sorted(range(n), key=rank.__getitem__) if refined else range(n):
         if covered[h0]:
             continue
         best, members = code_from(h0, None)
+        least = rank[h0]
         for h in members:
             covered[h] = True
+        if decoration is None:
+            for start in members[1:]:
+                if rank[start] == least:
+                    best = code_from(start, best)[0] or best
+            codes.append(tuple(best))
+            continue
+        best_marks = [decoration[h] for h in members]
         for start in members[1:]:
-            best = code_from(start, best)[0] or best
-        comp_codes.append(tuple(best))
-    comp_codes.sort()
-    return (tuple(comp_codes), tuple(sorted(isolated)))
+            if rank[start] != least:
+                continue
+            code, order = code_from(start, best)
+            if code is not None:
+                marks = [decoration[h] for h in order]
+                if code is not best or marks < best_marks:
+                    best, best_marks = code, marks
+        codes.append((tuple(best), tuple(best_marks)))
+    return tuple(sorted(codes))
 
 
 def _canonicalize(

@@ -166,19 +166,6 @@ def so_connect_sum_checks(m1: CombMap, m2: CombMap) -> dict:
 # The extended sl(N) polynomial.
 # ---------------------------------------------------------------------------
 
-_W_SL_CACHE: dict[tuple, HalfLaurent] = {}
-
-
-def w_sl_extended(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLaurent:
-    """``w_sl_brauer``, memoized on the signature of the signed map."""
-    chosen = _signs_of(m, signs)
-    key = with_signs(m, chosen).signature
-    cached = _W_SL_CACHE.get(key)
-    if cached is None:
-        cached = _W_SL_CACHE[key] = w_sl_brauer(m, chosen)
-    return cached
-
-
 def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLaurent:
     """Flip expansion: sum over W of (prod of s on W) times the diagrams of flip_W.
 
@@ -217,6 +204,11 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
     # twisted.  Joined edges and strands each count a power of N.
     tally = _frontier_sweep(m, options, _join_or_cut(m))
     return HalfLaurent.from_dict("N", {2 * k: prefactor * c for k, c in tally.items()})
+
+
+# Not memoized: a memo key (the signature of the signed map) costs about a
+# third of the sweep it would save.
+w_sl_extended = w_sl_brauer
 
 
 def _merge_contract(

@@ -12,7 +12,8 @@ sweep; the walker oracle of ``w_so`` switches one edge resolution per
 state, apart from the sweep as well.  The R^S and R^F oracle sums S or
 flow over every crossing resolution that ``expand_crossings`` builds.  The
 signature oracle builds every start's full code and takes the minimum, with
-no early exit.  The bridge oracle deletes the edge and counts components.  The
+no early exit; the tuple signature oracle is the per-entry tuple code that
+``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
@@ -69,25 +70,16 @@ EDGE_CASES = [
 
 
 def signature_oracle(m: CombMap) -> tuple:
-    """``CombMap.signature`` from the minimum of every start's complete code."""
+    """``CombMap.signature`` from the minimum of every start's complete code.
+
+    A start's code packs the labels of sigma(h) and alpha(h) into
+    ``ls * n + la`` for each half-edge in breadth-first order.  On a map with
+    twists or signs it is paired with the marks 3 * twist + sign + 1 in the
+    same order (sign 0 when unsigned), and the least pair wins.
+    """
     n = m.half_edge_count
     signs = m.vertex_signs
-    twisted = [1 if m.edge_of[h] in m.edge_twists else 0 for h in range(n)]
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    for h0 in range(n):
-        if comp_of[h0] >= 0:
-            continue
-        stack, members = [h0], []
-        comp_of[h0] = len(comps)
-        while stack:
-            h = stack.pop()
-            members.append(h)
-            for nxt in (m.sigma[h], m.alpha[h]):
-                if comp_of[nxt] < 0:
-                    comp_of[nxt] = len(comps)
-                    stack.append(nxt)
-        comps.append(members)
+    decorated = bool(m.edge_twists) or signs is not None
 
     def code_from(start: int) -> tuple:
         label = {start: 0}
@@ -100,19 +92,95 @@ def signature_oracle(m: CombMap) -> tuple:
                 if nxt not in label:
                     label[nxt] = len(order)
                     order.append(nxt)
-        out = []
-        for h in order:
-            sign = 0
-            if signs is not None:
-                sign = signs[m.vertex_of[h]]
-            out.append((label[m.sigma[h]], label[m.alpha[h]], twisted[h], sign))
-        return tuple(out)
+        code = tuple(label[m.sigma[h]] * n + label[m.alpha[h]] for h in order)
+        if not decorated:
+            return code
+        marks = tuple(
+            3 * (m.edge_of[h] in m.edge_twists) + 1 + (signs[m.vertex_of[h]] if signs else 0)
+            for h in order
+        )
+        return code, marks
 
-    comp_codes = sorted(min(code_from(start) for start in members) for members in comps)
+    comp_codes = sorted(min(code_from(start) for start in members) for members in _components(m))
     isolated = sorted(
         0 if signs is None else signs[i] for i, cycle in enumerate(m.vertices) if not cycle
     )
     return (tuple(comp_codes), tuple(isolated))
+
+
+def tuple_signature_oracle(m: CombMap) -> tuple:
+    """The signature as it was computed before the kernel form: one tuple per half-edge.
+
+    Each entry is (label of sigma(h), label of alpha(h), twist bit, sign),
+    so the decorations are compared entry by entry, and each component takes
+    its least breadth-first code over every start, dropping a start at its
+    first entry above the best so far.
+    """
+    n = m.half_edge_count
+    signs = m.vertex_signs
+    twisted = [1 if m.edge_of[h] in m.edge_twists else 0 for h in range(n)]
+    sign_of = [0] * n if signs is None else [signs[v] for v in m.vertex_of]
+    sigma, alpha = m.sigma, m.alpha
+
+    def code_from(start: int, best: Optional[list]) -> tuple[Optional[list], list[int]]:
+        label = [-1] * n
+        label[start] = 0
+        order = [start]
+        count = 1
+        out = []
+        smaller = best is None
+        for i, h in enumerate(order):
+            s, a = sigma[h], alpha[h]
+            ls = label[s]
+            if ls < 0:
+                ls = label[s] = count
+                count += 1
+                order.append(s)
+            la = label[a]
+            if la < 0:
+                la = label[a] = count
+                count += 1
+                order.append(a)
+            entry = (ls, la, twisted[h], sign_of[h])
+            if not smaller:
+                if entry > best[i]:
+                    return None, order
+                if entry == best[i]:
+                    continue
+                smaller = True
+                out = best[:i]
+            out.append(entry)
+        return (out if smaller else None), order
+
+    comp_codes = []
+    for members in _components(m):
+        best = code_from(members[0], None)[0]
+        for start in members[1:]:
+            best = code_from(start, best)[0] or best
+        comp_codes.append(tuple(best))
+    comp_codes.sort()
+    isolated = [0 if signs is None else signs[i] for i, cycle in enumerate(m.vertices) if not cycle]
+    return (tuple(comp_codes), tuple(sorted(isolated)))
+
+
+def _components(m: CombMap) -> list[list[int]]:
+    """The half-edges of each connected component, found by depth-first search."""
+    comp_of = [-1] * m.half_edge_count
+    comps: list[list[int]] = []
+    for h0 in range(m.half_edge_count):
+        if comp_of[h0] >= 0:
+            continue
+        stack, members = [h0], []
+        comp_of[h0] = len(comps)
+        while stack:
+            h = stack.pop()
+            members.append(h)
+            for nxt in (m.sigma[h], m.alpha[h]):
+                if comp_of[nxt] < 0:
+                    comp_of[nxt] = len(comps)
+                    stack.append(nxt)
+        comps.append(members)
+    return comps
 
 
 def is_bridge_oracle(m: CombMap, e: int) -> bool:

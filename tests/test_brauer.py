@@ -41,7 +41,7 @@ from ribbonpoly.brauer import (
     sym_negligible_verify,
     sym_pairing_at,
 )
-from ribbonpoly.fixtures import PETERSEN
+from ribbonpoly.fixtures import BOUQUET2_INT, PETERSEN
 from ribbonpoly.generate import complete_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import flow_poly, s_poly
 
@@ -171,7 +171,7 @@ class TestFunctor:
             assert brauer_evaluate(m) == phi_evaluate_oracle(m), m
 
     def test_refuses_twists(self):
-        m = exhaustive_connected_maps(2)[-1].toggle_twist(0)
+        m = BOUQUET2_INT.toggle_twist(0)
         with pytest.raises(ValueError, match="twist-free"):
             brauer_evaluate(m)
 

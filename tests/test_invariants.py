@@ -353,7 +353,7 @@ def _decorated(seed, count, max_edges):
 def _relabeled_kernel(sigma, rng):
     """The kernel with its edges renumbered, edge ends swapped and vertex cycles rotated.
 
-    Returns the new rotation and the new index of each old edge.
+    Returns the new rotation and the new label of each old half-edge.
     """
     edge_to = list(range(len(sigma) // 2))
     rng.shuffle(edge_to)
@@ -373,15 +373,33 @@ def _relabeled_kernel(sigma, rng):
     for cycle in cycles:
         for i, h in enumerate(cycle):
             out[label[cycle[i - 1]]] = label[h]
-    return out, edge_to
+    return out, label
+
+
+def _kernel_map(sigma, twists, sign_of):
+    """The map with rotation ``sigma`` and edges (2k, 2k + 1), twisted on ``twists``.
+
+    Each vertex takes the sign that ``sign_of`` gives its half-edges.
+    """
+    cycles, seen = [], set()
+    for h in range(len(sigma)):
+        if h not in seen:
+            cycle = [h]
+            while sigma[cycle[-1]] != h:
+                cycle.append(sigma[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    edges = tuple((h, h + 1) for h in range(0, len(sigma), 2))
+    return CombMap(tuple(cycles), edges, tuple(sign_of[c[0]] for c in cycles), frozenset(twists))
 
 
 class TestKernel:
     """The half-edge kernel of contraction-deletion against validated maps."""
 
     def test_minor_keys_partition_like_signatures(self, six_edge_family):
-        # The key is its own code, not the signature, but two minors share a
-        # key exactly when their stripped maps share a signature.
+        # The key tries fewer starts than the signature, so its values differ,
+        # but two minors share a key exactly when their stripped maps share a
+        # signature.
         keys = {_kernel_key(*_kernel(m)) for m in six_edge_family}
         assert len(keys) == len(six_edge_family)  # pairwise non-isomorphic
         family = exhaustive_connected_maps(5) + EDGE_CASES + _decorated(109, 30, 10)
@@ -405,11 +423,23 @@ class TestKernel:
         assert len(signature_of) == len(key_of) > 1000
 
     def test_key_invariant_under_relabeling(self):
-        rng = random.Random(167)
+        # The same relabelings keep the signature of the map on kernel labels
+        # with random twists and signs.
+        rng, marks = random.Random(167), random.Random(173)
         for m in random_maps(seed=163, count=30, max_edges=12):
             sigma, isolated = _kernel(m)
-            relabeled, edge_to = _relabeled_kernel(sigma, rng)
+            twists = {k for k in range(m.edge_count) if marks.random() < 0.4}
+            vertex_sign = [marks.choice((1, -1)) for _v in m.vertices]
+            sign_of = [vertex_sign[m.vertex_of[m.edges[x >> 1][x & 1]]] for x in range(len(sigma))]
+            relabeled, label = _relabeled_kernel(sigma, rng)
+            edge_to = [label[2 * e] >> 1 for e in range(m.edge_count)]
             assert _kernel_key(relabeled, isolated) == _kernel_key(sigma, isolated), m
+            moved_sign = [0] * len(sigma)
+            for x, y in enumerate(label):
+                moved_sign[y] = sign_of[x]
+            signature = _kernel_map(sigma, twists, sign_of).signature
+            moved = _kernel_map(relabeled, {edge_to[k] for k in twists}, moved_sign)
+            assert moved.signature == signature, m
             for e in range(m.edge_count):
                 for contract in (False, True):
                     minor = _minor(sigma, isolated, e, contract)
@@ -507,7 +537,7 @@ class TestClearCaches:
             for name, value in vars(module).items():
                 if re.fullmatch(r"_\w+_CACHE", name) and isinstance(value, dict):
                     caches[f"{info.name}.{name}"] = value
-        assert caches
+        assert len(caches) == 5, sorted(caches)
         for cache in caches.values():
             cache[object()] = None
         clear_caches()

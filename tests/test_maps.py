@@ -9,6 +9,7 @@ from helpers_oracles import (
     is_bridge_oracle,
     signature_oracle,
     surgery_outcome,
+    tuple_signature_oracle,
     vertex_connect_sum_oracle,
 )
 
@@ -119,8 +120,9 @@ class TestCanonicalization:
         assert plain.genus() == 0
 
     def test_signature_matches_oracle(self):
-        # The early exit must keep the exact values: the exhaustive family is
-        # sorted by signature, and the census deduplicates on it.
+        # The early exit must keep the exact values: exhaustive_connected_maps
+        # deduplicates on the signature and sorts each level by it.  (The cubic
+        # census deduplicates on generate.canonical_form, not on this.)
         for m in exhaustive_connected_maps(5) + EDGE_CASES:
             assert m.signature == signature_oracle(m), m
         rng = random.Random(73)
@@ -129,6 +131,33 @@ class TestCanonicalization:
             twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.4)
             for variant in (CombMap(m.vertices, m.edges, signs, twists), m.delete_edge(0)):
                 assert variant.signature == signature_oracle(variant), variant
+
+    def test_classes_match_tuple_oracle(self, six_edge_family):
+        # The kernel-form signature and the per-entry tuple code it replaced
+        # split maps into the same classes, and on plain maps with one edge
+        # count they sort them in the same order.
+        rng = random.Random(181)
+        decorated = []
+        for m in random_maps(seed=191, count=60, max_edges=9):
+            signs = tuple(rng.choice((1, -1)) for _v in m.vertices)
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.4)
+            signed = CombMap(m.vertices, m.edges, signs, twists)
+            positive = CombMap(m.vertices, m.edges, (1,) * m.vertex_count)
+            assert positive.signature != m.signature
+            for variant in (signed, positive, m, signed.toggle_twist(0), m.toggle_twist(0)):
+                decorated += [variant, variant.delete_edge(0), _relabeled_map(variant, rng)]
+        family = six_edge_family + EDGE_CASES + decorated
+        old_of, new_of = {}, {}
+        for m in family:
+            new, old = m.signature, tuple_signature_oracle(m)
+            assert old_of.setdefault(new, old) == old, m
+            assert new_of.setdefault(old, new) == new, m
+        assert len(family) > len(new_of) > 10000
+        plain = [m for m in family if not m.edge_twists and m.vertex_signs is None]
+        for edges in range(7):
+            level = [m for m in plain if m.edge_count == edges]
+            by_new = sorted(level, key=lambda m: m.signature)
+            assert by_new == sorted(level, key=tuple_signature_oracle), edges
 
     def test_diagnose_messages(self):
         assert diagnose(((0, 1), (1,)), ((0, 1),))[0] == "half-edge 1 appears at vertices 0 and 1"
@@ -309,3 +338,19 @@ class TestConnectSums:
         assert resolve_strands(alpha, chain, {0, 1, 4, 5}) == ([(0, 5, 0)], 0)
         # Fusing both ends of one edge closes it into a circle.
         assert resolve_strands(alpha, {2: 3, 3: 2}, set()) == ([], 1)
+
+
+def _relabeled_map(m, rng):
+    """The same map with its half-edges renumbered and its vertices reordered."""
+    perm = list(range(m.half_edge_count))
+    rng.shuffle(perm)
+    order = list(range(m.vertex_count))
+    rng.shuffle(order)
+    vertices = []
+    for v in order:
+        cycle = [perm[h] for h in m.vertices[v]]
+        k = rng.randrange(len(cycle)) if cycle else 0
+        vertices.append(tuple(cycle[k:] + cycle[:k]))
+    signs = None if m.vertex_signs is None else tuple(m.vertex_signs[v] for v in order)
+    edges = tuple((perm[a], perm[b]) for a, b in m.edges)
+    return CombMap(tuple(vertices), edges, signs, m.edge_twists)
