@@ -330,10 +330,42 @@ def _greedy_order(m: CombMap, start: int) -> tuple[int, int, list[int]]:
     return cost, width, order
 
 
+def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
+    """A bound on the states the sweeps pass over in ``order``, one option per vertex.
+
+    Each step places a vertex or closes an edge.  After a step, w
+    half-edges are open and c edges closed.  A state of ``_frontier_sweep``
+    pairs the 2w open points, so there are at most (2w - 1)!! states, and a
+    closing at most doubles them, so there are at most 2^c.  The bound sums
+    the lesser of the two over every step.  On the same order,
+    ``_partition_sweep`` keeps no more: its states partition the open
+    half-edges, and Bell(w) <= (2w - 1)!!.
+    """
+    cap = 1 << m.edge_count
+    pairings = [1]  # (2w - 1)!!, capped at 2^E
+    for w in range(1, m.half_edge_count + 1):
+        pairings.append(min(pairings[-1] * (2 * w - 1), cap))
+    vertex_of, alpha = m.vertex_of, m.alpha
+    placed = [False] * m.vertex_count
+    open_count = closed = total = 0
+    for v in order:
+        placed[v] = True
+        open_count += len(m.vertices[v])
+        total += min(pairings[open_count], 1 << closed)
+        for h in m.vertices[v]:
+            u = vertex_of[alpha[h]]
+            if placed[u] and (u != v or alpha[h] > h):
+                open_count -= 2
+                closed += 1
+                total += min(pairings[open_count], 1 << closed)
+    return total
+
+
 def _frontier_sweep(
     m: CombMap,
     options: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int, int]]],
     closings: Sequence[Sequence[tuple[int, int, int]]],
+    order: Sequence[int] | None = None,
 ) -> dict[int, int]:
     """Weighted loop sum over local states, tallied by an integer key.
 
@@ -350,9 +382,11 @@ def _frontier_sweep(
     to slot i through the placed diagrams, and closed slots hold -1 until
     the next vertex drops them.  Equal states merge, each keeping a tally
     of key -> weight.  A vertex with a single option scales every tally
-    alike, so its weight and shift are applied once, at the end.
+    alike, so its weight and shift are applied once, at the end.  The
+    vertices are placed in ``order``, by default ``_sweep_plan``'s.
     """
-    order, _width, _bound = _sweep_plan(m)
+    if order is None:
+        order = _sweep_plan(m)[0]
     vertex_of, alpha, edge_of = m.vertex_of, m.alpha, m.edge_of
     placed = [False] * m.vertex_count
     frontier: list[int] = []  # the point in each slot, -1 once closed
@@ -444,6 +478,7 @@ def _join_or_cut(m: CombMap) -> list[tuple[tuple[int, int, int], ...]]:
 def _partition_sweep(
     m: CombMap,
     options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
+    order: Sequence[int] | None = None,
 ) -> dict[int, int]:
     """Weighted sum over local states and kept edge sets A, by 2(|A| - |V| + c(A)).
 
@@ -460,8 +495,10 @@ def _partition_sweep(
     keeping a tally of key -> weight, and with w open half-edges there are
     at most Bell(w) states.  A vertex with a single option scales every
     tally alike, so its weight and shift are applied once, at the end.
+    The vertices are placed in ``order``, by default ``_sweep_plan``'s.
     """
-    order, _width, _bound = _sweep_plan(m)
+    if order is None:
+        order = _sweep_plan(m)[0]
     vertex_of, alpha = m.vertex_of, m.alpha
     placed = [False] * m.vertex_count
     frontier: list[int] = []  # the half-edge in each slot
@@ -557,10 +594,24 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
     """
     if m.edge_twists:
         raise ValueError("the functor needs a twist-free map")
+    return HalfLaurent.from_dict("Q", _s_tally(m))
+
+
+def _s_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
+    """The tally of ``phi_evaluate`` by doubled exponent, swept in ``order``."""
     # an isolated vertex is one free loop against its own factor
     options = [[(_corner_pairs(cycle), 1, -1 if cycle else 0)] for cycle in m.vertices]
-    tally = _frontier_sweep(m, options, _join_or_cut(m))
-    return HalfLaurent.from_dict("Q", tally)
+    return _frontier_sweep(m, options, _join_or_cut(m), order)
+
+
+def _flow_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
+    """The flow polynomial by doubled nullity, on the partition sweep in ``order``.
+
+    Each vertex enters as one local vertex and each edge is kept or cut, so
+    the key is 2 b1 of the kept edges and the sign (-1)^(cut edges).  The
+    rotation and the twists play no part.
+    """
+    return _partition_sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], order)
 
 
 brauer_evaluate = phi_evaluate

@@ -17,7 +17,7 @@ from typing import Sequence
 from .brauer import brauer_evaluate, fpf_permutations, gram_det
 from .fixtures import MAP_FIXTURES, bundled_fixture_paths
 from .generate import cubic_maps, is_bridgeless
-from .invariants import flow_poly, resolve_engine, s_poly, virtual_chromatic
+from .invariants import _flow_poly, _s_poly, flow_poly, s_poly, virtual_chromatic
 from .maps import CombMap, InvalidMapError
 from .penrose import cellular_embedding_poly, w_sl_extended, w_so
 from .spatial import (
@@ -79,17 +79,9 @@ def _cmd_invariant(args) -> int:
     m = _load_map(args.file)
     engine = args.engine
     if args.poly == "s":
-        if engine == "brauer":
-            poly = brauer_evaluate(m)
-            used = "brauer"
-        else:
-            used = resolve_engine(m, engine)
-            poly = s_poly(m, engine=used)
+        poly, used = _s_poly(m, engine)
     elif args.poly == "f":
-        if engine == "brauer":
-            raise CliError("the brauer engine computes S only")
-        used = resolve_engine(m, engine)
-        poly = flow_poly(m, engine=used)
+        poly, used = _flow_poly(m, engine)
     else:
         if engine != "auto":
             raise CliError(f"--engine applies to --poly s or f, not {args.poly}")
@@ -235,7 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="polynomial of a plain map")
     p.add_argument("--poly", required=True, choices=("s", "f", "chrom", "wso", "wsl", "cemb"))
-    p.add_argument("--engine", default="auto", choices=_ENGINES)
+    p.add_argument(
+        "--engine",
+        default="auto",
+        choices=_ENGINES,
+        help="engine for --poly s or f; auto takes the state sum or the frontier sweep (brauer), "
+        "whichever its cost estimate says is cheaper",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_invariant)

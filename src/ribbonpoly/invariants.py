@@ -7,9 +7,13 @@ rotation-sensitive refinement
     S(Q) = sum over edge subsets T of (-1)^|T| Q^(b1(G-T) - genus(G-T)),
 
 together with the four-variable rank polynomial that specializes to S, and a
-vertex-count-normalized chromatic polynomial for virtual graphs.  Each comes
-with independent engines (state sum and memoized contraction-deletion) so the
-test suite can cross-check them term by term.
+vertex-count-normalized chromatic polynomial for virtual graphs.  S and flow
+each have three independent engines, so the test suite can cross-check them
+term by term: the state sum, memoized contraction-deletion, and a frontier
+sweep of ``brauer`` (over boundary pairings for S, over set partitions for
+flow).  ``resolve_engine`` chooses between the state sum and the sweeps by
+estimated cost; contraction-deletion runs only by name, and is the engine of
+the chromatic polynomial.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -28,6 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
+from .brauer import _flow_tally, _s_tally, _sweep_cost, _sweep_plan
 from .maps import CombMap, _canonical_code, _kernel
 
 _S_CACHE: dict = {}
@@ -406,29 +411,80 @@ def _preferred_edge(sigma: list[int]) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Flow polynomial.
+# The engine choice for S and flow.
 # ---------------------------------------------------------------------------
+
+
+# The sweep's cost in state-sum subsets, fitted to the crossover table in
+# CHANGES.md: _SWEEP_STEP per step (placing a vertex, closing an edge, and
+# the final sum), V^3 / _PLAN_CUBE for _sweep_plan's greedy starts, and one
+# per _PAIRING_STATES states of the bound.
+_SWEEP_STEP = 10
+_PLAN_CUBE = 4
+_PAIRING_STATES = 8
 
 
 def resolve_engine(m: CombMap, engine: str) -> str:
     """The engine that computes S or flow.
 
-    ``auto`` takes the state sum through 13 edges and contraction-deletion
-    beyond; any other name is returned unchanged.
+    ``auto`` compares costs known before anything runs, counted in subsets
+    of the state sum, which visits all 2^E.  The frontier sweeps
+    (``brauer``) cost a share per step and for planning, plus their state
+    bound on ``_sweep_plan``'s order (``brauer._sweep_cost``).  That bound
+    is the pairing sweep's, for S; the partition sweep of flow keeps no more
+    states, so one choice serves both.  The sweeps take over at 7 to 9
+    edges, later on maps with more vertices.  Contraction-deletion runs only
+    by name.  Any other name is returned unchanged.
     """
-    if engine == "auto":
-        return "state-sum" if m.edge_count <= 13 else "contraction-deletion"
-    return engine
+    return _choose(m, engine)[0]
+
+
+def _choose(m: CombMap, engine: str) -> tuple[str, Optional[tuple[int, ...]]]:
+    """``resolve_engine``, with the sweep order when ``auto`` planned one.
+
+    The plan is made only when 2^E exceeds the sweep's step and planning
+    costs.  Once made, its cost is spent, so the state sum still runs if 2^E
+    is at most the step costs plus the bound.
+    """
+    if engine != "auto":
+        return engine, None
+    subsets = 1 << m.edge_count
+    steps = _SWEEP_STEP * (m.vertex_count + m.edge_count + 1)
+    if subsets <= steps + m.vertex_count**3 // _PLAN_CUBE:
+        return "state-sum", None
+    order = _sweep_plan(m)[0]
+    if subsets <= steps + _sweep_cost(m, order) // _PAIRING_STATES:
+        return "state-sum", None
+    return "brauer", order
+
+
+# ---------------------------------------------------------------------------
+# Flow polynomial.
+# ---------------------------------------------------------------------------
 
 
 def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
-    """Flow polynomial; blind to rotations and twists."""
-    engine = resolve_engine(m, engine)
+    """Flow polynomial; blind to rotations and twists.
+
+    Three independent engines compute it: the state sum over kept edge sets
+    with a union-find, memoized contraction-deletion, and the partition
+    sweep (``brauer``); ``auto`` picks by ``resolve_engine``.
+    """
+    return _flow_poly(m, engine)[0]
+
+
+def _flow_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
+    """``flow_poly`` and the engine that computed it."""
+    engine, order = _choose(m, engine)
     if engine == "state-sum":
-        return HalfLaurent.from_dict("Q", _flow_exponents(m))
-    if engine == "contraction-deletion":
-        return HalfLaurent.from_dict("Q", _flow_cd(*_kernel(m)))
-    raise ValueError(f"unknown flow engine {engine!r}")
+        tally = _flow_exponents(m)
+    elif engine == "contraction-deletion":
+        tally = _flow_cd(*_kernel(m))
+    elif engine == "brauer":
+        tally = _flow_tally(m, order)
+    else:
+        raise ValueError(f"unknown flow engine {engine!r}")
+    return HalfLaurent.from_dict("Q", tally), engine
 
 
 def _flow_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -459,21 +515,31 @@ def _flow_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
 
 
 def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
-    """The genus-corrected flow polynomial of a map in an oriented surface."""
+    """The genus-corrected flow polynomial of a map in an oriented surface.
+
+    Three independent engines compute it: the state sum over edge subsets,
+    memoized contraction-deletion, and the frontier sweep of the diagram
+    category (``brauer``); ``auto`` picks by ``resolve_engine``.
+    """
+    return _s_poly(m, engine)[0]
+
+
+def _s_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
+    """``s_poly`` and the engine that computed it."""
     if m.edge_twists:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
         )
-    engine = resolve_engine(m, engine)
+    engine, order = _choose(m, engine)
     if engine == "state-sum":
-        return HalfLaurent.from_dict("Q", _s_exponents(m))
-    if engine == "contraction-deletion":
-        return HalfLaurent.from_dict("Q", _s_cd(*_kernel(m)))
-    if engine == "brauer":
-        from .brauer import brauer_evaluate
-
-        return brauer_evaluate(m)
-    raise ValueError(f"unknown S engine {engine!r}")
+        tally = _s_exponents(m)
+    elif engine == "contraction-deletion":
+        tally = _s_cd(*_kernel(m))
+    elif engine == "brauer":
+        tally = _s_tally(m, order)
+    else:
+        raise ValueError(f"unknown S engine {engine!r}")
+    return HalfLaurent.from_dict("Q", tally), engine
 
 
 def _s_cd(sigma: list[int], isolated: int) -> dict[int, int]:

@@ -393,7 +393,7 @@ def test_13_rs_on_k33_with_seven_crossings():
     start = time.monotonic()
     rs = sp.yamada(d, "s")
     assert time.monotonic() - start <= 1
-    s = s_poly(sp.underlying_map(d))
+    s = s_poly(sp.underlying_map(d), engine="state-sum")
     assert rs.evaluate(-1) == s.evaluate(0)  # rs_minus_one_equals_s_at_zero
     assert rs.evaluate(1) == s.evaluate(4)  # rs_one_equals_s_at_four
 
@@ -412,5 +412,5 @@ def test_15_rf_on_k33_with_seven_crossings():
     start = time.monotonic()
     rf = sp.yamada(d, "f")
     assert time.monotonic() - start <= 1
-    f = flow_poly(sp.underlying_map(d))
+    f = flow_poly(sp.underlying_map(d), engine="state-sum")
     assert rf.evaluate(-1) == f.evaluate(0)  # rf_minus_one_equals_f_at_zero

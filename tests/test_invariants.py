@@ -19,17 +19,25 @@ from helpers_oracles import (
 
 import ribbonpoly
 from ribbonpoly.algebra import HalfLaurent
-from ribbonpoly.brauer import brauer_evaluate
+from ribbonpoly.brauer import _sweep_plan, brauer_evaluate
 from ribbonpoly.fixtures import (
     BOUQUET2_INT,
     BRIDGE,
+    K4,
     K33_STD,
     LOOP1,
     THETA_P,
     THETA_T,
     TRIANGLE,
 )
-from ribbonpoly.generate import cycle_map, exhaustive_connected_maps, random_maps
+from ribbonpoly.generate import (
+    complete_map,
+    cycle_map,
+    exhaustive_connected_maps,
+    is_bridgeless,
+    random_connected_map,
+    random_maps,
+)
 from ribbonpoly.invariants import (
     _gray_toggles,
     _kernel,
@@ -114,6 +122,38 @@ class TestEngines:
     def test_agreement_random(self):
         for m in random_maps(seed=11, count=20, max_edges=8):
             assert s_poly(m, engine="state-sum") == s_poly(m, engine="contraction-deletion")
+
+    def test_flow_sweep_matches_both_engines(self):
+        # the partition sweep, the state sum and contraction-deletion on flow
+        rng = random.Random(167)
+        family = exhaustive_connected_maps(5) + EDGE_CASES
+        family += [random_connected_map(rng, e) for e in range(1, 13) for _ in range(3)]
+        assert any(not cycle for m in EDGE_CASES for cycle in m.vertices)
+        for m in family:
+            want = flow_poly(m, engine="state-sum")
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
+            twisted = CombMap(m.vertices, m.edges, None, twists)
+            for engine in ("brauer", "contraction-deletion"):
+                assert flow_poly(m, engine=engine) == want, (m, engine)
+                # flow is blind to twists
+                assert flow_poly(twisted, engine=engine) == want, (twisted, engine)
+
+    def test_auto_matches_every_engine(self, cubic_census):
+        # a family on both sides of the crossover, each engine run by name
+        rng = random.Random(173)
+        family = exhaustive_connected_maps(3) + EDGE_CASES
+        family += [random_connected_map(rng, e) for e in range(4, 15) for _ in range(2)]
+        family += [m for m in cubic_census[8] if is_bridgeless(m)][:3]
+        family += [complete_map(6), _dipole(6), _dipole(7), cycle_map(8), cycle_map(9)]
+        chosen = set()
+        for m in family:
+            chosen.add(resolve_engine(m, "auto"))
+            engines = ("state-sum", "contraction-deletion", "brauer")
+            flows = {flow_poly(m, engine=engine) for engine in engines}
+            assert flows == {flow_poly(m)}, m
+            if not m.edge_twists:
+                assert {s_poly(m, engine=engine) for engine in engines} == {s_poly(m)}, m
+        assert chosen == {"state-sum", "brauer"}
 
     def test_twisted_input_rejected(self):
         with pytest.raises(ValueError):
@@ -274,9 +314,31 @@ class TestIncrementalWalks:
             assert flow_poly(twisted, engine="state-sum") == state_sum_oracles(m)[1], m
 
     def test_auto_engine_rule(self):
-        assert resolve_engine(cycle_map(13), "auto") == "state-sum"
-        assert resolve_engine(cycle_map(14), "auto") == "contraction-deletion"
-        assert resolve_engine(cycle_map(14), "state-sum") == "state-sum"
+        # small maps stay on the state sum; a cycle's many vertices push the
+        # sweep's turn to 9 edges
+        assert resolve_engine(cycle_map(8), "auto") == "state-sum"
+        assert resolve_engine(cycle_map(9), "auto") == "brauer"
+        assert resolve_engine(K4, "auto") == "state-sum"
+        assert resolve_engine(K33_STD, "auto") == "brauer"
+        # two vertices with 6 parallel edges stay on the state sum, with 7 the
+        # sweep wins; K6 too.  On the last two the plan's bound (2w - 1)!! is
+        # far above 2^E, but a closing at most doubles the states.
+        assert resolve_engine(_dipole(6), "auto") == "state-sum"
+        for m in (_dipole(7), complete_map(6)):
+            assert _sweep_plan(m)[2] > 100 * 2**m.edge_count, m
+            assert resolve_engine(m, "auto") == "brauer", m
+        # 40 isolated vertices make the sweep's steps alone cost more than 2^9
+        crowded = cycle_map(9).disjoint_union(CombMap(((),) * 40, ()))
+        assert resolve_engine(crowded, "auto") == "state-sum"
+        assert resolve_engine(cycle_map(30), "auto") == "brauer"
+        for engine in ("state-sum", "contraction-deletion", "brauer"):
+            assert resolve_engine(cycle_map(14), engine) == engine
+
+
+def _dipole(k):
+    """Two vertices joined by k parallel edges."""
+    edges = tuple((2 * i, 2 * i + 1) for i in range(k))
+    return CombMap((tuple(range(0, 2 * k, 2)), tuple(range(1, 2 * k, 2))), edges)
 
 
 def _with_chains(seed, count):
@@ -496,7 +558,7 @@ class TestConnectSumChecks:
                 "wedge_rule": True,
                 "passed": True,
             }, (m1, e1, m2, e2, v1, h1, v2, h2)
-            beyond_state_sum += resolve_engine(m1.disjoint_union(m2), "auto") == "contraction-deletion"
+            beyond_state_sum += m1.edge_count + m2.edge_count > 13
         assert beyond_state_sum >= 4
 
 

@@ -30,7 +30,7 @@ from ribbonpoly.generate import (
     is_bridgeless,
     random_maps,
 )
-from ribbonpoly.invariants import _flip_genera, g_min, resolve_engine, s_poly_at
+from ribbonpoly.invariants import _flip_genera, g_min, s_poly_at
 from ribbonpoly.maps import CombMap, ConnectSumError, edge_connect_sum
 from ribbonpoly.penrose import (
     _subdivide_signed,
@@ -140,7 +140,7 @@ class TestSpecialLinearAnchors:
         rng = random.Random(89)
         census = [m for m in cubic_census[10] if is_bridgeless(m)]
         for m in rng.sample(census, 3):
-            assert resolve_engine(m, "auto") == "contraction-deletion"
+            assert m.edge_count > 13
             random_signs = [rng.choice((1, -1)) for _v in range(m.vertex_count)]
             for signs in (parity_signs(m), random_signs):
                 assert w_sl_extended(m, signs) == w_sl_flip_oracle(m, signs), (m, signs)
@@ -155,7 +155,7 @@ class TestSpecialLinearAnchors:
         twists = frozenset(e for e in range(14) if rng.random() < 0.5)
         edges = tuple((2 * k, 2 * k + 1) for k in range(14))
         m = CombMap((tuple(halves[:14]), tuple(halves[14:])), edges, None, twists)
-        assert twists and resolve_engine(m, "auto") == "contraction-deletion"
+        assert twists and m.edge_count > 13
         signs = parity_signs(m)
         want = w_sl_brauer_oracle(m, signs)
         assert not want.is_zero()

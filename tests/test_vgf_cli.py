@@ -167,12 +167,14 @@ class TestCliInvariant:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_brauer_is_s_only(self, capsys):
-        code, _, err = run(
-            capsys, "invariant", "--poly", "f", "--engine", "brauer", str(fixture_path("theta_p"))
-        )
-        assert code == 1
-        assert "brauer" in err
+    def test_flow_engines_agree(self, capsys):
+        path = str(fixture_path("theta_p"))
+        outputs = set()
+        for engine in ("state-sum", "contraction-deletion", "brauer"):
+            code, out, _ = run(capsys, "invariant", "--poly", "f", "--engine", engine, path)
+            assert code == 0
+            outputs.add(out)
+        assert outputs == {flow_poly(THETA_P).render() + "\n"}
 
     def test_engine_flag_rejected_for_other_polynomials(self, capsys):
         code, _, err = run(
@@ -354,7 +356,7 @@ class TestCliJson:
     def test_auto_engine_follows_edge_count(self, capsys):
         code, out, _ = run(capsys, "invariant", "--poly", "f", "--json", str(fixture_path("petersen")))
         assert code == 0
-        assert json.loads(out)["engine"] == "contraction-deletion"
+        assert json.loads(out)["engine"] == "brauer"
 
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", str(fixture_path("theta_t_as_spatial")))
