@@ -9,13 +9,14 @@ their exactly interpolated determinants, and the symmetrized negligible
 combinations that give local relations at square integer values of Q.
 
 The functor composes its local diagrams in a frontier sweep: vertices enter
-one at a time, edges close once both ends are placed, and the pairings of
-the open points merge as they repeat.  The same sweep evaluates ``W_so``
-and ``W_sl`` (``penrose``) and ``R^S`` (``spatial``), whose vertices enter
-as weighted choices of corner diagrams and whose edges close in weighted
-resolutions.  Flow is not a loop sum, so ``R^F`` (``spatial``) has a
-second sweep in the same vertex order, which keeps set partitions of the
-open half-edges in place of pairings.
+one at a time, edges close once both ends are placed (``_sweep_steps``, the
+one schedule of both sweeps and their cost bound), and the pairings of the
+open points merge as they repeat; an isolated vertex is one closed loop.
+The same sweep evaluates ``W_so`` and ``W_sl`` (``penrose``) and ``R^S``
+(``spatial``), whose vertices enter as weighted choices of corner diagrams
+and whose edges close in weighted resolutions.  Flow is not a loop sum, so
+``R^F`` (``spatial``) has a second sweep in the same vertex order, which
+keeps set partitions of the open half-edges in place of pairings.
 """
 
 from __future__ import annotations
@@ -345,20 +346,32 @@ def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
     pairings = [1]  # (2w - 1)!!, capped at 2^E
     for w in range(1, m.half_edge_count + 1):
         pairings.append(min(pairings[-1] * (2 * w - 1), cap))
+    open_count = closed = total = 0
+    for _v, cycle, closing in _sweep_steps(m, order):
+        open_count += len(cycle)
+        total += min(pairings[open_count], 1 << closed)
+        for _h in closing:
+            open_count -= 2
+            closed += 1
+            total += min(pairings[open_count], 1 << closed)
+    return total
+
+
+def _sweep_steps(
+    m: CombMap, order: Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
+    """The one schedule of both sweeps and of their cost bound: each vertex v
+    of ``order``, its rotation, and the half-edges at v whose edges close
+    once v is placed.  An edge closes when its second end is placed, and a
+    loop closes at its larger half-edge."""
     vertex_of, alpha = m.vertex_of, m.alpha
     placed = [False] * m.vertex_count
-    open_count = closed = total = 0
     for v in order:
         placed[v] = True
-        open_count += len(m.vertices[v])
-        total += min(pairings[open_count], 1 << closed)
-        for h in m.vertices[v]:
-            u = vertex_of[alpha[h]]
-            if placed[u] and (u != v or alpha[h] > h):
-                open_count -= 2
-                closed += 1
-                total += min(pairings[open_count], 1 << closed)
-    return total
+        cycle = m.vertices[v]
+        yield v, cycle, [
+            h for h in cycle if placed[u := vertex_of[alpha[h]]] and (u != v or alpha[h] < h)
+        ]
 
 
 def _frontier_sweep(
@@ -376,7 +389,8 @@ def _frontier_sweep(
     each (point, weight, shift) naming the point paired to 2a: 2b+1 for a
     band and 2b for a crossed band, which pair 2a+1 to the other point of
     b, or 2a+1 for a cut, which pairs 2b to 2b+1.  Each closed loop moves
-    the key by 1.
+    the key by 1.  An isolated vertex is one free loop, so it moves the key
+    by 1 on top of its option's shift.
 
     A state pairs the open points by slot: ``state[i]`` is the slot joined
     to slot i through the placed diagrams, and closed slots hold -1 until
@@ -387,14 +401,11 @@ def _frontier_sweep(
     """
     if order is None:
         order = _sweep_plan(m)[0]
-    vertex_of, alpha, edge_of = m.vertex_of, m.alpha, m.edge_of
-    placed = [False] * m.vertex_count
+    edge_of = m.edge_of
     frontier: list[int] = []  # the point in each slot, -1 once closed
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     common_weight, common_shift = 1, 0
-    for v in order:
-        cycle = m.vertices[v]
-        placed[v] = True
+    for v, cycle, closing in _sweep_steps(m, order):
         keep = [i for i, point in enumerate(frontier) if point >= 0]
         renumber = [0] * len(frontier)
         for i, old in enumerate(keep):
@@ -408,7 +419,7 @@ def _frontier_sweep(
             tail = [0] * (len(frontier) - base)
             for p, q in arcs:
                 tail[slot[p] - base], tail[slot[q] - base] = slot[q], slot[p]
-            entries.append((tuple(tail), weight, shift))
+            entries.append((tuple(tail), weight, shift if cycle else shift + 1))
         compact = len(keep) < len(renumber)
         if len(entries) == 1:
             tail, weight, shift = entries[0]
@@ -427,10 +438,7 @@ def _frontier_sweep(
                 for tail, weight, shift in entries:
                     _merge(grown, state + tail, tally, weight, shift)
             states = grown
-        for h in cycle:
-            mate = alpha[h]
-            if not placed[vertex_of[mate]] or (vertex_of[mate] == v and mate < h):
-                continue
+        for h in closing:
             e = edge_of[h]
             a, b = m.edges[e]
             x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
@@ -499,14 +507,11 @@ def _partition_sweep(
     """
     if order is None:
         order = _sweep_plan(m)[0]
-    vertex_of, alpha = m.vertex_of, m.alpha
-    placed = [False] * m.vertex_count
+    alpha = m.alpha
     frontier: list[int] = []  # the half-edge in each slot
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     common_weight, common_shift = 1, 0
-    for v in order:
-        cycle = m.vertices[v]
-        placed[v] = True
+    for v, cycle, closing in _sweep_steps(m, order):
         frontier += cycle
         entries = []
         for groups, weight, shift in options[v]:
@@ -531,11 +536,8 @@ def _partition_sweep(
                 for tail, weight, shift in entries:
                     _merge(grown, state + tuple([blocks + label for label in tail]), tally, weight, shift)
             states = grown
-        for h in cycle:
-            mate = alpha[h]
-            if not placed[vertex_of[mate]] or (vertex_of[mate] == v and mate < h):
-                continue
-            i, j = sorted((frontier.index(h), frontier.index(mate)))
+        for h in closing:
+            i, j = sorted((frontier.index(h), frontier.index(alpha[h])))
             del frontier[j], frontier[i]
             closed: dict[tuple[int, ...], dict[int, int]] = {}
             for state, tally in states.items():
@@ -589,7 +591,7 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
 
     Every vertex contributes its corner arcs and one factor Q^(-1/2), and
     every edge expands into (band - cut) with a factor Q^(1/2) per band;
-    each closed loop, and each isolated vertex, counts Q^(1/2).  The local
+    each closed loop, an isolated vertex among them, counts Q^(1/2).  The local
     diagrams compose in one frontier sweep (``_frontier_sweep``).
     """
     if m.edge_twists:
@@ -599,8 +601,7 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
 
 def _s_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
     """The tally of ``phi_evaluate`` by doubled exponent, swept in ``order``."""
-    # an isolated vertex is one free loop against its own factor
-    options = [[(_corner_pairs(cycle), 1, -1 if cycle else 0)] for cycle in m.vertices]
+    options = [[(_corner_pairs(cycle), 1, -1)] for cycle in m.vertices]
     return _frontier_sweep(m, options, _join_or_cut(m), order)
 
 

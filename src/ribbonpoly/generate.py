@@ -13,26 +13,11 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
+from .brauer import _perm_cycles
 from .invariants import _UnionFind
 from .maps import CombMap
 
 POINT = CombMap(((),), ())
-
-
-def _sigma_cycles(perm: Sequence[int]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            cycle.append(h)
-            h = perm[h]
-        cycles.append(cycle)
-    return cycles
 
 
 def _gap_positions(vertices: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -177,7 +162,7 @@ def random_connected_map(rng: random.Random, edge_count: int) -> CombMap:
     while True:
         perm = labels[:]
         rng.shuffle(perm)
-        vertices = tuple(tuple(c) for c in _sigma_cycles(perm))
+        vertices = tuple(tuple(c) for c in _perm_cycles(perm))
         m = CombMap(vertices, edges)
         if m.component_count == 1:
             return m

@@ -13,7 +13,8 @@ term by term: the state sum, memoized contraction-deletion, and a frontier
 sweep of ``brauer`` (over boundary pairings for S, over set partitions for
 flow).  ``resolve_engine`` chooses between the state sum and the sweeps by
 estimated cost; contraction-deletion runs only by name, and is the engine of
-the chromatic polynomial.
+the chromatic polynomial.  ``s_poly_at`` evaluates the tally of the engine
+that ``auto`` picks.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .brauer import _flow_tally, _s_tally, _sweep_cost, _sweep_plan
+from .brauer import _corner_pairs, _flow_tally, _s_tally, _sweep_cost, _sweep_plan
 from .maps import CombMap, _canonical_code, _kernel
 
 _S_CACHE: dict = {}
@@ -70,27 +71,6 @@ def _gray_toggles(count: int) -> Iterator[int]:
         yield (i & -i).bit_length() - 1
 
 
-def _corner_partners(m: CombMap) -> tuple[list[int], int]:
-    """Vertex-side partner of each doubled strand point, plus free circles.
-
-    Half-edge h doubles into points 2h and 2h+1; the corner between
-    consecutive half-edges h, h' pairs point 2h with point 2h'+1.  Each
-    isolated vertex is a free circle.
-    """
-    partner = [0] * (2 * m.half_edge_count)
-    circles = 0
-    for cycle in m.vertices:
-        if not cycle:
-            circles += 1
-            continue
-        size = len(cycle)
-        for i, h in enumerate(cycle):
-            succ = cycle[(i + 1) % size]
-            partner[2 * h] = 2 * succ + 1
-            partner[2 * succ + 1] = 2 * h
-    return partner, circles
-
-
 def _edge_pairing(x: int, y: int, joined: int) -> tuple[int, int, int, int]:
     """Partners of points x, x+1, y, y+1 when x is joined to ``joined``."""
     if joined == y + 1:  # band
@@ -104,7 +84,7 @@ class _StrandWalker:
     """Closed strands of a doubled map while single edges switch resolution.
 
     Half-edge h doubles into points 2h and 2h+1.  The vertex side pairs them
-    by corner arcs (``_corner_partners``) and never changes.  Each edge (a, b)
+    by corner arcs (``brauer._corner_pairs``) and never changes.  Each edge (a, b)
     switches between two of three resolutions, each named by the point it
     joins to 2a: 2b+1 for a band, 2b for a crossed band, 2a+1 for a cut.
     ``resolutions[e]`` gives edge e's starting resolution and its other one.
@@ -120,7 +100,9 @@ class _StrandWalker:
     __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "pairings", "strands")
 
     def __init__(self, m: CombMap, resolutions: list[tuple[int, int]]) -> None:
-        vertex_partner, circles = _corner_partners(m)
+        vertex_partner = [0] * (2 * m.half_edge_count)
+        for p, q in (arc for cycle in m.vertices for arc in _corner_pairs(cycle)):
+            vertex_partner[p], vertex_partner[q] = q, p
         edge_partner = [0] * len(vertex_partner)
         self.ends = [(2 * a, 2 * b) for a, b in m.edges]
         self.pairings = []
@@ -132,7 +114,7 @@ class _StrandWalker:
         self.edge_partner = edge_partner
         self.edge_of_point = [m.edge_of[p >> 1] for p in range(len(vertex_partner))]
         seen = [False] * len(vertex_partner)
-        strands = circles
+        strands = sum(1 for cycle in m.vertices if not cycle)
         for start in range(len(vertex_partner)):
             if seen[start]:
                 continue
@@ -526,6 +508,15 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
 
 def _s_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
     """``s_poly`` and the engine that computed it."""
+    tally, engine = _s_engine_tally(m, engine)
+    return HalfLaurent.from_dict("Q", tally), engine
+
+
+def _s_engine_tally(m: CombMap, engine: str) -> tuple[dict[int, int], str]:
+    """The integer tally of S by doubled exponent and the engine that computed it.
+
+    The tally may be a memo value of contraction-deletion, so callers only read it.
+    """
     if m.edge_twists:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
@@ -539,7 +530,7 @@ def _s_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
         tally = _s_tally(m, order)
     else:
         raise ValueError(f"unknown S engine {engine!r}")
-    return HalfLaurent.from_dict("Q", tally), engine
+    return tally, engine
 
 
 def _s_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -562,14 +553,10 @@ def _s_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
 
 
 def s_poly_at(m: CombMap, value: Fraction | int) -> Fraction:
-    """Evaluate S at a rational point from the integer state-sum tally."""
-    if m.edge_twists:
-        raise ValueError(
-            "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
-        )
+    """Evaluate S at a rational point from the integer tally of the ``auto`` engine."""
     point = Fraction(value)
     total = Fraction(0)
-    for doubled, coeff in _s_exponents(m).items():
+    for doubled, coeff in _s_engine_tally(m, "auto")[0].items():
         exp = doubled // 2
         term = point**exp if point != 0 else Fraction(1 if exp == 0 else 0)
         total += coeff * term

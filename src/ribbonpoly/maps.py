@@ -262,10 +262,7 @@ class CombMap:
 
     def vertex_flip(self, v: int) -> "CombMap":
         """Reverse the rotation at one vertex (twist marks untouched)."""
-        vertices = [
-            tuple(reversed(cycle)) if i == v else cycle for i, cycle in enumerate(self.vertices)
-        ]
-        return CombMap(tuple(vertices), self.edges, self.vertex_signs, self.edge_twists)
+        return self.flip_subset((v,))
 
     def flip_subset(self, subset: Iterable[int]) -> "CombMap":
         chosen = set(subset)

@@ -7,12 +7,13 @@ negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
 maps through the flip expansion of the S-polynomial: ``w_sl_brauer`` sums
 over the sets of reversed vertices and the edge states (each edge joined
 or cut), in which each vertex enters with its cyclic or its reversed
-corners.  Both are computed in one frontier sweep of ``brauer``.  The
-strand walker of ``invariants`` serves the vertex flips of the cellular
-embedding polynomial.  The normalization is pinned by the anchor values:
-an isolated vertex gives N (so) and 1 + s(v) (sl), a single-vertex loop
-gives N(N-1), the planar theta gives N(N-1)(N-2), and subdividing an edge
-doubles ``w_so``.
+corners.  Both are computed in one frontier sweep of ``brauer``, which
+counts an isolated vertex as one closed strand.  The strand walker of
+``invariants`` serves the vertex flips of the cellular embedding
+polynomial.  The normalization is pinned by the anchor values: an isolated
+vertex gives N (so) and 1 + s(v) (sl), a single-vertex loop gives N(N-1),
+the planar theta gives N(N-1)(N-2), and subdividing an edge doubles
+``w_so``.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ def w_so(m: CombMap) -> HalfLaurent:
     cyclic strand diagram, and the edge resolutions compose in one frontier
     sweep of ``brauer``.
     """
-    # an isolated vertex is one free strand
-    options = [[(_corner_pairs(cycle), 1, 0 if cycle else 1)] for cycle in m.vertices]
+    options = [[(_corner_pairs(cycle), 1, 0)] for cycle in m.vertices]
     closings = []
     for e, (_a, b) in enumerate(m.edges):
         sign = -1 if e in m.edge_twists else 1
@@ -194,8 +194,7 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
         return HalfLaurent.zero("N")
     options = []
     for v, cycle in enumerate(m.vertices):
-        # an isolated vertex is one free strand against its own factor
-        cyclic = (_corner_pairs(cycle), 1, -1 if cycle else 0)
+        cyclic = (_corner_pairs(cycle), 1, -1)
         if len(cycle) <= 2 or v == flippable[0]:
             options.append([cyclic])
         else:

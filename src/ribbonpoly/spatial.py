@@ -26,9 +26,10 @@ crossings with ``maps.resolve_strands``, as the connect sums do.
 Disagreement of the two certifies that the diagram is not equivalent to a
 classical (planar-diagram) spatial graph.  The module also carries a move
 engine for property testing, the mod-2 crossing obstruction class with an
-integral refinement behind a flag, special-value identities linking the
-polynomials of a diagram to those of its underlying ribbon graph, and an
-exact golden-ratio identity check over Q(zeta_10).
+integral refinement behind a flag (both reduce one signed crossing class),
+special-value identities linking the polynomials of a diagram to those of
+its underlying ribbon graph, and an exact golden-ratio identity check over
+Q(zeta_10).
 """
 
 from __future__ import annotations
@@ -372,8 +373,7 @@ def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
 def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
     """R^S from one frontier sweep over the crossing states and edge states.
 
-    Each local vertex enters as its corners with one factor Q^(-1/2); an
-    isolated vertex is one free loop against its own factor.
+    Each local vertex enters as its corners with one factor Q^(-1/2).
     """
     stride = _q_stride(d)
     options = [
@@ -381,7 +381,7 @@ def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
             (
                 [arc for group in groups for arc in _corner_pairs(group)],
                 weight,
-                power * stride - sum(1 for group in groups if group),
+                power * stride - len(groups),
             )
             for groups, weight, power in local
         ]
@@ -806,52 +806,79 @@ def _gf2_reduce(x: int, basis: dict[int, int]) -> int:
     return x
 
 
+def _crossing_class(
+    d: SpatialDiagram, data: StrandData, orientations: tuple[int, ...]
+) -> tuple[list[tuple[int, int]], dict[int, int], list[list[tuple[int, int]]]]:
+    """The strand pairs, the signed crossing class and the vertex coboundaries.
+
+    Slot k is the pair ``pairs[k]``.  A crossing of distinct strands adds its
+    sign under the ``orientations`` to their slot.  The coboundary of a graph
+    vertex v and a strand f, as a sparse list of (slot, sign), adds +1 at
+    (s, f) for each head of a strand s != f at v and -1 for each tail.  Every
+    half-edge at a graph vertex ends exactly one strand, so mod 2 the signs
+    drop out.
+    """
+    base = d.base
+    n = data.count
+    strand_of = data.strand_of_half
+    pairs = list(itertools.combinations(range(n), 2))
+    slot: dict[tuple[int, int], int] = {}
+    for k, (a, b) in enumerate(pairs):
+        slot[a, b] = slot[b, a] = k
+    cls: dict[int, int] = {}
+    for c in d.crossings:
+        cycle = base.vertices[c.vertex]
+        s1, s2 = strand_of[cycle[0]], strand_of[cycle[1]]
+        if s1 == s2:
+            continue
+        in1 = cycle[0] if cycle[0] in data.entered else cycle[2]
+        if orientations[s1] < 0:
+            in1 = _opposite(cycle, in1)
+        in2 = cycle[1] if cycle[1] in data.entered else cycle[3]
+        if orientations[s2] < 0:
+            in2 = _opposite(cycle, in2)
+        k = slot[s1, s2]
+        cls[k] = cls.get(k, 0) + (1 if cycle[(cycle.index(in1) + 1) % 4] == in2 else -1)
+    ends_at: dict[int, list[tuple[int, int]]] = {}
+    for s, ends in enumerate(data.endpoints):
+        if ends is None:
+            continue
+        tail, head = ends if orientations[s] > 0 else ends[::-1]
+        ends_at.setdefault(base.vertex_of[head], []).append((s, 1))
+        ends_at.setdefault(base.vertex_of[tail], []).append((s, -1))
+    crossing_vs = d.crossing_vertices()
+    gens = []
+    for v in range(base.vertex_count):
+        if v in crossing_vs:
+            continue
+        marks = ends_at.get(v, [])
+        for f in range(n):
+            gens.append([(slot[s, f], sign) for s, sign in marks if s != f])
+    return pairs, cls, gens
+
+
 def obstruction_z2(d: SpatialDiagram) -> ObstructionClass:
     """The mod-2 crossing class: the sum of e^f over all crossings between
     distinct underlying edges, reduced to canonical form modulo the
     coboundaries of (vertex, edge) pairs."""
     data = _strand_data(d)
-    base = d.base
-    n = data.count
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-
-    def bit(a: int, b: int) -> int:
-        return 1 << index[(a, b) if a < b else (b, a)]
-
-    cls = 0
-    for c in d.crossings:
-        cycle = base.vertices[c.vertex]
-        s1 = data.strand_of_half[cycle[0]]
-        s2 = data.strand_of_half[cycle[1]]
-        if s1 != s2:
-            cls ^= bit(s1, s2)
-    crossing_vs = d.crossing_vertices()
+    pairs, cls, gens = _crossing_class(d, data, (1,) * data.count)
     basis: dict[int, int] = {}
-    for v in range(base.vertex_count):
-        if v in crossing_vs:
+    for entries in gens:
+        gen = 0
+        for k, _sign in entries:
+            gen ^= 1 << k
+        gen = _gf2_reduce(gen, basis)
+        if not gen:
             continue
-        incident = [data.strand_of_half[h] for h in base.vertices[v]]
-        for f in range(n):
-            gen = 0
-            for s in incident:
-                if s != f:
-                    gen ^= bit(s, f)
-            gen = _gf2_reduce(gen, basis)
-            if not gen:
-                continue
-            pivot = gen.bit_length() - 1
-            for key, row in list(basis.items()):
-                if (row >> pivot) & 1:
-                    basis[key] = row ^ gen
-            basis[pivot] = gen
-    rep_bits = _gf2_reduce(cls, basis)
-    rep = tuple(
-        (pairs[i][0], pairs[i][1], 1)
-        for i in range(len(pairs))
-        if (rep_bits >> i) & 1
-    )
-    return ObstructionClass(2, n, rep)
+        pivot = gen.bit_length() - 1
+        for key, row in list(basis.items()):
+            if (row >> pivot) & 1:
+                basis[key] = row ^ gen
+        basis[pivot] = gen
+    rep_bits = _gf2_reduce(sum(1 << k for k, coeff in cls.items() if coeff % 2), basis)
+    rep = tuple((a, b, 1) for i, (a, b) in enumerate(pairs) if rep_bits >> i & 1)
+    return ObstructionClass(2, data.count, rep)
 
 
 def _hermite_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -907,58 +934,18 @@ def obstruction_integral(
     mod-2 class is the supported invariant and this refinement sits behind
     an explicit opt-in."""
     data = _strand_data(d)
-    base = d.base
     n = data.count
     if orientations is None:
         orientations = d.orientations or tuple([1] * n)
     if len(orientations) != n:
         raise ValueError(f"expected {n} strand orientations, got {len(orientations)}")
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-
-    def slot(a: int, b: int) -> int:
-        return index[(a, b) if a < b else (b, a)]
-
+    pairs, signed, entries = _crossing_class(d, data, orientations)
     width = len(pairs)
-    cls = [0] * width
-    for c in d.crossings:
-        cycle = base.vertices[c.vertex]
-        s1 = data.strand_of_half[cycle[0]]
-        s2 = data.strand_of_half[cycle[1]]
-        if s1 == s2:
-            continue
-        in1 = cycle[0] if cycle[0] in data.entered else cycle[2]
-        if orientations[s1] < 0:
-            in1 = _opposite(cycle, in1)
-        in2 = cycle[1] if cycle[1] in data.entered else cycle[3]
-        if orientations[s2] < 0:
-            in2 = _opposite(cycle, in2)
-        sign = 1 if cycle[(cycle.index(in1) + 1) % 4] == in2 else -1
-        cls[slot(s1, s2)] += sign
-    crossing_vs = d.crossing_vertices()
-    gens: list[list[int]] = []
-    head_at: dict[int, list[int]] = {}
-    for s, ends in enumerate(data.endpoints):
-        if ends is None:
-            continue
-        start, end = ends
-        head = end if orientations[s] > 0 else start
-        tail = start if orientations[s] > 0 else end
-        head_at.setdefault(base.vertex_of[head], []).append(s)
-        head_at.setdefault(base.vertex_of[tail], []).append(~s)
-    for v in range(base.vertex_count):
-        if v in crossing_vs:
-            continue
-        marks = head_at.get(v, [])
-        for f in range(n):
-            gen = [0] * width
-            for mark in marks:
-                s = mark if mark >= 0 else ~mark
-                if s == f:
-                    continue
-                gen[slot(s, f)] += 1 if mark >= 0 else -1
-            if any(gen):
-                gens.append(gen)
+    cls = [signed.get(k, 0) for k in range(width)]
+    gens = [[0] * width for _gen in entries]
+    for row, gen in zip(gens, entries):
+        for k, sign in gen:
+            row[k] += sign
     hnf = _hermite_rows(gens)
     for row in hnf:
         pcol = next(k for k, val in enumerate(row) if val != 0)
@@ -966,9 +953,7 @@ def obstruction_integral(
         if q:
             for k in range(width):
                 cls[k] -= q * row[k]
-    rep = tuple(
-        (pairs[i][0], pairs[i][1], cls[i]) for i in range(width) if cls[i] != 0
-    )
+    rep = tuple((a, b, cls[i]) for i, (a, b) in enumerate(pairs) if cls[i] != 0)
     return ObstructionClass(0, n, rep)
 
 

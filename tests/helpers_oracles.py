@@ -11,7 +11,9 @@ contraction-deletion or from the strand walker, apart from the frontier
 sweep; the walker oracle of ``w_so`` switches one edge resolution per
 state, apart from the sweep as well.  The R^S and R^F oracle sums S or
 flow over every crossing resolution that ``expand_crossings`` builds.  The
-signature oracle builds every start's full code and takes the minimum, with
+mod-2 obstruction oracle builds the crossing class and its coboundaries
+over GF(2) alone, apart from the signed class that ``obstruction_z2`` and
+``obstruction_integral`` share.  The signature oracle builds every start's full code and takes the minimum, with
 no early exit; the tuple signature oracle is the per-entry tuple code that
 ``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
@@ -50,7 +52,7 @@ from ribbonpoly.brauer import (
     partition_permutation,
 )
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
-from ribbonpoly.generate import POINT, Matrix, _sigma_cycles, bouquet
+from ribbonpoly.generate import POINT, Matrix, bouquet
 from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
 from ribbonpoly.maps import CombMap, ConnectSumError, _rebuild, resolve_strands
 from ribbonpoly.penrose import parity_signs, w_sl_extended, with_signs
@@ -726,6 +728,57 @@ def yamada_resolution_oracle(
     return total
 
 
+def obstruction_z2_oracle(d: sp.SpatialDiagram) -> sp.ObstructionClass:
+    """``obstruction_z2`` with the class and the coboundaries built over GF(2) alone.
+
+    Each crossing between distinct strands toggles the bit of their pair,
+    and the coboundary of a graph vertex v and a strand f toggles (s, f) for
+    the strand s of each half-edge at v, with no signs and no orientations.
+    """
+    data = sp._strand_data(d)
+    base = d.base
+    n = data.count
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+
+    def bit(a: int, b: int) -> int:
+        return 1 << index[(a, b) if a < b else (b, a)]
+
+    cls = 0
+    for c in d.crossings:
+        cycle = base.vertices[c.vertex]
+        s1 = data.strand_of_half[cycle[0]]
+        s2 = data.strand_of_half[cycle[1]]
+        if s1 != s2:
+            cls ^= bit(s1, s2)
+    crossing_vs = d.crossing_vertices()
+    basis: dict[int, int] = {}
+    for v in range(base.vertex_count):
+        if v in crossing_vs:
+            continue
+        incident = [data.strand_of_half[h] for h in base.vertices[v]]
+        for f in range(n):
+            gen = 0
+            for s in incident:
+                if s != f:
+                    gen ^= bit(s, f)
+            gen = sp._gf2_reduce(gen, basis)
+            if not gen:
+                continue
+            pivot = gen.bit_length() - 1
+            for key, row in list(basis.items()):
+                if (row >> pivot) & 1:
+                    basis[key] = row ^ gen
+            basis[pivot] = gen
+    rep_bits = sp._gf2_reduce(cls, basis)
+    rep = tuple(
+        (pairs[i][0], pairs[i][1], 1)
+        for i in range(len(pairs))
+        if (rep_bits >> i) & 1
+    )
+    return sp.ObstructionClass(2, n, rep)
+
+
 _CD_MEMO: dict = {}
 
 
@@ -997,7 +1050,7 @@ def exhaustive_by_permutations(max_edges: int) -> list[CombMap]:
     for e in range(1, max_edges + 1):
         edges = tuple((2 * i, 2 * i + 1) for i in range(e))
         for perm in itertools.permutations(range(2 * e)):
-            vertices = tuple(tuple(c) for c in _sigma_cycles(perm))
+            vertices = tuple(tuple(c) for c in _perm_cycles(perm))
             m = CombMap(vertices, edges)
             if m.component_count != 1:
                 continue

@@ -387,6 +387,21 @@ def test_12_functor_on_large_cubic_maps():
         assert value == s_poly(m, engine="contraction-deletion"), m
 
 
+def test_12_s_poly_at_on_large_maps():
+    # s_poly_at takes the engine that auto picks; a 2^E walk would take
+    # minutes on the 30-edge map of test_12
+    rng = random.Random(20261018)
+    maps = [_bridgeless_cubic_map(rng, v) for v in (16, 16, 18, 18, 20)][-1:]
+    rng = random.Random(181)
+    maps += [random_connected_map(rng, e) for e in (20, 21, 22, 23, 24)]
+    for m in maps:
+        start = time.monotonic()
+        value = s_poly_at(m, 4)
+        assert time.monotonic() - start < 1, m
+        assert value == s_poly(m).evaluate(4), m
+    assert maps[0].edge_count == 30 and any(s_poly_at(m, 4) for m in maps[1:])
+
+
 def test_13_rs_on_k33_with_seven_crossings():
     d = crossed_diagram(k33_standard(), random.Random(20261018), 7)
     assert d.crossing_count == 7

@@ -195,7 +195,7 @@ class TestFunctor:
         # every vertex entering with weight 3 and one more shift scales S and
         # flow by 3^V and Q^(V/2)
         for m in EDGE_CASES + random_maps(seed=113, count=8, max_edges=8):
-            options = [[(_corner_pairs(cycle), 3, 0 if cycle else 1)] for cycle in m.vertices]
+            options = [[(_corner_pairs(cycle), 3, 0)] for cycle in m.vertices]
             tally = _frontier_sweep(m, options, _join_or_cut(m))
             want = brauer_evaluate(m).scale(3**m.vertex_count).shift(m.vertex_count)
             assert HalfLaurent.from_dict("Q", tally) == want, m

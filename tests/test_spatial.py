@@ -1,11 +1,18 @@
 """Diagram polynomials, moves, obstruction classes, and verdicts."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from helpers_oracles import EDGE_CASES, map_key, resolve_oracle, yamada_resolution_oracle
+from helpers_oracles import (
+    EDGE_CASES,
+    map_key,
+    obstruction_z2_oracle,
+    resolve_oracle,
+    yamada_resolution_oracle,
+)
 from helpers_spatial import (
     crossed_diagram,
     forbidden_examples,
@@ -30,7 +37,7 @@ from ribbonpoly.fixtures import (
     THETA_T_AS_SPATIAL,
     TRIANGLE,
 )
-from ribbonpoly.generate import POINT, exhaustive_connected_maps, random_connected_map
+from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_connected_map
 from ribbonpoly.invariants import flow_poly, s_poly
 from ribbonpoly.maps import CombMap, InvalidMapError
 
@@ -57,7 +64,8 @@ class TestYamadaValues:
         assert sp.yamada(d, "s") == expected
         assert sp.yamada(d, "f") == expected
 
-    @pytest.mark.parametrize("m", [THETA_P, THETA_T, TRIANGLE, BOUQUET2_INT, K4])
+    # EDGE_CASES[:3] have isolated vertices, which the sweeps count themselves
+    @pytest.mark.parametrize("m", [THETA_P, THETA_T, TRIANGLE, BOUQUET2_INT, K4, *EDGE_CASES[:3]])
     def test_crossingless_is_substituted_plane_polynomial(self, m):
         d = sp.crossingless_diagram(m)
         assert sp.yamada(d, "s") == substitute_q_shift(s_poly(m, engine="state-sum"))
@@ -319,6 +327,24 @@ class TestObstruction:
         assert sp.obstruction_integral(THETA_CURL).is_zero()
         d = sp.insert_crossing(sp.crossingless_diagram(THETA_P), 0, 2)
         assert not sp.obstruction_integral(d).is_zero()
+
+    def test_matches_gf2_oracle(self):
+        # random crossings as in the benchmark's diagrams: 0-6 crossings
+        # between random distinct edges of flipped census maps, v <= 6
+        census = [m for v in (2, 4, 6) for m in cubic_maps(v)]
+        rng = random.Random(233)
+        diagrams = list(SPATIAL_FIXTURES.values())
+        for _ in range(300):
+            m = rng.choice(census)
+            m = m.flip_subset([v for v in range(m.vertex_count) if rng.random() < 0.5])
+            diagrams.append(crossed_diagram(m, rng, rng.randint(0, 6)))
+        digest = hashlib.sha256()
+        for d in diagrams:
+            assert sp.obstruction_z2(d).rep == obstruction_z2_oracle(d).rep, d
+            digest.update(sp.obstruction_integral(d).render().encode() + b"\n")
+        assert sum(not obstruction_z2_oracle(d).is_zero() for d in diagrams) == 183
+        # pins the rendered integral class of every diagram
+        assert digest.hexdigest() == "d245785cebac9f6ec582275b415c1964a84b2b3bd9b96dec289c537e64b97b6d"
 
     def test_integral_orientation_arity(self):
         with pytest.raises(ValueError):
