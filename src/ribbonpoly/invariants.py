@@ -727,17 +727,16 @@ def g_min(m: CombMap) -> tuple[int, frozenset[int]]:
 
 def wedge(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:
     """One-point union: splice the rotation of v2 after the rotation of v1."""
-    from .maps import _rebuild
+    from .maps import _check_index, _rebuild
 
+    _check_index(v1, m1.vertex_count)
+    _check_index(v2, m2.vertex_count)
     shift = m1.half_edge_count
     vertices = [list(c) for i, c in enumerate(m1.vertices) if i != v1]
     vertices += [[h + shift for h in c] for i, c in enumerate(m2.vertices) if i != v2]
     vertices.append(list(m1.vertices[v1]) + [h + shift for h in m2.vertices[v2]])
-    edges = list(m1.edges) + [(a + shift, b + shift) for a, b in m2.edges]
-    twisted = m1._twisted_pairs() | {
-        frozenset(h + shift for h in pair) for pair in m2._twisted_pairs()
-    }
-    return _rebuild(vertices, edges, None, twisted)
+    edges = m1._marked_edges() + [(a + shift, b + shift, t) for a, b, t in m2._marked_edges()]
+    return _rebuild(vertices, edges, None)
 
 
 def special_value_checks(m: CombMap, engine: str = "auto") -> dict:

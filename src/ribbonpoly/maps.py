@@ -14,6 +14,10 @@ on the orientation double cover, for every map.
 Every surgery that removes vertices and fuses the strands through their
 half-edges goes through ``resolve_strands``: the connect sums here and in
 ``penrose`` by ``_splice``, and the crossing resolutions of ``spatial``.
+Surgeries pass edges as ``(end, end, twisted)`` triples, the format of the
+fused edges, to ``_rebuild``; it and ``CombMap(...)`` share one canonical
+order, ``_settle``, and only ``CombMap(...)``, which takes outside data, runs
+``diagnose``.
 """
 
 from __future__ import annotations
@@ -108,13 +112,7 @@ class CombMap:
         problems = diagnose(self.vertices, self.edges, self.vertex_signs, self.edge_twists)
         if problems:
             raise InvalidMapError("; ".join(problems))
-        vertices, edges, signs, twists = _canonicalize(
-            self.vertices, self.edges, self.vertex_signs, self.edge_twists
-        )
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "vertex_signs", signs)
-        object.__setattr__(self, "edge_twists", twists)
+        _settle(self, self.vertices, self._marked_edges(), self.vertex_signs)
 
     # -- basic views ---------------------------------------------------------
 
@@ -249,16 +247,17 @@ class CombMap:
 
     # -- local modifications ---------------------------------------------------
 
-    def _twisted_pairs(self) -> set[frozenset[int]]:
-        return {frozenset(self.edges[t]) for t in self.edge_twists}
+    def _marked_edges(self) -> list[tuple[int, int, bool]]:
+        """Each edge as ``(end, end, twisted)``, the edge format of the surgeries."""
+        twists = self.edge_twists
+        return [(a, b, i in twists) for i, (a, b) in enumerate(self.edges)]
 
     def delete_edge(self, e: int) -> "CombMap":
+        _check_index(e, self.edge_count)
         a, b = self.edges[e]
-        gone = {a, b}
-        vertices = [[h for h in cycle if h not in gone] for cycle in self.vertices]
-        edges = [pair for i, pair in enumerate(self.edges) if i != e]
-        twisted = {frozenset(self.edges[t]) for t in self.edge_twists if t != e}
-        return _rebuild(vertices, edges, self.vertex_signs, twisted)
+        vertices = [[h for h in cycle if h != a and h != b] for cycle in self.vertices]
+        edges = [edge for i, edge in enumerate(self._marked_edges()) if i != e]
+        return _rebuild(vertices, edges, self.vertex_signs)
 
     def vertex_flip(self, v: int) -> "CombMap":
         """Reverse the rotation at one vertex (twist marks untouched)."""
@@ -299,11 +298,12 @@ class CombMap:
         a twisted loop: the segment after the second end is reversed and its
         edges pick up twist toggles.
         """
+        _check_index(e, self.edge_count)
         a, b = self.edges[e]
         twisted = e in self.edge_twists
         if twisted and not self.is_loop(e):
             return self._flip_normalized(self.vertex_of[b]).partial_dual(e)
-        twisted_pairs = self._twisted_pairs()
+        edges = self._marked_edges()
         if not self.is_loop(e):
             # join the two endpoint vertices into (a, u-rest, b, v-rest)
             u_cycle = self._cycle_from(a)
@@ -314,22 +314,19 @@ class CombMap:
                 for i, cycle in enumerate(self.vertices)
                 if i not in (self.vertex_of[a], self.vertex_of[b])
             ]
-            vertices = [list(merged)] + [list(c) for c in keep]
-            return _rebuild(vertices, list(self.edges), None, twisted_pairs)
+            return _rebuild([merged] + keep, edges, None)
         cycle = self._cycle_from(a)
         cut = cycle.index(b)
         x_part = cycle[1:cut]
         y_part = cycle[cut + 1 :]
         keep = [c for i, c in enumerate(self.vertices) if i != self.vertex_of[a]]
         if not twisted:
-            vertices = [[a] + list(x_part), [b] + list(y_part)] + [list(c) for c in keep]
-            return _rebuild(vertices, list(self.edges), None, twisted_pairs)
+            return _rebuild([(a,) + x_part, (b,) + y_part] + keep, edges, None)
         # twisted loop: stay one vertex, reverse the y-segment, toggle its twists
         for h in y_part:
-            twisted_pairs ^= {frozenset(self.edges[self.edge_of[h]])}
-        merged2 = [a] + list(x_part) + [b] + list(reversed(y_part))
-        vertices = [merged2] + [list(c) for c in keep]
-        return _rebuild(vertices, list(self.edges), None, twisted_pairs)
+            x, y, mark = edges[self.edge_of[h]]
+            edges[self.edge_of[h]] = (x, y, not mark)
+        return _rebuild([(a,) + x_part + (b,) + y_part[::-1]] + keep, edges, None)
 
     def contract(self, e: int) -> "CombMap":
         """Contract an edge: the partial dual at ``e`` with ``e`` deleted."""
@@ -354,41 +351,35 @@ class CombMap:
                 h = self.sigma[self.alpha[h]]
             cycles.append(orbit)
         isolated = [[] for cycle in self.vertices if not cycle]
-        return _rebuild(cycles + isolated, list(self.edges), None, set())
+        return _rebuild(cycles + isolated, [(a, b, False) for a, b in self.edges], None)
 
     def subdivide(self, e: int) -> "CombMap":
-        a, b = self.edges[e]
+        _check_index(e, self.edge_count)
+        edges = self._marked_edges()
+        a, b, twisted = edges.pop(e)
         c, d = self.half_edge_count, self.half_edge_count + 1
         vertices = [list(cycle) for cycle in self.vertices] + [[c, d]]
-        edges = [pair for i, pair in enumerate(self.edges) if i != e] + [(a, c), (d, b)]
-        twisted = {frozenset(self.edges[t]) for t in self.edge_twists if t != e}
-        if e in self.edge_twists:
-            twisted.add(frozenset((a, c)))
-        signs = None
-        if self.vertex_signs is not None:
-            signs = self.vertex_signs + (1,)
-        return _rebuild(vertices, edges, signs, twisted)
+        edges += [(a, c, twisted), (d, b, False)]
+        signs = None if self.vertex_signs is None else self.vertex_signs + (1,)
+        return _rebuild(vertices, edges, signs)
 
     def disjoint_union(self, other: "CombMap") -> "CombMap":
         shift = self.half_edge_count
-        vertices = [list(c) for c in self.vertices]
-        vertices += [[h + shift for h in c] for c in other.vertices]
-        edges = list(self.edges) + [(a + shift, b + shift) for a, b in other.edges]
-        twisted = self._twisted_pairs()
-        for t in other.edge_twists:
-            a, b = other.edges[t]
-            twisted.add(frozenset((a + shift, b + shift)))
+        vertices = list(self.vertices) + [[h + shift for h in c] for c in other.vertices]
+        edges = self._marked_edges()
+        edges += [(a + shift, b + shift, mark) for a, b, mark in other._marked_edges()]
         signs = None
         if self.vertex_signs is not None or other.vertex_signs is not None:
             left = self.vertex_signs or tuple([1] * len(self.vertices))
             right = other.vertex_signs or tuple([1] * len(other.vertices))
             signs = left + right
-        return _rebuild(vertices, edges, signs, twisted)
+        return _rebuild(vertices, edges, signs)
 
     # -- edge classification ---------------------------------------------------
 
     def is_bridge(self, e: int) -> bool:
         """True when the other edges leave the two ends of ``e`` unjoined."""
+        _check_index(e, self.edge_count)
         roots = self._vertex_roots(skip=e)
         a, b = self.edges[e]
         return roots[self.vertex_of[a]] != roots[self.vertex_of[b]]
@@ -454,7 +445,7 @@ class CombMap:
 
 
 # ---------------------------------------------------------------------------
-# The kernel form and its canonical code; canonicalization and rebuilding.
+# The kernel form and its canonical code; settling and rebuilding.
 # ---------------------------------------------------------------------------
 
 
@@ -581,61 +572,55 @@ def _canonical_code(
     return tuple(sorted(codes))
 
 
-def _canonicalize(
-    vertices: Sequence[Sequence[int]],
-    edges: Sequence[Sequence[int]],
-    signs: Optional[Sequence[int]],
-    twists: Iterable[int],
-) -> tuple:
-    twisted_pairs = {frozenset(edges[t]) for t in twists}
-    rotated: list[tuple[int, ...]] = []
-    for cycle in vertices:
+def _settle(
+    m: CombMap, vertex_lists: Sequence[Sequence[int]], edges: Iterable[tuple], signs: Optional[Sequence[int]]
+) -> None:
+    """Set the fields of ``m`` from valid data with labels 0..2m-1 and ``(end, end, twisted)`` edges.
+
+    Each rotation starts at its least half-edge; vertices are ordered by it,
+    the empty ones last by sign.  Edges are sorted pairs in sorted order.
+    """
+    rotated = []
+    for cycle in vertex_lists:
         cycle = tuple(cycle)
         if cycle:
             k = cycle.index(min(cycle))
             cycle = cycle[k:] + cycle[:k]
         rotated.append(cycle)
-    paired = list(zip(rotated, signs if signs is not None else [None] * len(rotated)))
-    nonempty = sorted((p for p in paired if p[0]), key=lambda p: p[0][0])
-    empty = sorted((p for p in paired if not p[0]), key=lambda p: (p[1] is None, p[1]))
-    ordered = nonempty + empty
-    new_vertices = tuple(p[0] for p in ordered)
-    new_signs = None if signs is None else tuple(p[1] for p in ordered)
-    norm_edges = sorted(tuple(sorted(pair)) for pair in edges)
-    new_twists = frozenset(
-        i for i, pair in enumerate(norm_edges) if frozenset(pair) in twisted_pairs
-    )
-    return new_vertices, tuple(norm_edges), new_signs, new_twists
+    if signs is None:
+        vertices = sorted(c for c in rotated if c)
+    else:
+        paired = sorted((c, s) for c, s in zip(rotated, signs) if c)
+        vertices = [c for c, _ in paired]
+        signs = tuple([s for _, s in paired] + sorted(s for c, s in zip(rotated, signs) if not c))
+    vertices += [()] * (len(rotated) - len(vertices))
+    marked = sorted((a, b, t) if a < b else (b, a, t) for a, b, t in edges)
+    object.__setattr__(m, "vertices", tuple(vertices))
+    object.__setattr__(m, "edges", tuple((a, b) for a, b, _ in marked))
+    object.__setattr__(m, "vertex_signs", signs)
+    object.__setattr__(m, "edge_twists", frozenset(i for i, e in enumerate(marked) if e[2]))
 
 
 def _rebuild(
-    vertex_lists: Sequence[Sequence[int]],
-    edge_pairs: Sequence[Sequence[int]],
-    signs: Optional[Sequence[int]],
-    twisted_pairs: set[frozenset[int]],
+    vertex_lists: Sequence[Sequence[int]], edges: Iterable[tuple], signs: Optional[Sequence[int]]
 ) -> CombMap:
-    """Construct a map from sparse half-edge labels, compressing to 0..2m-1."""
-    survivors = sorted(h for cycle in vertex_lists for h in cycle)
-    rank = {h: i for i, h in enumerate(survivors)}
-    vertices = tuple(tuple(rank[h] for h in cycle) for cycle in vertex_lists)
-    edges = [tuple(sorted((rank[a], rank[b]))) for a, b in edge_pairs]
-    remapped = _remap(twisted_pairs, rank)
-    twist_indices = [i for i, pair in enumerate(edges) if frozenset(pair) in remapped]
-    return CombMap(
-        vertices,
-        tuple(edges),
-        None if signs is None else tuple(signs),
-        frozenset(twist_indices),
-    )
+    """The map of a surgery: sparse half-edge labels, edges as ``(end, end, twisted)``.
+
+    The labels are compressed by rank to 0..2m-1 and the data is settled
+    without ``diagnose``: every caller builds it from a valid map, so only
+    ``CombMap(...)``, which takes data from outside the program, validates.
+    """
+    rank = {h: i for i, h in enumerate(sorted(h for cycle in vertex_lists for h in cycle))}
+    m = object.__new__(CombMap)
+    vertices = [[rank[h] for h in cycle] for cycle in vertex_lists]
+    _settle(m, vertices, [(rank[a], rank[b], t) for a, b, t in edges], signs)
+    return m
 
 
-def _remap(pairs: set[frozenset[int]], rank: dict[int, int]) -> set[frozenset[int]]:
-    out = set()
-    for pair in pairs:
-        mapped = frozenset(rank[h] for h in pair if h in rank)
-        if len(mapped) == 2:
-            out.add(mapped)
-    return out
+def _check_index(index: int, count: int) -> None:
+    """Refuse an index outside ``range(count)``; a negative one would wrap silently."""
+    if not 0 <= index < count:
+        raise IndexError(f"index {index} is outside range({count})")
 
 
 # ---------------------------------------------------------------------------
@@ -709,15 +694,9 @@ def edge_connect_sum(
     a1, a2 = e1
     b1, b2 = (h + shift for h in e2)
     pairs = [tuple(sorted((a1, a2))), tuple(sorted((b1, b2)))]
-    edges = [pair for pair in union.edges if tuple(pair) not in pairs]
-    edges += [(a1, b1), (a2, b2)]
-    twisted = union._twisted_pairs() - {frozenset(p) for p in pairs}
-    if m1.is_twisted(idx1):
-        twisted.add(frozenset((a1, b1)))
-    if m2.is_twisted(idx2):
-        twisted.add(frozenset((a2, b2)))
-    vertices = [list(c) for c in union.vertices]
-    return _rebuild(vertices, edges, None, twisted)
+    edges = [(a, b, t) for a, b, t in union._marked_edges() if (a, b) not in pairs]
+    edges += [(a1, b1, m1.is_twisted(idx1)), (a2, b2, m2.is_twisted(idx2))]
+    return _rebuild(union.vertices, edges, None)
 
 
 def vertex_connect_sum(
@@ -734,6 +713,10 @@ def vertex_connect_sum(
     half-edges to each other, and the remaining legs in reversed rotation
     order (the planar pairing; flip one vertex first for the other one).
     """
+    _check_index(v1, m1.vertex_count)
+    _check_index(v2, m2.vertex_count)
+    _check_index(h1, m1.half_edge_count)
+    _check_index(h2, m2.half_edge_count)
     if m1.degree(v1) != 3 or m2.degree(v2) != 3:
         raise ConnectSumError("vertex connect sum needs trivalent vertices")
     if m1.vertex_of[h1] != v1 or m2.vertex_of[h2] != v2:
@@ -761,10 +744,5 @@ def _splice(union: CombMap, junction: dict[int, int], signs: Optional[Sequence[i
         raise ConnectSumError("connect sum would produce a vertex-free circle")
     kept = [i for i, c in enumerate(union.vertices) if not (c and set(c) <= junction.keys())]
     kept_signs = None if signs is None else [signs[i] for i in kept]
-    edges = [(a, b) for a, b in union.edges if a not in junction and b not in junction]
-    twisted = union._twisted_pairs()
-    for end1, end2, parity in fused:
-        edges.append((end1, end2))
-        if parity:
-            twisted.add(frozenset((end1, end2)))
-    return _rebuild([union.vertices[i] for i in kept], edges, kept_signs, twisted)
+    edges = [(a, b, t) for a, b, t in union._marked_edges() if a not in junction and b not in junction]
+    return _rebuild([union.vertices[i] for i in kept], edges + fused, kept_signs)

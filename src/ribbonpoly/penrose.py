@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .algebra import HalfLaurent
 from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut
 from .invariants import _flip_genera, g_min
-from .maps import CombMap, ConnectSumError, InvalidMapError, _rebuild, _splice
+from .maps import CombMap, ConnectSumError, InvalidMapError, _check_index, _rebuild, _splice
 
 __all__ = [
     "parity_signs",
@@ -133,6 +133,8 @@ def degree2_connect_sum(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:
     order by ``maps._splice``, as in ``vertex_connect_sum``.  Vertex signs
     of the survivors are kept.
     """
+    _check_index(v1, m1.vertex_count)
+    _check_index(v2, m2.vertex_count)
     if m1.degree(v1) != 2 or m2.degree(v2) != 2:
         raise ConnectSumError("degree-2 connect sum needs degree-2 vertices")
     shift = m1.half_edge_count
@@ -232,9 +234,8 @@ def _merge_contract(
             continue
         vertices.append(list(cycle))
         new_signs.append(signs[i])
-    edges = [pair for i, pair in enumerate(m.edges) if i != e]
-    twisted = {frozenset(m.edges[t]) for t in m.edge_twists if t != e}
-    return _rebuild(vertices, edges, new_signs, twisted)
+    edges = [edge for i, edge in enumerate(m._marked_edges()) if i != e]
+    return _rebuild(vertices, edges, new_signs)
 
 
 def _split_contract(m: CombMap, signs: Sequence[int], e: int, sign_pair: tuple[int, int]) -> CombMap:
@@ -250,9 +251,8 @@ def _split_contract(m: CombMap, signs: Sequence[int], e: int, sign_pair: tuple[i
         if i != u:
             vertices.append(list(c))
             new_signs.append(signs[i])
-    edges = [pair for i, pair in enumerate(m.edges) if i != e]
-    twisted = {frozenset(m.edges[t]) for t in m.edge_twists if t != e}
-    return _rebuild(vertices, edges, new_signs, twisted)
+    edges = [edge for i, edge in enumerate(m._marked_edges()) if i != e]
+    return _rebuild(vertices, edges, new_signs)
 
 
 def _subdivide_signed(m: CombMap, signs: Sequence[int], e: int, a: int) -> CombMap:

@@ -245,12 +245,11 @@ def _resolve(base: CombMap, junction: dict[int, int]) -> CombMap:
     labelled after the base map's half-edges."""
     fused, circles = resolve_strands(dict(enumerate(base.alpha)), junction, set())
     vertices = [c for c in base.vertices if not (c and set(c) <= junction.keys())]
-    edges = [(a, b) for a, b in base.edges if a not in junction and b not in junction]
-    edges += [(a, b) for a, b, _parity in fused]
+    edges = [(a, b, False) for a, b in base.edges if a not in junction and b not in junction] + fused
     for k in range(base.half_edge_count, base.half_edge_count + 2 * circles, 2):
         vertices.append((k, k + 1))
-        edges.append((k, k + 1))
-    return _rebuild(vertices, edges, None, set())
+        edges.append((k, k + 1, False))
+    return _rebuild(vertices, edges, None)
 
 
 def underlying_map(d: SpatialDiagram) -> CombMap:

@@ -31,7 +31,11 @@ the whole conjugacy class, as before the orbit reduction.  The face oracle
 walks the twist-free face permutation, or joins band sides by union-find,
 apart from the double cover of ``CombMap.face_count``.  The surgery oracles are the connect
 sums, crossing resolution and signed subdivision as they were before every
-strand splice went through ``maps._splice`` or ``spatial._resolve``.
+strand splice went through ``maps._splice`` or ``spatial._resolve``; the two
+connect-sum oracles build their results by the rebuild oracle, which is
+``maps._rebuild`` as it was before surgeries marked their edges: twists as
+half-edge pairs carried through the label compression, and a validated
+``CombMap`` at the end.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ribbonpoly.brauer import (
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, bouquet
 from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
-from ribbonpoly.maps import CombMap, ConnectSumError, _rebuild, resolve_strands
+from ribbonpoly.maps import CombMap, ConnectSumError, resolve_strands
 from ribbonpoly.penrose import parity_signs, w_sl_extended, with_signs
 
 # Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
@@ -254,6 +258,28 @@ def surgery_outcome(surgery, *args) -> tuple:
         return ("refused", str(exc))
 
 
+def rebuild_oracle(
+    vertex_lists: Sequence[Sequence[int]],
+    edge_pairs: Sequence[Sequence[int]],
+    signs: Optional[Sequence[int]],
+    twisted_pairs: set[frozenset[int]],
+) -> CombMap:
+    """``maps._rebuild`` by the route it took before surgeries marked their
+    edges: compress the labels, carry the twisted pairs through the same
+    ranks, and build a validated ``CombMap`` from edge indices."""
+    survivors = sorted(h for cycle in vertex_lists for h in cycle)
+    rank = {h: i for i, h in enumerate(survivors)}
+    vertices = tuple(tuple(rank[h] for h in cycle) for cycle in vertex_lists)
+    edges = [tuple(sorted((rank[a], rank[b]))) for a, b in edge_pairs]
+    remapped = set()
+    for pair in twisted_pairs:
+        mapped = frozenset(rank[h] for h in pair if h in rank)
+        if len(mapped) == 2:
+            remapped.add(mapped)
+    twist_indices = [i for i, pair in enumerate(edges) if frozenset(pair) in remapped]
+    return CombMap(vertices, tuple(edges), None if signs is None else tuple(signs), frozenset(twist_indices))
+
+
 def vertex_connect_sum_oracle(
     m1: CombMap, v1: int, h1: int, m2: CombMap, v2: int, h2: int
 ) -> CombMap:
@@ -295,7 +321,7 @@ def vertex_connect_sum_oracle(
         edges.append((end1, end2))
         if parity:
             twisted_pairs.add(frozenset((end1, end2)))
-    return _rebuild(vertices, edges, None, twisted_pairs)
+    return rebuild_oracle(vertices, edges, None, twisted_pairs)
 
 
 def degree2_connect_sum_oracle(m1: CombMap, v1: int, m2: CombMap, v2: int) -> CombMap:
@@ -323,7 +349,7 @@ def degree2_connect_sum_oracle(m1: CombMap, v1: int, m2: CombMap, v2: int) -> Co
         vertices.append(list(cycle))
         if signs is not None:
             signs.append(union.vertex_signs[i])
-    union_twisted = union._twisted_pairs()
+    union_twisted = {frozenset(union.edges[t]) for t in union.edge_twists}
     edges = []
     twisted_pairs = set()
     for a, b in union.edges:
@@ -336,7 +362,7 @@ def degree2_connect_sum_oracle(m1: CombMap, v1: int, m2: CombMap, v2: int) -> Co
         edges.append((end1, end2))
         if parity:
             twisted_pairs.add(frozenset((end1, end2)))
-    return _rebuild(vertices, edges, signs, twisted_pairs)
+    return rebuild_oracle(vertices, edges, signs, twisted_pairs)
 
 
 def resolve_oracle(base: CombMap, junction: dict[int, int], dropped: set[int]) -> CombMap:

@@ -1,5 +1,6 @@
 """Combinatorial map structure, surgeries, and canonical forms."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,24 +8,30 @@ from helpers_oracles import (
     EDGE_CASES,
     face_count_oracle,
     is_bridge_oracle,
+    rebuild_oracle,
     signature_oracle,
     surgery_outcome,
     tuple_signature_oracle,
     vertex_connect_sum_oracle,
 )
+from helpers_spatial import seeded_diagram
 
 from ribbonpoly.algebra import HalfLaurent
+from ribbonpoly.fixtures import SPATIAL_FIXTURES
 from ribbonpoly.generate import POINT, dipole, exhaustive_connected_maps, random_maps
-from ribbonpoly.invariants import flow_poly
+from ribbonpoly.invariants import flow_poly, wedge
 from ribbonpoly.maps import (
     CombMap,
     ConnectSumError,
     InvalidMapError,
+    _rebuild,
     diagnose,
     edge_connect_sum,
     resolve_strands,
     vertex_connect_sum,
 )
+from ribbonpoly.penrose import _merge_contract, _split_contract, degree2_connect_sum
+from ribbonpoly.spatial import expand_crossings, underlying_map
 
 LOOP1 = CombMap(((0, 1),), ((0, 1),))
 BOUQUET2_INT = CombMap(((0, 2, 1, 3),), ((0, 1), (2, 3)))
@@ -354,3 +361,132 @@ def _relabeled_map(m, rng):
     signs = None if m.vertex_signs is None else tuple(m.vertex_signs[v] for v in order)
     edges = tuple((perm[a], perm[b]) for a, b in m.edges)
     return CombMap(tuple(vertices), edges, signs, m.edge_twists)
+
+
+def _surgery_family():
+    """Every connected map with at most five edges, ``EDGE_CASES`` and 40 seeded
+    random maps, each plain, with random signs, and with random signs and twists."""
+    rng = random.Random(211)
+    family = []
+    for m in exhaustive_connected_maps(5) + EDGE_CASES + random_maps(3, 40, 9):
+        signs = tuple(rng.choice((1, -1)) for _ in m.vertices)
+        twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.4)
+        family += [m, CombMap(m.vertices, m.edges, signs), CombMap(m.vertices, m.edges, signs, twists)]
+    return family
+
+
+def _surgery_results(family):
+    """``(name, map)`` for every surgery that builds its result from valid maps:
+    the edge surgeries on every edge, the signed contractions, the dual, the
+    unions and connect sums with a seeded partner, and the crossing
+    resolutions of the spatial fixtures and of seeded diagrams."""
+    rng = random.Random(223)
+    for m in family:
+        signs = m.vertex_signs or (1,) * m.vertex_count
+        for e in range(m.edge_count):
+            yield "delete_edge", m.delete_edge(e)
+            yield "subdivide", m.subdivide(e)
+            yield "partial_dual", m.partial_dual(e)
+            yield "contract", m.contract(e)
+            if m.is_loop(e):
+                yield "_split_contract", _split_contract(m, signs, e, (rng.choice((1, -1)), rng.choice((1, -1))))
+            else:
+                for end in (None, *m.edges[e]):
+                    yield "_merge_contract", _merge_contract(m, signs, e, end)
+        if not m.edge_twists:
+            yield "geometric_dual", m.geometric_dual()
+        other = rng.choice(family)
+        yield "disjoint_union", m.disjoint_union(other)
+        yield "wedge", wedge(m, rng.randrange(m.vertex_count), other, rng.randrange(other.vertex_count))
+        if m.edge_count and other.edge_count:
+            a, b = rng.choice(m.edges)
+            e1 = (a, b) if rng.random() < 0.5 else (b, a)
+            yield "edge_connect_sum", edge_connect_sum(m, e1, other, rng.choice(other.edges))
+        t1, t2 = _trivalent(m), _trivalent(other)
+        if t1 and t2:
+            v1, v2 = rng.choice(t1), rng.choice(t2)
+            args = (m, v1, rng.choice(m.vertices[v1]), other, v2, rng.choice(other.vertices[v2]))
+            try:
+                yield "vertex_connect_sum", vertex_connect_sum(*args)
+            except ConnectSumError:
+                pass
+        if m.edge_count and other.edge_count:
+            g1, g2 = m.subdivide(0), other.subdivide(0)
+            u1, u2 = g1.vertex_of[m.half_edge_count], g2.vertex_of[other.half_edge_count]
+            try:
+                yield "degree2_connect_sum", degree2_connect_sum(g1, u1, g2, u2)
+            except ConnectSumError:
+                pass
+    diagrams = list(SPATIAL_FIXTURES.values())
+    diagrams += [seeded_diagram(rng, 5, rng.randint(1, 3)) for _ in range(20)]
+    for d in diagrams:
+        yield "underlying_map", underlying_map(d)
+        for _, r in expand_crossings(d):
+            yield "expand_crossings", r
+
+
+class TestSurgeryConstruction:
+    """Surgeries build their results without validation; these tests validate them."""
+
+    def test_results_are_valid_and_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for name, r in _surgery_results(_surgery_family()):
+            assert not diagnose(r.vertices, r.edges, r.vertex_signs, r.edge_twists), (name, r)
+            assert r == CombMap(r.vertices, r.edges, r.vertex_signs, r.edge_twists), (name, r)
+            key = (r.vertices, r.edges, r.vertex_signs, sorted(r.edge_twists))
+            digest.update(f"{name} {key}\n".encode())
+            count += 1
+        # the value the surgeries gave before they skipped validation
+        want = "34a19e01f19671b76e1a079ce19293e0566c52c2fb6a93c2605819dc0b5fa7d2"
+        assert (count, digest.hexdigest()) == (106657, want)
+
+    def test_rebuild_matches_oracle(self):
+        rng = random.Random(227)
+        for m in exhaustive_connected_maps(5) + EDGE_CASES + random_maps(229, 40, 9):
+            order = rng.sample(range(m.half_edge_count), m.half_edge_count)
+            label, spot = {}, 0
+            for h in order:
+                spot += rng.randint(1, 5)
+                label[h] = spot
+            vertices = []
+            for cycle in m.vertices:
+                k = rng.randrange(len(cycle)) if cycle else 0
+                vertices.append([label[h] for h in cycle[k:] + cycle[:k]])
+            vertices += [[] for _ in range(rng.randrange(3))]
+            rng.shuffle(vertices)
+            signs = None if rng.random() < 0.5 else [rng.choice((1, -1)) for _ in vertices]
+            edges = [(label[a], label[b]) if rng.random() < 0.5 else (label[b], label[a]) for a, b in m.edges]
+            rng.shuffle(edges)
+            marked = [(a, b, rng.randrange(2)) for a, b in edges]
+            twisted = {frozenset((a, b)) for a, b, t in marked if t}
+            assert _rebuild(vertices, marked, signs) == rebuild_oracle(vertices, edges, signs, twisted), m
+
+    @pytest.mark.parametrize("index", ["negative", "count"])
+    def test_index_arguments_are_checked(self, index):
+        """Each surgery refuses an index outside its range instead of wrapping a negative one."""
+        chain = LOOP1.subdivide(0)
+
+        def bad(count):
+            return -1 if index == "negative" else count
+
+        v, h = THETA_P.vertex_of[5], 5
+        calls = [
+            lambda: THETA_P.delete_edge(bad(3)),
+            lambda: THETA_P.subdivide(bad(3)),
+            lambda: THETA_P.partial_dual(bad(3)),
+            lambda: THETA_P.contract(bad(3)),
+            lambda: BRIDGE.is_bridge(bad(1)),
+            lambda: wedge(THETA_P, bad(2), THETA_P, 0),
+            lambda: wedge(THETA_P, 0, THETA_P, bad(2)),
+            lambda: vertex_connect_sum(THETA_P, bad(2), h, THETA_P, 0, 0),
+            lambda: vertex_connect_sum(THETA_P, v, bad(6), THETA_P, 0, 0),
+            lambda: vertex_connect_sum(THETA_P, 0, 0, THETA_P, bad(2), h),
+            lambda: vertex_connect_sum(THETA_P, 0, 0, THETA_P, v, bad(6)),
+            lambda: degree2_connect_sum(chain, bad(2), chain, 0),
+            lambda: degree2_connect_sum(chain, 0, chain, bad(2)),
+        ]
+        for number, call in enumerate(calls):
+            with pytest.raises(IndexError):
+                call()
+                pytest.fail(f"call {number} accepted index {index}")
