@@ -8,15 +8,15 @@ doubling edges into bands, the Gramian matrices of the n-point pairing with
 their exactly interpolated determinants, and the symmetrized negligible
 combinations that give local relations at square integer values of Q.
 
-The functor composes its local diagrams in a frontier sweep: vertices enter
-one at a time, edges close once both ends are placed (``_sweep_steps``, the
-one schedule of both sweeps and their cost bound), and the pairings of the
-open points merge as they repeat; an isolated vertex is one closed loop.
-The same sweep evaluates ``W_so`` and ``W_sl`` (``penrose``) and ``R^S``
-(``spatial``), whose vertices enter as weighted choices of corner diagrams
-and whose edges close in weighted resolutions.  Flow is not a loop sum, so
-``R^F`` (``spatial``) has a second sweep in the same vertex order, which
-keeps set partitions of the open half-edges in place of pairings.
+The functor composes its local diagrams in one frontier sweep, ``_sweep``:
+vertices enter one at a time, edges close once both ends are placed
+(``_sweep_steps``, the one schedule of the sweep and its cost bound), and
+equal states of the open slots merge.  Its state kind ``_Pairings`` pairs
+the open points, which also evaluates ``W_so`` and ``W_sl`` (``penrose``)
+and ``R^S`` (``spatial``), whose vertices enter as weighted choices of local
+vertices and whose edges close in weighted resolutions.  Flow is not a loop
+sum, so flow and ``R^F`` (``spatial``) take the kind ``_Partitions``, set
+partitions of the open half-edges.
 """
 
 from __future__ import annotations
@@ -269,6 +269,10 @@ def br2_idempotent_verify() -> dict:
 # ---------------------------------------------------------------------------
 
 
+_State = tuple[int, ...]
+_States = dict[_State, dict[int, int]]
+
+
 def _corner_pairs(cycle: Sequence[int]) -> list[tuple[int, int]]:
     """Corner arcs of one rotation: point 2h pairs with 2h'+1, h' the successor of h."""
     size = len(cycle)
@@ -281,12 +285,12 @@ def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
     From each start vertex a greedy order places next the vertex that
     leaves the fewest open half-edges, ties going to the one next to the
     most recently placed vertex and then to the smallest label.  After step
-    i, w_i half-edges are open, and a state pairs their 2 w_i points, so
-    there are at most (2 w_i - 1)!! states.  The order with the least sum of
-    these bounds is kept, ties going to the smaller start.  The width w is
-    the largest w_i, and the state bound is (2w - 1)!!.  The partition
-    sweep takes the same order; a state there partitions the w_i open
-    half-edges, so it keeps at most Bell(w) states.
+    i, w_i half-edges are open, and a ``_Pairings`` state pairs their 2 w_i
+    points, so there are at most (2 w_i - 1)!! states.  The order with the
+    least sum of these bounds is kept, ties going to the smaller start.  The
+    width w is the largest w_i, and the state bound is (2w - 1)!!.
+    ``_Partitions`` takes the same order; its states partition the w_i open
+    half-edges, so there are at most Bell(w) of them.
     """
     best: tuple[int, int, list[int]] = (0, 0, [])
     for start in range(m.vertex_count):
@@ -332,15 +336,14 @@ def _greedy_order(m: CombMap, start: int) -> tuple[int, int, list[int]]:
 
 
 def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
-    """A bound on the states the sweeps pass over in ``order``, one option per vertex.
+    """A bound on the states ``_sweep`` passes over in ``order``, one option per vertex.
 
     Each step places a vertex or closes an edge.  After a step, w
-    half-edges are open and c edges closed.  A state of ``_frontier_sweep``
-    pairs the 2w open points, so there are at most (2w - 1)!! states, and a
+    half-edges are open and c edges closed.  A ``_Pairings`` state pairs
+    the 2w open points, so there are at most (2w - 1)!! states, and a
     closing at most doubles them, so there are at most 2^c.  The bound sums
-    the lesser of the two over every step.  On the same order,
-    ``_partition_sweep`` keeps no more: its states partition the open
-    half-edges, and Bell(w) <= (2w - 1)!!.
+    the lesser of the two over every step.  ``_Partitions`` keeps no more:
+    its states partition the open half-edges, and Bell(w) <= (2w - 1)!!.
     """
     cap = 1 << m.edge_count
     pairings = [1]  # (2w - 1)!!, capped at 2^E
@@ -360,7 +363,7 @@ def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
 def _sweep_steps(
     m: CombMap, order: Sequence[int]
 ) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
-    """The one schedule of both sweeps and of their cost bound: each vertex v
+    """The one schedule of ``_sweep`` and of its cost bound: each vertex v
     of ``order``, its rotation, and the half-edges at v whose edges close
     once v is placed.  An edge closes when its second end is placed, and a
     loop closes at its larger half-edge."""
@@ -374,53 +377,45 @@ def _sweep_steps(
         ]
 
 
-def _frontier_sweep(
+def _sweep(
     m: CombMap,
-    options: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int, int]]],
-    closings: Sequence[Sequence[tuple[int, int, int]]],
+    options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
+    kind: _Pairings | _Partitions,
     order: Sequence[int] | None = None,
 ) -> dict[int, int]:
-    """Weighted loop sum over local states, tallied by an integer key.
+    """Weighted sum over local states and edge closings, tallied by an integer key.
 
-    Half-edge h doubles into points 2h and 2h+1.  Vertex v enters in one of
-    ``options[v]``, each (arcs, weight, shift): arcs pair the points of v's
-    half-edges, the weight multiplies and the shift moves the key.  Edge
-    e = (a, b) closes once both ends are placed, in one of ``closings[e]``,
-    each (point, weight, shift) naming the point paired to 2a: 2b+1 for a
-    band and 2b for a crossed band, which pair 2a+1 to the other point of
-    b, or 2a+1 for a cut, which pairs 2b to 2b+1.  Each closed loop moves
-    the key by 1.  An isolated vertex is one free loop, so it moves the key
-    by 1 on top of its option's shift.
+    Vertex v enters in one of ``options[v]``, each (groups, weight, shift):
+    each group is the rotation of one local vertex, the weight multiplies
+    and the shift moves the key.  The state ``kind`` says which points a
+    half-edge opens, what a local vertex adds, and how an edge closes.
 
-    A state pairs the open points by slot: ``state[i]`` is the slot joined
-    to slot i through the placed diagrams, and closed slots hold -1 until
-    the next vertex drops them.  Equal states merge, each keeping a tally
-    of key -> weight.  A vertex with a single option scales every tally
-    alike, so its weight and shift are applied once, at the end.  The
+    A state maps each open slot to another open slot, and closed slots hold
+    -1 until the next vertex drops them.  Equal states merge, each keeping a
+    tally of key -> weight.  A vertex with a single option scales every
+    tally alike, so its weight and shift are applied once, at the end.  The
     vertices are placed in ``order``, by default ``_sweep_plan``'s.
     """
     if order is None:
         order = _sweep_plan(m)[0]
-    edge_of = m.edge_of
-    frontier: list[int] = []  # the point in each slot, -1 once closed
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    frontier: list[int] = []  # the point in each slot
+    states: _States = {(): {0: 1}}
     common_weight, common_shift = 1, 0
     for v, cycle, closing in _sweep_steps(m, order):
-        keep = [i for i, point in enumerate(frontier) if point >= 0]
+        # every state holds -1 in the same closed slots
+        keep = [i for i, z in enumerate(next(iter(states))) if z >= 0]
+        compact = len(keep) < len(frontier)
         renumber = [0] * len(frontier)
         for i, old in enumerate(keep):
             renumber[old] = i
         frontier = [frontier[i] for i in keep]
         base = len(frontier)
-        frontier += [point for h in cycle for point in (2 * h, 2 * h + 1)]
+        frontier += kind.points(cycle)
         slot = {point: i for i, point in enumerate(frontier)}
         entries = []
-        for arcs, weight, shift in options[v]:
-            tail = [0] * (len(frontier) - base)
-            for p, q in arcs:
-                tail[slot[p] - base], tail[slot[q] - base] = slot[q], slot[p]
-            entries.append((tuple(tail), weight, shift if cycle else shift + 1))
-        compact = len(keep) < len(renumber)
+        for groups, weight, shift in options[v]:
+            tail, local_shift = kind.enter(groups, slot, base)
+            entries.append((tail, weight, shift + local_shift))
         if len(entries) == 1:
             tail, weight, shift = entries[0]
             common_weight *= weight
@@ -431,7 +426,7 @@ def _frontier_sweep(
                     for state, tally in states.items()
                 }
         else:
-            grown: dict[tuple[int, ...], dict[int, int]] = {}
+            grown: _States = {}
             for state, tally in states.items():
                 if compact:
                     state = tuple([renumber[state[i]] for i in keep])
@@ -439,41 +434,71 @@ def _frontier_sweep(
                     _merge(grown, state + tail, tally, weight, shift)
             states = grown
         for h in closing:
-            e = edge_of[h]
-            a, b = m.edges[e]
-            x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
-            ways = [
-                (x0, x1, y0, y1, weight, shift)
-                if point == 2 * a + 1
-                else (x0, slot[point], x1, slot[point ^ 1], weight, shift)
-                for point, weight, shift in closings[e]
-            ]
-            for i in (x0, x1, y0, y1):
-                frontier[i] = -1
-            closed: dict[tuple[int, ...], dict[int, int]] = {}
-            for state, tally in states.items():
-                for p1, q1, p2, q2, weight, shift in ways:
-                    pairing = list(state)
-                    end = pairing[p1]
-                    if end == q1:
-                        shift += 1
-                    else:
-                        other = pairing[q1]
-                        pairing[end], pairing[other] = other, end
-                    end = pairing[p2]
-                    if end == q2:
-                        shift += 1
-                    else:
-                        other = pairing[q2]
-                        pairing[end], pairing[other] = other, end
-                    pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
-                    _merge(closed, tuple(pairing), tally, weight, shift)
-            states = closed
+            states = kind.close(states, slot, h)
     return _scaled_total(states, common_weight, common_shift)
 
 
+class _Pairings:
+    """Pairings of the open points: the loop sums S, ``W_so``, ``W_sl`` and R^S.
+
+    Half-edge h doubles into points 2h and 2h+1, and ``state[i]`` is the
+    slot joined to slot i through the placed diagrams.  A local vertex
+    enters as its corner arcs (``_corner_pairs``); an empty one is a free
+    loop.  Edge e = (a, b) closes in one of ``closings[e]``, each (point,
+    weight, shift) naming the point paired to 2a: 2b+1 for a band and 2b
+    for a crossed band, which pair 2a+1 to the other point of b, or 2a+1
+    for a cut, which pairs 2b to 2b+1.  Each closed loop moves the key by 1.
+    """
+
+    def __init__(self, m: CombMap, closings: Sequence[Sequence[tuple[int, int, int]]]):
+        self.edges, self.edge_of, self.closings = m.edges, m.edge_of, closings
+
+    @staticmethod
+    def points(half_edges: Sequence[int]) -> list[int]:
+        return [point for h in half_edges for point in (2 * h, 2 * h + 1)]
+
+    @staticmethod
+    def enter(groups: Sequence[Sequence[int]], slot: dict[int, int], base: int) -> tuple[_State, int]:
+        """The partner slots of the new slots from ``base`` on, and the free loops."""
+        tail = [0] * (len(slot) - base)
+        for group in groups:
+            for p, q in _corner_pairs(group):
+                tail[slot[p] - base], tail[slot[q] - base] = slot[q], slot[p]
+        return tuple(tail), sum(1 for group in groups if not group)
+
+    def close(self, states: _States, slot: dict[int, int], h: int) -> _States:
+        e = self.edge_of[h]
+        a, b = self.edges[e]
+        x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
+        ways = [
+            (x0, x1, y0, y1, weight, shift)
+            if point == 2 * a + 1
+            else (x0, slot[point], x1, slot[point ^ 1], weight, shift)
+            for point, weight, shift in self.closings[e]
+        ]
+        closed: _States = {}
+        for state, tally in states.items():
+            for p1, q1, p2, q2, weight, shift in ways:
+                pairing = list(state)
+                end = pairing[p1]
+                if end == q1:
+                    shift += 1
+                else:
+                    other = pairing[q1]
+                    pairing[end], pairing[other] = other, end
+                end = pairing[p2]
+                if end == q2:
+                    shift += 1
+                else:
+                    other = pairing[q2]
+                    pairing[end], pairing[other] = other, end
+                pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
+                _merge(closed, tuple(pairing), tally, weight, shift)
+        return closed
+
+
 def _join_or_cut(m: CombMap) -> list[tuple[tuple[int, int, int], ...]]:
-    """Closings of ``_frontier_sweep``: each edge joined, moving the key by 1, or cut with weight -1.
+    """Closings of ``_Pairings``: each edge joined, moving the key by 1, or cut with weight -1.
 
     An edge joins by a band, or by a crossed band when it is twisted.
     """
@@ -483,99 +508,69 @@ def _join_or_cut(m: CombMap) -> list[tuple[tuple[int, int, int], ...]]:
     ]
 
 
-def _partition_sweep(
-    m: CombMap,
-    options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
-    order: Sequence[int] | None = None,
-) -> dict[int, int]:
-    """Weighted sum over local states and kept edge sets A, by 2(|A| - |V| + c(A)).
+class _Partitions:
+    """Set partitions of the open half-edges, keyed by 2(|A| - |V| + c(A)): flow and R^F.
 
-    Vertex v enters in one of ``options[v]``, each (groups, weight, shift):
-    the groups partition v's half-edges into local vertices, each of which
-    moves the key by -2, the weight multiplies and the shift moves the key.
-    Edge e = (a, b) closes once both ends are placed, either joined, which
-    merges the blocks of a and b and moves the key by 2, or cut, with
-    weight -1.  A block that loses its last open half-edge is a closed
-    component and moves the key by 2, so an empty group moves nothing.
-
-    A state gives the block of each open half-edge by slot, blocks labelled
-    0, 1, ... in order of first occurrence.  Equal states merge, each
-    keeping a tally of key -> weight, and with w open half-edges there are
-    at most Bell(w) states.  A vertex with a single option scales every
-    tally alike, so its weight and shift are applied once, at the end.
-    The vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    ``state[i]`` is the least slot of slot i's block.  Each non-empty local
+    vertex is one block and moves the key by -2.  Edge e = (a, b) closes
+    either joined, which merges the blocks of a and b and moves the key by
+    2, or cut, with weight -1.  A block that loses its last open half-edge
+    is a closed component and moves the key by 2, so an empty local vertex
+    moves nothing; a block whose least slot closes takes its next one.
     """
-    if order is None:
-        order = _sweep_plan(m)[0]
-    alpha = m.alpha
-    frontier: list[int] = []  # the half-edge in each slot
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    common_weight, common_shift = 1, 0
-    for v, cycle, closing in _sweep_steps(m, order):
-        frontier += cycle
-        entries = []
-        for groups, weight, shift in options[v]:
-            group_of = {h: i for i, group in enumerate(groups) for h in group}
-            first: dict[int, int] = {}
-            tail = tuple([first.setdefault(group_of[h], len(first)) for h in cycle])
-            entries.append((tail, weight, shift - 2 * sum(1 for group in groups if group)))
-        if len(entries) == 1:
-            tail, weight, shift = entries[0]
-            common_weight *= weight
-            common_shift += shift
-            if tail:
-                grown = {}
-                for state, tally in states.items():
-                    blocks = max(state) + 1 if state else 0
-                    grown[state + tuple([blocks + label for label in tail])] = tally
-                states = grown
-        else:
-            grown = {}
-            for state, tally in states.items():
-                blocks = max(state) + 1 if state else 0
-                for tail, weight, shift in entries:
-                    _merge(grown, state + tuple([blocks + label for label in tail]), tally, weight, shift)
-            states = grown
-        for h in closing:
-            i, j = sorted((frontier.index(h), frontier.index(alpha[h])))
-            del frontier[j], frontier[i]
-            closed: dict[tuple[int, ...], dict[int, int]] = {}
-            for state, tally in states.items():
-                x, y = state[i], state[j]
-                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
-                seen: dict[int, int] = {}
-                cut = tuple([seen.setdefault(z, len(seen)) for z in rest])
-                ends = (x not in seen) + (y != x and y not in seen)
-                _merge(closed, cut, tally, -1, 2 * ends)
-                if x == y:
-                    _merge(closed, cut, tally, 1, 2 + 2 * ends)
-                    continue
-                seen = {}
-                joined = tuple([seen.setdefault(x if z == y else z, len(seen)) for z in rest])
-                _merge(closed, joined, tally, 1, 4 if x not in seen else 2)
-            states = closed
-    return _scaled_total(states, common_weight, common_shift)
+
+    def __init__(self, m: CombMap):
+        self.alpha = m.alpha
+
+    @staticmethod
+    def points(half_edges: Sequence[int]) -> list[int]:
+        return list(half_edges)
+
+    @staticmethod
+    def enter(groups: Sequence[Sequence[int]], slot: dict[int, int], base: int) -> tuple[_State, int]:
+        """The root slots of the new slots from ``base`` on, and -2 per block."""
+        tail = [0] * (len(slot) - base)
+        blocks = [[slot[h] for h in group] for group in groups if group]
+        for block in blocks:
+            root = min(block)
+            for i in block:
+                tail[i - base] = root
+        return tuple(tail), -2 * len(blocks)
+
+    def close(self, states: _States, slot: dict[int, int], h: int) -> _States:
+        i, j = slot[h], slot[self.alpha[h]]
+        closed: _States = {}
+        for state, tally in states.items():
+            x, y = state[i], state[j]
+            rest = list(state)
+            rest[i] = rest[j] = -1
+            blocks = (x,) if x == y else (x, y)
+            roots = []
+            for root in blocks:
+                if root == i or root == j:
+                    if root not in rest:
+                        continue
+                    root, old = rest.index(root), root
+                    rest = [root if z == old else z for z in rest]
+                roots.append(root)
+            after = tuple(rest)
+            _merge(closed, after, tally, -1, 2 * (len(blocks) - len(roots)))
+            if len(roots) == 2:
+                low, high = sorted(roots)
+                after = tuple([low if z == high else z for z in rest])
+            _merge(closed, after, tally, 1, 2 if roots else 4)
+        return closed
 
 
-def _scaled_total(
-    states: dict[tuple[int, ...], dict[int, int]], weight: int, shift: int
-) -> dict[int, int]:
+def _scaled_total(states: _States, weight: int, shift: int) -> dict[int, int]:
     """The tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
-    total: dict[int, int] = {}
+    total: _States = {}
     for tally in states.values():
-        for key, count in tally.items():
-            key += shift
-            total[key] = total.get(key, 0) + weight * count
-    return total
+        _merge(total, (), tally, weight, shift)
+    return total.get((), {})
 
 
-def _merge(
-    states: dict[tuple[int, ...], dict[int, int]],
-    state: tuple[int, ...],
-    tally: dict[int, int],
-    weight: int,
-    shift: int,
-) -> None:
+def _merge(states: _States, state: _State, tally: dict[int, int], weight: int, shift: int) -> None:
     """Add ``tally``, times ``weight`` with every key moved by ``shift``, to ``states[state]``."""
     target = states.get(state)
     if target is None:
@@ -592,7 +587,7 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
     Every vertex contributes its corner arcs and one factor Q^(-1/2), and
     every edge expands into (band - cut) with a factor Q^(1/2) per band;
     each closed loop, an isolated vertex among them, counts Q^(1/2).  The local
-    diagrams compose in one frontier sweep (``_frontier_sweep``).
+    diagrams compose in one frontier sweep of ``_Pairings``.
     """
     if m.edge_twists:
         raise ValueError("the functor needs a twist-free map")
@@ -601,18 +596,18 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
 
 def _s_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
     """The tally of ``phi_evaluate`` by doubled exponent, swept in ``order``."""
-    options = [[(_corner_pairs(cycle), 1, -1)] for cycle in m.vertices]
-    return _frontier_sweep(m, options, _join_or_cut(m), order)
+    options = [[([cycle], 1, -1)] for cycle in m.vertices]
+    return _sweep(m, options, _Pairings(m, _join_or_cut(m)), order)
 
 
 def _flow_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
-    """The flow polynomial by doubled nullity, on the partition sweep in ``order``.
+    """The flow polynomial by doubled nullity, swept by ``_Partitions`` in ``order``.
 
     Each vertex enters as one local vertex and each edge is kept or cut, so
     the key is 2 b1 of the kept edges and the sign (-1)^(cut edges).  The
     rotation and the twists play no part.
     """
-    return _partition_sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], order)
+    return _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], _Partitions(m), order)
 
 
 brauer_evaluate = phi_evaluate

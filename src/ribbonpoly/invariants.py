@@ -410,11 +410,11 @@ def resolve_engine(m: CombMap, engine: str) -> str:
     """The engine that computes S or flow.
 
     ``auto`` compares costs known before anything runs, counted in subsets
-    of the state sum, which visits all 2^E.  The frontier sweeps
-    (``brauer``) cost a share per step and for planning, plus their state
-    bound on ``_sweep_plan``'s order (``brauer._sweep_cost``).  That bound
-    is the pairing sweep's, for S; the partition sweep of flow keeps no more
-    states, so one choice serves both.  The sweeps take over at 7 to 9
+    of the state sum, which visits all 2^E.  The frontier sweep
+    (``brauer._sweep``) costs a share per step and for planning, plus its
+    state bound on ``_sweep_plan``'s order (``brauer._sweep_cost``).  That
+    bound is for ``_Pairings``, for S; ``_Partitions``, for flow, keeps no
+    more states, so one choice serves both.  The sweeps take over at 7 to 9
     edges, later on maps with more vertices.  Contraction-deletion runs only
     by name.  Any other name is returned unchanged.
     """

@@ -265,6 +265,8 @@ class CombMap:
 
     def flip_subset(self, subset: Iterable[int]) -> "CombMap":
         chosen = set(subset)
+        for v in chosen:
+            _check_index(v, self.vertex_count)
         vertices = [
             tuple(reversed(cycle)) if i in chosen else cycle
             for i, cycle in enumerate(self.vertices)

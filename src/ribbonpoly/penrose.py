@@ -7,8 +7,8 @@ negate the value.  ``w_sl`` extends the cubic Penrose polynomial to signed
 maps through the flip expansion of the S-polynomial: ``w_sl_brauer`` sums
 over the sets of reversed vertices and the edge states (each edge joined
 or cut), in which each vertex enters with its cyclic or its reversed
-corners.  Both are computed in one frontier sweep of ``brauer``, which
-counts an isolated vertex as one closed strand.  The strand walker of
+corners.  Both are one ``brauer._sweep`` over pairings (``_Pairings``),
+which counts an isolated vertex as one closed strand.  The strand walker of
 ``invariants`` serves the vertex flips of the cellular embedding
 polynomial.  The normalization is pinned by the anchor values: an isolated
 vertex gives N (so) and 1 + s(v) (sl), a single-vertex loop gives N(N-1),
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import HalfLaurent
-from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut
+from .brauer import _join_or_cut, _Pairings, _sweep
 from .invariants import _flip_genera, g_min
 from .maps import CombMap, ConnectSumError, InvalidMapError, _check_index, _rebuild, _splice
 
@@ -82,15 +82,15 @@ def w_so(m: CombMap) -> HalfLaurent:
     Each untwisted edge splits into a straight band (+1) and a crossed band
     (-1); a twist mark swaps the two signs.  Every closed strand contributes
     a factor of N, as does every isolated vertex.  Each vertex enters as its
-    cyclic strand diagram, and the edge resolutions compose in one frontier
-    sweep of ``brauer``.
+    cyclic strand diagram, and the edge resolutions compose in one
+    ``brauer._sweep`` of ``_Pairings``.
     """
-    options = [[(_corner_pairs(cycle), 1, 0)] for cycle in m.vertices]
+    options = [[([cycle], 1, 0)] for cycle in m.vertices]
     closings = []
     for e, (_a, b) in enumerate(m.edges):
         sign = -1 if e in m.edge_twists else 1
         closings.append(((2 * b + 1, sign, 0), (2 * b, -sign, 0)))
-    tally = _frontier_sweep(m, options, closings)
+    tally = _sweep(m, options, _Pairings(m, closings))
     return HalfLaurent.from_dict("N", {2 * count: coeff for count, coeff in tally.items()})
 
 
@@ -196,14 +196,14 @@ def w_sl_brauer(m: CombMap, signs: Optional[Sequence[int]] = None) -> HalfLauren
         return HalfLaurent.zero("N")
     options = []
     for v, cycle in enumerate(m.vertices):
-        cyclic = (_corner_pairs(cycle), 1, -1)
+        cyclic = ([cycle], 1, -1)
         if len(cycle) <= 2 or v == flippable[0]:
             options.append([cyclic])
         else:
-            options.append([cyclic, (_corner_pairs(cycle[::-1]), chosen[v], -1)])
+            options.append([cyclic, ([cycle[::-1]], chosen[v], -1)])
     # Each edge is cut or joined: by a band, or by a crossed band when
     # twisted.  Joined edges and strands each count a power of N.
-    tally = _frontier_sweep(m, options, _join_or_cut(m))
+    tally = _sweep(m, options, _Pairings(m, _join_or_cut(m)))
     return HalfLaurent.from_dict("N", {2 * k: prefactor * c for k, c in tally.items()})
 
 

@@ -13,11 +13,11 @@ a flat 4-valent vertex with coefficient -1, then evaluate a polynomial of
 each resolved map at Q = q + 2 + q^{-1}:
 
 * variant "s" uses the rotation-sensitive polynomial S; the crossing
-  states and the edge states of S are summed in one frontier sweep of
-  ``brauer``, with a tally per power of q,
+  states and the edge states of S are summed by ``brauer._sweep`` over
+  pairings of strand points (``_Pairings``), with a tally per power of q,
 * variant "f" uses the flow polynomial and ignores the embedding; the
-  crossing states and the kept edge sets are summed in one partition
-  sweep of ``brauer``, with a tally per power of q.
+  crossing states and the kept edge sets are summed by the same sweep over
+  set partitions of half-edges (``_Partitions``), per power of q.
 
 Neither sweep builds the 3^c resolved maps; ``expand_crossings`` still
 lists them.  It and ``underlying_map`` fuse the strands through the removed
@@ -45,7 +45,7 @@ from .algebra import (
     eval_cyclotomic,
     substitute_q_shift,
 )
-from .brauer import _corner_pairs, _frontier_sweep, _join_or_cut, _partition_sweep
+from .brauer import _join_or_cut, _Pairings, _Partitions, _sweep
 from .invariants import flow_poly, s_poly
 from .maps import CombMap, InvalidMapError, _rebuild, resolve_strands
 from .penrose import planarity_by_flips
@@ -376,27 +376,20 @@ def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
     """
     stride = _q_stride(d)
     options = [
-        [
-            (
-                [arc for group in groups for arc in _corner_pairs(group)],
-                weight,
-                power * stride - len(groups),
-            )
-            for groups, weight, power in local
-        ]
+        [(groups, weight, power * stride - len(groups)) for groups, weight, power in local]
         for local in _local_states(d, mirror)
     ]
-    return _q_polynomial(_frontier_sweep(d.base, options, _join_or_cut(d.base)), stride)
+    return _q_polynomial(_sweep(d.base, options, _Pairings(d.base, _join_or_cut(d.base))), stride)
 
 
 def _rf_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
-    """R^F from one partition sweep over the crossing states and kept edge sets."""
+    """R^F from one ``_Partitions`` sweep over the crossing states and kept edge sets."""
     stride = _q_stride(d)
     options = [
         [(groups, weight, power * stride) for groups, weight, power in local]
         for local in _local_states(d, mirror)
     ]
-    return _q_polynomial(_partition_sweep(d.base, options), stride)
+    return _q_polynomial(_sweep(d.base, options, _Partitions(d.base)), stride)
 
 
 # -- the move engine ---------------------------------------------------------

@@ -35,7 +35,11 @@ strand splice went through ``maps._splice`` or ``spatial._resolve``; the two
 connect-sum oracles build their results by the rebuild oracle, which is
 ``maps._rebuild`` as it was before surgeries marked their edges: twists as
 half-edge pairs carried through the label compression, and a validated
-``CombMap`` at the end.
+``CombMap`` at the end.  The two sweep oracles are the pairing and partition
+sweeps as they were before one loop, ``brauer._sweep``, served both: the
+pairing sweep takes arcs in place of local vertices, the partition sweep
+labels blocks by first occurrence and drops closed slots at once, and both
+record their state count after every closing.
 """
 
 from __future__ import annotations
@@ -49,7 +53,11 @@ from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
 from ribbonpoly.brauer import (
     BrauerMatching,
     _bareiss_det,
+    _merge,
     _perm_cycles,
+    _scaled_total,
+    _sweep_plan,
+    _sweep_steps,
     fpf_permutations,
     glue_map,
     glue_pairing,
@@ -910,6 +918,192 @@ def phi_evaluate_oracle(m: CombMap) -> HalfLaurent:
         half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
         result = result + HalfLaurent.from_dict("Q", {half_exponent: sign})
     return result
+
+
+def frontier_sweep_oracle(
+    m: CombMap,
+    options: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int, int]]],
+    closings: Sequence[Sequence[tuple[int, int, int]]],
+    order: Sequence[int] | None = None,
+    counts: list[int] | None = None,
+) -> dict[int, int]:
+    """The pairing sweep that ``brauer._sweep`` with ``_Pairings`` replaced:
+    options give arcs, not local vertices, and the state count after every
+    closing is appended to ``counts``.
+
+    Weighted loop sum over local states, tallied by an integer key.
+
+    Half-edge h doubles into points 2h and 2h+1.  Vertex v enters in one of
+    ``options[v]``, each (arcs, weight, shift): arcs pair the points of v's
+    half-edges, the weight multiplies and the shift moves the key.  Edge
+    e = (a, b) closes once both ends are placed, in one of ``closings[e]``,
+    each (point, weight, shift) naming the point paired to 2a: 2b+1 for a
+    band and 2b for a crossed band, which pair 2a+1 to the other point of
+    b, or 2a+1 for a cut, which pairs 2b to 2b+1.  Each closed loop moves
+    the key by 1.  An isolated vertex is one free loop, so it moves the key
+    by 1 on top of its option's shift.
+
+    A state pairs the open points by slot: ``state[i]`` is the slot joined
+    to slot i through the placed diagrams, and closed slots hold -1 until
+    the next vertex drops them.  Equal states merge, each keeping a tally
+    of key -> weight.  A vertex with a single option scales every tally
+    alike, so its weight and shift are applied once, at the end.  The
+    vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    """
+    if order is None:
+        order = _sweep_plan(m)[0]
+    edge_of = m.edge_of
+    frontier: list[int] = []  # the point in each slot, -1 once closed
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    common_weight, common_shift = 1, 0
+    for v, cycle, closing in _sweep_steps(m, order):
+        keep = [i for i, point in enumerate(frontier) if point >= 0]
+        renumber = [0] * len(frontier)
+        for i, old in enumerate(keep):
+            renumber[old] = i
+        frontier = [frontier[i] for i in keep]
+        base = len(frontier)
+        frontier += [point for h in cycle for point in (2 * h, 2 * h + 1)]
+        slot = {point: i for i, point in enumerate(frontier)}
+        entries = []
+        for arcs, weight, shift in options[v]:
+            tail = [0] * (len(frontier) - base)
+            for p, q in arcs:
+                tail[slot[p] - base], tail[slot[q] - base] = slot[q], slot[p]
+            entries.append((tuple(tail), weight, shift if cycle else shift + 1))
+        compact = len(keep) < len(renumber)
+        if len(entries) == 1:
+            tail, weight, shift = entries[0]
+            common_weight *= weight
+            common_shift += shift
+            if compact or tail:
+                states = {
+                    (tuple([renumber[state[i]] for i in keep]) if compact else state) + tail: tally
+                    for state, tally in states.items()
+                }
+        else:
+            grown: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                if compact:
+                    state = tuple([renumber[state[i]] for i in keep])
+                for tail, weight, shift in entries:
+                    _merge(grown, state + tail, tally, weight, shift)
+            states = grown
+        for h in closing:
+            e = edge_of[h]
+            a, b = m.edges[e]
+            x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
+            ways = [
+                (x0, x1, y0, y1, weight, shift)
+                if point == 2 * a + 1
+                else (x0, slot[point], x1, slot[point ^ 1], weight, shift)
+                for point, weight, shift in closings[e]
+            ]
+            for i in (x0, x1, y0, y1):
+                frontier[i] = -1
+            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                for p1, q1, p2, q2, weight, shift in ways:
+                    pairing = list(state)
+                    end = pairing[p1]
+                    if end == q1:
+                        shift += 1
+                    else:
+                        other = pairing[q1]
+                        pairing[end], pairing[other] = other, end
+                    end = pairing[p2]
+                    if end == q2:
+                        shift += 1
+                    else:
+                        other = pairing[q2]
+                        pairing[end], pairing[other] = other, end
+                    pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
+                    _merge(closed, tuple(pairing), tally, weight, shift)
+            states = closed
+            if counts is not None:
+                counts.append(len(states))
+    return _scaled_total(states, common_weight, common_shift)
+
+
+def partition_sweep_oracle(
+    m: CombMap,
+    options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
+    order: Sequence[int] | None = None,
+    counts: list[int] | None = None,
+) -> dict[int, int]:
+    """The partition sweep that ``brauer._sweep`` with ``_Partitions``
+    replaced, with blocks labelled by first occurrence; the state count
+    after every closing is appended to ``counts``.
+
+    Weighted sum over local states and kept edge sets A, by 2(|A| - |V| + c(A)).
+
+    Vertex v enters in one of ``options[v]``, each (groups, weight, shift):
+    the groups partition v's half-edges into local vertices, each of which
+    moves the key by -2, the weight multiplies and the shift moves the key.
+    Edge e = (a, b) closes once both ends are placed, either joined, which
+    merges the blocks of a and b and moves the key by 2, or cut, with
+    weight -1.  A block that loses its last open half-edge is a closed
+    component and moves the key by 2, so an empty group moves nothing.
+
+    A state gives the block of each open half-edge by slot, blocks labelled
+    0, 1, ... in order of first occurrence.  Equal states merge, each
+    keeping a tally of key -> weight, and with w open half-edges there are
+    at most Bell(w) states.  A vertex with a single option scales every
+    tally alike, so its weight and shift are applied once, at the end.
+    The vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    """
+    if order is None:
+        order = _sweep_plan(m)[0]
+    alpha = m.alpha
+    frontier: list[int] = []  # the half-edge in each slot
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    common_weight, common_shift = 1, 0
+    for v, cycle, closing in _sweep_steps(m, order):
+        frontier += cycle
+        entries = []
+        for groups, weight, shift in options[v]:
+            group_of = {h: i for i, group in enumerate(groups) for h in group}
+            first: dict[int, int] = {}
+            tail = tuple([first.setdefault(group_of[h], len(first)) for h in cycle])
+            entries.append((tail, weight, shift - 2 * sum(1 for group in groups if group)))
+        if len(entries) == 1:
+            tail, weight, shift = entries[0]
+            common_weight *= weight
+            common_shift += shift
+            if tail:
+                grown = {}
+                for state, tally in states.items():
+                    blocks = max(state) + 1 if state else 0
+                    grown[state + tuple([blocks + label for label in tail])] = tally
+                states = grown
+        else:
+            grown = {}
+            for state, tally in states.items():
+                blocks = max(state) + 1 if state else 0
+                for tail, weight, shift in entries:
+                    _merge(grown, state + tuple([blocks + label for label in tail]), tally, weight, shift)
+            states = grown
+        for h in closing:
+            i, j = sorted((frontier.index(h), frontier.index(alpha[h])))
+            del frontier[j], frontier[i]
+            closed: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, tally in states.items():
+                x, y = state[i], state[j]
+                rest = state[:i] + state[i + 1 : j] + state[j + 1 :]
+                seen: dict[int, int] = {}
+                cut = tuple([seen.setdefault(z, len(seen)) for z in rest])
+                ends = (x not in seen) + (y != x and y not in seen)
+                _merge(closed, cut, tally, -1, 2 * ends)
+                if x == y:
+                    _merge(closed, cut, tally, 1, 2 + 2 * ends)
+                    continue
+                seen = {}
+                joined = tuple([seen.setdefault(x if z == y else z, len(seen)) for z in rest])
+                _merge(closed, joined, tally, 1, 4 if x not in seen else 2)
+            states = closed
+            if counts is not None:
+                counts.append(len(states))
+    return _scaled_total(states, common_weight, common_shift)
 
 
 def gram_matrix_oracle(n: int) -> list[list[HalfLaurent]]:

@@ -8,28 +8,33 @@ from fractions import Fraction
 import pytest
 from helpers_oracles import (
     EDGE_CASES,
+    frontier_sweep_oracle,
     gram_det_oracle,
     gram_matrix_oracle,
     matching_tensor_oracle,
     matching_then_oracle,
     newton_interpolate_oracle,
+    partition_sweep_oracle,
     phi_evaluate_oracle,
     sym_pairings_oracle,
 )
+from helpers_spatial import seeded_diagram
 
 from ribbonpoly import brauer
+from ribbonpoly import spatial as sp
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import (
     NEGLIGIBLE_TABLE,
     BrauerMatching,
     BrauerVector,
     _corner_pairs,
-    _frontier_sweep,
     _greedy_order,
     _int_coefficients,
     _join_or_cut,
     _newton_interpolate,
-    _partition_sweep,
+    _Pairings,
+    _Partitions,
+    _sweep,
     _sweep_plan,
     br2_idempotent_verify,
     brauer_evaluate,
@@ -195,13 +200,135 @@ class TestFunctor:
         # every vertex entering with weight 3 and one more shift scales S and
         # flow by 3^V and Q^(V/2)
         for m in EDGE_CASES + random_maps(seed=113, count=8, max_edges=8):
-            options = [[(_corner_pairs(cycle), 3, 0)] for cycle in m.vertices]
-            tally = _frontier_sweep(m, options, _join_or_cut(m))
+            options = [[([cycle], 3, 0)] for cycle in m.vertices]
+            tally = _sweep(m, options, _Pairings(m, _join_or_cut(m)))
             want = brauer_evaluate(m).scale(3**m.vertex_count).shift(m.vertex_count)
             assert HalfLaurent.from_dict("Q", tally) == want, m
-            tally = _partition_sweep(m, [[([cycle], 3, 1)] for cycle in m.vertices])
+            tally = _sweep(m, [[([cycle], 3, 1)] for cycle in m.vertices], _Partitions(m))
             want = flow_poly(m, engine="state-sum").scale(3**m.vertex_count).shift(m.vertex_count)
             assert HalfLaurent.from_dict("Q", tally) == want, m
+
+
+class _Watched:
+    """Records the state count after every closing and checks the state encoding:
+    closed slots hold -1 and every open slot points to an open slot."""
+
+    def watch(self, m):
+        self.mate, self.counts, self.slot, self.closed = m.alpha, [], None, set()
+
+    def close(self, states, slot, h):
+        states = super().close(states, slot, h)
+        if slot is not self.slot:  # a new vertex dropped the closed slots
+            self.slot, self.closed = slot, set()
+        self.closed.update(slot[p] for p in self.points((h, self.mate[h])))
+        self.counts.append(len(states))
+        for state in states:
+            assert len(state) == len(slot), state
+            assert {i for i, z in enumerate(state) if z < 0} == self.closed, state
+            for i, z in enumerate(state):
+                if z >= 0:
+                    assert state[z] >= 0, state
+                    self.check(state, i)
+        return states
+
+
+class WatchedPairings(_Watched, _Pairings):
+    def __init__(self, m, closings):
+        super().__init__(m, closings)
+        self.watch(m)
+
+    @staticmethod
+    def check(state, i):
+        # a fixed-point-free involution on the open slots
+        assert state[i] != i and state[state[i]] == i, state
+
+
+class WatchedPartitions(_Watched, _Partitions):
+    def __init__(self, m):
+        super().__init__(m)
+        self.watch(m)
+
+    @staticmethod
+    def check(state, i):
+        # each slot points to the least slot of its block
+        assert state[state[i]] == state[i] <= i, state
+
+
+def _sweep_cases(rng, m):
+    """(options, closings) per case; closings of None select ``_Partitions``."""
+    s_options = [[([cycle], 1, -1)] for cycle in m.vertices]
+    flippable = m.flippable_vertices()
+    sl_options = [
+        [([cycle], 1, -1)]
+        if len(cycle) <= 2 or v == flippable[0]
+        else [([cycle], 1, -1), ([cycle[::-1]], rng.choice((1, -1)), -1)]
+        for v, cycle in enumerate(m.vertices)
+    ]
+    signs = [rng.choice((1, -1)) for _e in m.edges]
+    so_closings = [((2 * b + 1, s, 0), (2 * b, -s, 0)) for (_a, b), s in zip(m.edges, signs)]
+    return [
+        (s_options, _join_or_cut(m)),
+        ([[([cycle], 1, 0)] for cycle in m.vertices], so_closings),
+        (sl_options, _join_or_cut(m)),
+        ([[([cycle], 1, 0)] for cycle in m.vertices], None),
+        (sl_options, None),
+    ]
+
+
+def _as_arcs(options):
+    """Local vertices as the corner arcs the pairing oracle takes."""
+    return [
+        [([arc for group in groups for arc in _corner_pairs(group)], w, s) for groups, w, s in local]
+        for local in options
+    ]
+
+
+class TestSweepKinds:
+    """``_sweep`` against the two sweeps it replaced, state count by state count."""
+
+    def check(self, m, options, closings, orders):
+        for order in orders:
+            counts = []
+            if closings is None:
+                kind = WatchedPartitions(m)
+                want = partition_sweep_oracle(m, options, order, counts)
+            else:
+                kind = WatchedPairings(m, closings)
+                want = frontier_sweep_oracle(m, _as_arcs(options), closings, order, counts)
+            assert _sweep(m, options, kind, order) == want, (m, order)
+            assert kind.counts == counts, (m, order)
+
+    def orders(self, rng, m):
+        shuffled = [list(range(m.vertex_count)) for _ in range(2)]
+        for order in shuffled:
+            rng.shuffle(order)
+        return [_sweep_plan(m)[0], *shuffled]
+
+    def test_maps(self):
+        rng = random.Random(229)
+        family = exhaustive_connected_maps(4) + EDGE_CASES
+        for m in random_maps(seed=233, count=30, max_edges=10):
+            for e in range(m.edge_count):
+                if rng.random() < 0.3:
+                    m = m.toggle_twist(e)
+            family.append(m)
+        for m in family:
+            orders = self.orders(rng, m)
+            for options, closings in _sweep_cases(rng, m):
+                self.check(m, options, closings, orders)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_crossing_states(self, mirror):
+        rng = random.Random(239)
+        for crossings in (0, 1, 2, 3) * 5:
+            d = seeded_diagram(rng, max_edges=5, crossings=crossings)
+            m, stride = d.base, sp._q_stride(d)
+            local = sp._local_states(d, mirror)
+            pairings = [[(g, w, p * stride - len(g)) for g, w, p in states] for states in local]
+            partitions = [[(g, w, p * stride) for g, w, p in states] for states in local]
+            orders = self.orders(rng, m)
+            self.check(m, pairings, _join_or_cut(m), orders)
+            self.check(m, partitions, None, orders)
 
 
 class TestGramian:

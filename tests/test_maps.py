@@ -464,7 +464,7 @@ class TestSurgeryConstruction:
 
     @pytest.mark.parametrize("index", ["negative", "count"])
     def test_index_arguments_are_checked(self, index):
-        """Each surgery refuses an index outside its range instead of wrapping a negative one."""
+        """Each surgery and flip refuses an index outside its range instead of wrapping a negative one."""
         chain = LOOP1.subdivide(0)
 
         def bad(count):
@@ -485,6 +485,8 @@ class TestSurgeryConstruction:
             lambda: vertex_connect_sum(THETA_P, 0, 0, THETA_P, v, bad(6)),
             lambda: degree2_connect_sum(chain, bad(2), chain, 0),
             lambda: degree2_connect_sum(chain, 0, chain, bad(2)),
+            lambda: THETA_P.vertex_flip(bad(2)),
+            lambda: THETA_P.flip_subset([0, bad(2)]),
         ]
         for number, call in enumerate(calls):
             with pytest.raises(IndexError):
