@@ -14,7 +14,9 @@ vertices enter one at a time, edges close once both ends are placed
 equal states of the open slots merge.  Its state kind ``_Pairings`` pairs
 the open points, which also evaluates ``W_so`` and ``W_sl`` (``penrose``)
 and ``R^S`` (``spatial``), whose vertices enter as weighted choices of local
-vertices and whose edges close in weighted resolutions.  Flow is not a loop
+vertices and whose edges close in weighted resolutions, and the virtual
+chromatic polynomial, whose edges close as bands or cuts of the map itself
+in place of its dual's.  Flow is not a loop
 sum, so flow and ``R^F`` (``spatial``) take the kind ``_Partitions``, set
 partitions of the open half-edges.
 """
@@ -291,48 +293,52 @@ def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
     width w is the largest w_i, and the state bound is (2w - 1)!!.
     ``_Partitions`` takes the same order; its states partition the w_i open
     half-edges, so there are at most Bell(w) of them.
+
+    Each candidate's rank is one int, growth then recency then label, so
+    the greedy step is a ``min`` over ints.  Every term of a sum is at
+    least 1, so a start is dropped once its running sum reaches the best
+    finished one: it could only end higher, or tie a smaller start.
     """
-    best: tuple[int, int, list[int]] = (0, 0, [])
-    for start in range(m.vertex_count):
-        cost, width, order = _greedy_order(m, start)
-        if start == 0 or cost < best[0]:
-            best = (cost, width, order)
-    _cost, width, order = best
-    return tuple(order), width, _double_factorial(2 * width - 1)
-
-
-def _double_factorial(n: int) -> int:
-    return math.prod(range(n, 0, -2))
-
-
-def _greedy_order(m: CombMap, start: int) -> tuple[int, int, list[int]]:
-    """The greedy order from ``start``, its sum of state bounds and its width."""
-    vertex_of, alpha = m.vertex_of, m.alpha
     count = m.vertex_count
-    # open half-edges that placing v adds, less those it closes
-    growth = [
-        sum(1 for h in cycle if vertex_of[alpha[h]] != v) for v, cycle in enumerate(m.vertices)
+    vertex_of, alpha = m.vertex_of, m.alpha
+    # the neighbour across each non-loop half-edge, and the open half-edges
+    # that placing v first would add
+    neighbours = [
+        [w for h in cycle if (w := vertex_of[alpha[h]]) != v] for v, cycle in enumerate(m.vertices)
     ]
-    # the last step that placed a neighbour of each vertex
-    touched = [-1] * count
-    unplaced = set(range(count))
-    order: list[int] = []
-    open_count = width = cost = 0
-    v = start
-    for step in range(count):
-        if step:
-            v = min(unplaced, key=lambda u: (growth[u], -touched[u], u))
-        unplaced.discard(v)
-        order.append(v)
-        open_count += growth[v]
-        width = max(width, open_count)
-        cost += _double_factorial(2 * open_count - 1)
-        for h in m.vertices[v]:
-            w = vertex_of[alpha[h]]
-            if w in unplaced:
-                growth[w] -= 2
-                touched[w] = step
-    return cost, width, order
+    growth0 = [len(around) for around in neighbours]
+    bound = [1]  # bound[w] = (2w - 1)!!, the pairings of 2w points
+    for w in range(1, sum(growth0) + 1):
+        bound.append(bound[-1] * (2 * w - 1))
+    # rank = growth * stride + (count - 1 - the last step that touched v) * count + v,
+    # where a vertex no step has touched takes count for the middle digit
+    stride = count * (count + 1)
+    rank0 = [g * stride + count * count + v for v, g in enumerate(growth0)]
+    best_cost, best_width, best_order = 0, 0, []
+    for start in range(count):
+        growth, rank = growth0[:], rank0[:]
+        unplaced = set(range(count))
+        order: list[int] = []
+        open_count = width = cost = 0
+        v = start
+        for step in range(count):
+            if step:
+                v = min(unplaced, key=rank.__getitem__)
+            unplaced.discard(v)
+            order.append(v)
+            open_count += growth[v]
+            width = max(width, open_count)
+            cost += bound[open_count]
+            if start and cost >= best_cost:
+                break
+            recent = (count - 1 - step) * count
+            for w in neighbours[v]:
+                if w in unplaced:
+                    growth[w] -= 2
+                    rank[w] = growth[w] * stride + recent + w
+        else:
+            best_cost, best_width, best_order = cost, width, order
+    return tuple(best_order), best_width, bound[best_width]
 
 
 def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
@@ -608,6 +614,24 @@ def _flow_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int
     rotation and the twists play no part.
     """
     return _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], _Partitions(m), order)
+
+
+def _chrom_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
+    """The virtual chromatic polynomial by doubled exponent, swept by ``_Pairings`` in ``order``.
+
+    It is t^(b0 - g) S(G*), a sum over the kept edge sets B of G*.  The
+    faces of G*|B are the boundary components of G|(E - B), so the sweep
+    runs over G itself: an edge of B is cut in G, with weight 1 and shift 1,
+    and any other edge is a band, with weight -1.  The loops count those
+    faces, and G* has F vertices, so the total moves by 2(b0 - g) - F.
+    The map must be twist-free.
+    """
+    options = [[([cycle], 1, 0)] for cycle in m.vertices]
+    closings = [((2 * b + 1, -1, 0), (2 * a + 1, 1, 1)) for a, b in m.edges]
+    ed = m.euler_data()
+    shift = 2 * (ed.components - ed.genus) - ed.faces
+    tally = _sweep(m, options, _Pairings(m, closings), order)
+    return {key + shift: count for key, count in tally.items()}
 
 
 brauer_evaluate = phi_evaluate

@@ -86,7 +86,7 @@ def _cmd_invariant(args) -> int:
         if engine != "auto":
             raise CliError(f"--engine applies to --poly s or f, not {args.poly}")
         if args.poly == "chrom":
-            poly, used = virtual_chromatic(m), "contraction-deletion"
+            poly, used = virtual_chromatic(m, engine="contraction-deletion"), "contraction-deletion"
         elif args.poly == "wso":
             poly, used = w_so(m), "corner-pairing"
         elif args.poly == "wsl":

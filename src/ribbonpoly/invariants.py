@@ -12,9 +12,10 @@ each have three independent engines, so the test suite can cross-check them
 term by term: the state sum, memoized contraction-deletion, and a frontier
 sweep of ``brauer`` (over boundary pairings for S, over set partitions for
 flow).  ``resolve_engine`` chooses between the state sum and the sweeps by
-estimated cost; contraction-deletion runs only by name, and is the engine of
-the chromatic polynomial.  ``s_poly_at`` evaluates the tally of the engine
-that ``auto`` picks.
+estimated cost; contraction-deletion runs only by name.  The chromatic
+polynomial has two engines: the pairing sweep over the map itself, which
+``auto`` names, and contraction-deletion by name.  ``s_poly_at`` evaluates
+the tally of the engine that ``auto`` picks.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .brauer import _corner_pairs, _flow_tally, _s_tally, _sweep_cost, _sweep_plan
+from .brauer import _chrom_tally, _flow_tally, _s_tally, _sweep_cost, _sweep_plan
 from .maps import CombMap, _canonical_code, _kernel
 
 _S_CACHE: dict = {}
@@ -84,7 +85,8 @@ class _StrandWalker:
     """Closed strands of a doubled map while single edges switch resolution.
 
     Half-edge h doubles into points 2h and 2h+1.  The vertex side pairs them
-    by corner arcs (``brauer._corner_pairs``) and never changes.  Each edge (a, b)
+    by corner arcs, 2h with 2 sigma(h) + 1 as in ``brauer._corner_pairs``,
+    and never changes.  Each edge (a, b)
     switches between two of three resolutions, each named by the point it
     joins to 2a: 2b+1 for a band, 2b for a crossed band, 2a+1 for a cut.
     ``resolutions[e]`` gives edge e's starting resolution and its other one.
@@ -101,8 +103,8 @@ class _StrandWalker:
 
     def __init__(self, m: CombMap, resolutions: list[tuple[int, int]]) -> None:
         vertex_partner = [0] * (2 * m.half_edge_count)
-        for p, q in (arc for cycle in m.vertices for arc in _corner_pairs(cycle)):
-            vertex_partner[p], vertex_partner[q] = q, p
+        for h, nxt in enumerate(m.sigma):
+            vertex_partner[2 * h], vertex_partner[2 * nxt + 1] = 2 * nxt + 1, 2 * h
         edge_partner = [0] * len(vertex_partner)
         self.ends = [(2 * a, 2 * b) for a, b in m.edges]
         self.pairings = []
@@ -640,17 +642,26 @@ def specialize_krushkal_to_s(poly: KrushkalPoly, b1: int) -> HalfLaurent:
 # ---------------------------------------------------------------------------
 
 
-def virtual_chromatic(m: CombMap) -> HalfLaurent:
-    """Chromatic polynomial, computed through map contraction.
+def virtual_chromatic(m: CombMap, engine: str = "auto") -> HalfLaurent:
+    """Chromatic polynomial of a twist-free map, t^(b0 - genus) S(G*).
 
-    Deletion-contraction with the loop correction ``t^(-1)``: a loop deletes
-    to the plain term and contracts (splitting its vertex) with weight
-    ``t^(-1)``; edgeless maps count ``t^(number of vertices)``.  A pendant
-    edge is taken first and gives the single branch ``(t - 1) P(G/e)``.
+    Two independent engines compute it.  ``brauer``, which ``auto`` names,
+    is one ``_Pairings`` sweep over the map itself (``brauer._chrom_tally``).
+    ``contraction-deletion`` runs only by name: deletion-contraction with
+    the loop correction ``t^(-1)``, where a loop deletes to the plain term
+    and contracts (splitting its vertex) with weight ``t^(-1)``, edgeless
+    maps count ``t^(number of vertices)``, and a pendant edge is taken first
+    and gives the single branch ``(t - 1) P(G/e)``.
     """
     if m.edge_twists:
         raise ValueError("the chromatic polynomial needs a twist-free map")
-    return HalfLaurent.from_dict("t", _chrom_cd(*_kernel(m)))
+    if engine in ("auto", "brauer"):
+        tally = _chrom_tally(m)
+    elif engine == "contraction-deletion":
+        tally = _chrom_cd(*_kernel(m))
+    else:
+        raise ValueError(f"unknown chromatic engine {engine!r}")
+    return HalfLaurent.from_dict("t", tally)
 
 
 def _chrom_cd(sigma: list[int], isolated: int) -> dict[int, int]:

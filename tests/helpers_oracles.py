@@ -39,12 +39,15 @@ half-edge pairs carried through the label compression, and a validated
 sweeps as they were before one loop, ``brauer._sweep``, served both: the
 pairing sweep takes arcs in place of local vertices, the partition sweep
 labels blocks by first occurrence and drops closed slots at once, and both
-record their state count after every closing.
+record their state count after every closing.  The greedy order oracle is
+one start of ``brauer._sweep_plan`` before the plan ranked its candidates by
+packed ints and dropped starts that could not win.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -1104,6 +1107,38 @@ def partition_sweep_oracle(
             if counts is not None:
                 counts.append(len(states))
     return _scaled_total(states, common_weight, common_shift)
+
+
+def greedy_order_oracle(m: CombMap, start: int) -> tuple[int, int, list[int]]:
+    """One greedy start of ``_sweep_plan`` as it ran before its starts were
+    pruned: the order from ``start``, its sum of state bounds and its width,
+    each step a ``min`` over (growth, -last touching step, label) tuples."""
+    vertex_of, alpha = m.vertex_of, m.alpha
+    count = m.vertex_count
+    # open half-edges that placing v adds, less those it closes
+    growth = [
+        sum(1 for h in cycle if vertex_of[alpha[h]] != v) for v, cycle in enumerate(m.vertices)
+    ]
+    # the last step that placed a neighbour of each vertex
+    touched = [-1] * count
+    unplaced = set(range(count))
+    order: list[int] = []
+    open_count = width = cost = 0
+    v = start
+    for step in range(count):
+        if step:
+            v = min(unplaced, key=lambda u: (growth[u], -touched[u], u))
+        unplaced.discard(v)
+        order.append(v)
+        open_count += growth[v]
+        width = max(width, open_count)
+        cost += math.prod(range(2 * open_count - 1, 0, -2))
+        for h in m.vertices[v]:
+            w = vertex_of[alpha[h]]
+            if w in unplaced:
+                growth[w] -= 2
+                touched[w] = step
+    return cost, width, order
 
 
 def gram_matrix_oracle(n: int) -> list[list[HalfLaurent]]:

@@ -49,6 +49,7 @@ from ribbonpoly.generate import (
     random_maps,
 )
 from ribbonpoly.invariants import (
+    chromatic_via_dual,
     degree_report,
     flow_poly,
     krushkal_poly,
@@ -385,6 +386,18 @@ def test_12_functor_on_large_cubic_maps():
     # the check is contraction-deletion, which takes seconds per map here
     for m, value in zip(maps, values):
         assert value == s_poly(m, engine="contraction-deletion"), m
+
+
+def test_12_chromatic_on_large_cubic_maps():
+    # auto runs the pairing sweep over the map; contraction-deletion takes
+    # seconds on the 30-edge map
+    rng = random.Random(20261018)
+    maps = [_bridgeless_cubic_map(rng, v) for v in (16, 16, 18, 18, 20)]
+    start = time.monotonic()
+    values = [virtual_chromatic(m) for m in maps]
+    assert time.monotonic() - start < 1
+    for m, value in zip(maps, values):
+        assert value == chromatic_via_dual(m), m
 
 
 def test_12_s_poly_at_on_large_maps():

@@ -11,6 +11,7 @@ from helpers_oracles import (
     frontier_sweep_oracle,
     gram_det_oracle,
     gram_matrix_oracle,
+    greedy_order_oracle,
     matching_tensor_oracle,
     matching_then_oracle,
     newton_interpolate_oracle,
@@ -28,7 +29,6 @@ from ribbonpoly.brauer import (
     BrauerMatching,
     BrauerVector,
     _corner_pairs,
-    _greedy_order,
     _int_coefficients,
     _join_or_cut,
     _newton_interpolate,
@@ -49,6 +49,16 @@ from ribbonpoly.brauer import (
 from ribbonpoly.fixtures import BOUQUET2_INT, PETERSEN
 from ribbonpoly.generate import complete_map, exhaustive_connected_maps, random_maps
 from ribbonpoly.invariants import flow_poly, s_poly
+from ribbonpoly.maps import CombMap
+
+
+def random_cubic_map(rng, v):
+    """A cubic map on v vertices from a random stub pairing and random rotations."""
+    stubs = list(range(3 * v))
+    rng.shuffle(stubs)
+    edges = tuple((stubs[2 * i], stubs[2 * i + 1]) for i in range(3 * v // 2))
+    vertices = tuple(tuple(rng.sample(range(3 * k, 3 * k + 3), 3)) for k in range(v))
+    return CombMap(vertices, edges)
 
 
 def qpoly(data):
@@ -184,13 +194,16 @@ class TestFunctor:
         # (order, width, (2 width - 1)!!), pinned for Petersen and K6
         assert _sweep_plan(PETERSEN) == ((0, 1, 2, 3, 4, 9, 6, 8, 5, 7), 6, 10395)
         assert _sweep_plan(complete_map(6)) == ((0, 1, 2, 3, 4, 5), 9, 34459425)
-        for m in EDGE_CASES + random_maps(seed=109, count=12, max_edges=10):
+        assert _sweep_plan(CombMap((), ())) == ((), 0, 1)
+        rng = random.Random(113)
+        cubic = [random_cubic_map(rng, v) for v in (16, 24, 32, 40, 48, 56, 64)]
+        for m in EDGE_CASES + random_maps(seed=109, count=12, max_edges=10) + cubic:
             order, width, bound = _sweep_plan(m)
             assert sorted(order) == list(range(m.vertex_count)), m
             assert width <= m.edge_count
             assert bound == math.prod(range(2 * width - 1, 0, -2))
             # the kept order is the cheapest greedy one, the first among equals
-            greedy = [_greedy_order(m, start) for start in range(m.vertex_count)]
+            greedy = [greedy_order_oracle(m, start) for start in range(m.vertex_count)]
             if greedy:
                 cheapest = min(cost for cost, _width, _order in greedy)
                 first = next(g for g in greedy if g[0] == cheapest)

@@ -19,7 +19,7 @@ from helpers_oracles import (
 
 import ribbonpoly
 from ribbonpoly.algebra import HalfLaurent
-from ribbonpoly.brauer import _sweep_plan, brauer_evaluate
+from ribbonpoly.brauer import _chrom_tally, _sweep_plan, brauer_evaluate
 from ribbonpoly.fixtures import (
     BOUQUET2_INT,
     BRIDGE,
@@ -31,6 +31,7 @@ from ribbonpoly.fixtures import (
     TRIANGLE,
 )
 from ribbonpoly.generate import (
+    POINT,
     complete_map,
     cycle_map,
     exhaustive_connected_maps,
@@ -39,6 +40,7 @@ from ribbonpoly.generate import (
     random_maps,
 )
 from ribbonpoly.invariants import (
+    _CHROM_CACHE,
     _gray_toggles,
     _kernel,
     _kernel_key,
@@ -188,6 +190,42 @@ class TestChromatic:
     def test_dual_route_identity(self):
         for m in random_maps(seed=17, count=15, max_edges=7):
             assert virtual_chromatic(m) == chromatic_via_dual(m)
+
+    def test_sweep_matches_cd_and_oracle(self, six_edge_family):
+        rng = random.Random(163)
+        unions = [rng.choice(six_edge_family).disjoint_union(rng.choice(six_edge_family)) for _ in range(30)]
+        unions += [m.disjoint_union(POINT) for m in rng.sample(six_edge_family, 10)]
+        unions += [POINT.disjoint_union(m) for m in rng.sample(six_edge_family, 10)]
+        family = six_edge_family + EDGE_CASES + unions + [CombMap((), ())]
+        family += random_maps(seed=167, count=20, max_edges=12)
+        for m in family:
+            swept = virtual_chromatic(m, engine="brauer")
+            assert swept == virtual_chromatic(m, engine="contraction-deletion"), m
+            assert swept == chromatic_cd_oracle(m), m
+        assert virtual_chromatic(CombMap((), ())) == HalfLaurent.one("t")
+        # the sweep agrees with contraction-deletion in any vertex order
+        for m in unions[:20]:
+            order = list(range(m.vertex_count))
+            rng.shuffle(order)
+            swept = HalfLaurent.from_dict("t", _chrom_tally(m, order))
+            assert swept == virtual_chromatic(m, engine="contraction-deletion"), m
+
+    def test_auto_is_the_sweep(self):
+        # contraction-deletion would fill its memo; the sweep keeps none
+        clear_caches()
+        for m in (K4, K33_STD, complete_map(5)):
+            assert virtual_chromatic(m) == chromatic_via_dual(m)
+        assert not _CHROM_CACHE
+        virtual_chromatic(K4, engine="contraction-deletion")
+        assert _CHROM_CACHE
+
+    def test_refusals(self):
+        twisted = BOUQUET2_INT.toggle_twist(0)
+        for engine in ("auto", "brauer", "contraction-deletion"):
+            with pytest.raises(ValueError, match="needs a twist-free map"):
+                virtual_chromatic(twisted, engine=engine)
+        with pytest.raises(ValueError, match="unknown chromatic engine 'state-sum'"):
+            virtual_chromatic(TRIANGLE, engine="state-sum")
 
 
 class TestSpecialValues:
@@ -534,7 +572,7 @@ class TestKernel:
         for m in family:
             assert s_poly(m, engine="contraction-deletion") == s_cd_oracle(m), m
             assert flow_poly(m, engine="contraction-deletion") == flow_cd_oracle(m), m
-            assert virtual_chromatic(m) == chromatic_cd_oracle(m), m
+            assert virtual_chromatic(m, engine="contraction-deletion") == chromatic_cd_oracle(m), m
         for m in _decorated(131, 20, 10):
             assert flow_poly(m, engine="contraction-deletion") == flow_cd_oracle(m), m
 
@@ -581,7 +619,7 @@ class TestWarmMemo:
         def compute(m):
             if m.edge_twists:
                 return None, flow_poly(m, engine=cd), None
-            return s_poly(m, engine=cd), flow_poly(m, engine=cd), virtual_chromatic(m)
+            return s_poly(m, engine=cd), flow_poly(m, engine=cd), virtual_chromatic(m, engine=cd)
 
         clear_caches()
         cold = [compute(m) for m in family]
