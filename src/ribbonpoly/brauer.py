@@ -18,7 +18,8 @@ vertices and whose edges close in weighted resolutions, and the virtual
 chromatic polynomial, whose edges close as bands or cuts of the map itself
 in place of its dual's.  Flow is not a loop
 sum, so flow and ``R^F`` (``spatial``) take the kind ``_Partitions``, set
-partitions of the open half-edges.
+partitions of the open half-edges.  The four-variable rank polynomial
+takes the kind ``_Ranks``, a pairing and two partitions in one state.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def _sweep_steps(
 def _sweep(
     m: CombMap,
     options: Sequence[Sequence[tuple[Sequence[Sequence[int]], int, int]]],
-    kind: _Pairings | _Partitions,
+    kind: _Pairings | _Partitions | _Ranks,
     order: Sequence[int] | None = None,
 ) -> dict[int, int]:
     """Weighted sum over local states and edge closings, tallied by an integer key.
@@ -568,6 +569,125 @@ class _Partitions:
         return closed
 
 
+class _Ranks:
+    """A pairing and two partitions of the open slots: the rank polynomial.
+
+    Half-edge h opens five slots: points 2h and 2h+1 paired as in
+    ``_Pairings``, whose loops count the boundary components f(A); the same
+    points in a dual partition, whose blocks count the components c* of
+    G*|(E - A); and h in a primal partition as in ``_Partitions``, counting
+    c(A).  The key packs (|A|, c, f, c*) as digits in base ``digit``, each
+    only counting up.  A local vertex enters as its corner arcs, each also
+    one dual block, and as one primal block; an empty one closes one of
+    each.  Edge e = (a, b) closes kept, as a band, or cut, both with weight
+    1.  Either way the dual partition joins 2a to 2b+1 and 2a+1 to 2b, as
+    the faces of G run on along both sides of e; a cut edge also joins the
+    two sides, its dual edge being in G*|(E - A), and a kept one merges the
+    primal blocks of a and b.  A block with no open slot left is counted.
+    """
+
+    def __init__(self, m: CombMap):
+        self.edges, self.edge_of = m.edges, m.edge_of
+        self.dual, self.primal = 2 * m.half_edge_count, 4 * m.half_edge_count
+        self.digit = 2 * m.half_edge_count + m.vertex_count + 2
+        # the identity on slots, with -1 for a closed one; close relabels through it
+        self.relabel = [*range(5 * m.half_edge_count), -1]
+
+    def points(self, half_edges: Sequence[int]) -> list[int]:
+        d, p = self.dual, self.primal
+        return [point for h in half_edges for point in (2 * h, 2 * h + 1, d + 2 * h, d + 2 * h + 1, p + h)]
+
+    def enter(self, groups: Sequence[Sequence[int]], slot: dict[int, int], base: int) -> tuple[_State, int]:
+        """The slots from ``base`` on, and the key shift of the empty local vertices."""
+        tail = [0] * (len(slot) - base)
+        dual, primal, digit = self.dual, self.primal, self.digit
+        for group in groups:
+            for p, q in _corner_pairs(group):
+                i, j = slot[p], slot[q]
+                tail[i - base], tail[j - base] = j, i
+                i, j = slot[dual + p], slot[dual + q]
+                tail[i - base] = tail[j - base] = min(i, j)
+            block = [slot[primal + h] for h in group]
+            for i in block:
+                tail[i - base] = block[0]  # the least: the points come in rotation order
+        empty = sum(1 for group in groups if not group)
+        return tuple(tail), empty * digit * (1 + digit + digit * digit)
+
+    def close(self, states: _States, slot: dict[int, int], h: int) -> _States:
+        a, b = self.edges[self.edge_of[h]]
+        # the five slots of a, in the order of ``points``, from x on, and of b from y on
+        x, y = slot[2 * a], slot[2 * b]
+        x1, y1 = x + 1, y + 1
+        component = self.digit
+        loop = component * component
+        dual_component = loop * component
+        relabel, shut = self.relabel, (-1,) * 5
+        closed: _States = {}
+        for state, tally in states.items():
+            r0, r1, primal_a = state[x + 2 : x + 5]
+            s0, s1, primal_b = state[y + 2 : y + 5]
+            for kept in (True, False):
+                rest = list(state)
+                if kept:
+                    shift, p1, q1, p2, q2 = 1, x, y1, x1, y
+                else:
+                    shift, p1, q1, p2, q2 = 0, x, x1, y, y1
+                end = rest[p1]
+                if end == q1:
+                    shift += loop
+                else:
+                    other = rest[q1]
+                    rest[end], rest[other] = other, end
+                end = rest[p2]
+                if end == q2:
+                    shift += loop
+                else:
+                    other = rest[q2]
+                    rest[end], rest[other] = other, end
+                rest[x : x + 5] = rest[y : y + 5] = shut
+                moved: list[int] = []
+                if kept:
+                    if {r0, s1}.isdisjoint((r1, s0)):
+                        shift += dual_component * (
+                            _rejoin(rest, (r0, s1), relabel, moved) + _rejoin(rest, (r1, s0), relabel, moved)
+                        )
+                    else:
+                        shift += dual_component * _rejoin(rest, (r0, r1, s0, s1), relabel, moved)
+                    shift += component * _rejoin(rest, (primal_a, primal_b), relabel, moved)
+                else:
+                    shift += dual_component * _rejoin(rest, (r0, r1, s0, s1), relabel, moved)
+                    shift += component * _rejoin(rest, (primal_a,), relabel, moved)
+                    if primal_b != primal_a:
+                        shift += component * _rejoin(rest, (primal_b,), relabel, moved)
+                after = tuple(map(relabel.__getitem__, rest)) if moved else tuple(rest)
+                for r in moved:
+                    relabel[r] = r
+                _merge(closed, after, tally, 1, shift)
+        return closed
+
+
+def _rejoin(rest: list[int], roots: Sequence[int], relabel: list[int], moved: list[int]) -> int:
+    """Join the blocks of ``roots`` in ``rest`` under their least open slot: 1 if there is none.
+
+    The roots that change go into ``relabel`` and ``moved``.
+    """
+    least = len(rest)
+    for r in roots:
+        if rest[r] != r:
+            if r not in rest:
+                continue
+            r = rest.index(r, r)
+        if r < least:
+            least = r
+    if least == len(rest):
+        return 1
+    for r in roots:
+        if r != least and relabel[r] == r:
+            relabel[r] = least
+            moved.append(r)
+    return 0
+
+
 def _scaled_total(states: _States, weight: int, shift: int) -> dict[int, int]:
     """The tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
     total: _States = {}
@@ -632,6 +752,18 @@ def _chrom_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, in
     shift = 2 * (ed.components - ed.genus) - ed.faces
     tally = _sweep(m, options, _Pairings(m, closings), order)
     return {key + shift: count for key, count in tally.items()}
+
+
+def _rank_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[tuple[int, int, int, int], int]:
+    """Edge subsets A by (|A|, c(A), f(A), c*), swept by ``_Ranks`` in ``order``.
+
+    c(A) counts the components of G|A, f(A) its boundary components and c*
+    the components of G*|(E - A).  The map must be twist-free.
+    """
+    kind = _Ranks(m)
+    tally = _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], kind, order)
+    d = kind.digit
+    return {(key % d, key // d % d, key // d**2 % d, key // d**3): count for key, count in tally.items()}
 
 
 brauer_evaluate = phi_evaluate

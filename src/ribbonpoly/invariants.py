@@ -15,7 +15,9 @@ flow).  ``resolve_engine`` chooses between the state sum and the sweeps by
 estimated cost; contraction-deletion runs only by name.  The chromatic
 polynomial has two engines: the pairing sweep over the map itself, which
 ``auto`` names, and contraction-deletion by name.  ``s_poly_at`` evaluates
-the tally of the engine that ``auto`` picks.
+the tally of the engine that ``auto`` picks.  The rank polynomial has one
+engine, the ``brauer._Ranks`` sweep over boundary pairings, dual and primal
+partitions at once.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .brauer import _chrom_tally, _flow_tally, _s_tally, _sweep_cost, _sweep_plan
+from .brauer import _chrom_tally, _flow_tally, _rank_tally, _s_tally, _sweep_cost, _sweep_plan
 from .maps import CombMap, _canonical_code, _kernel
 
 _S_CACHE: dict = {}
@@ -57,8 +59,8 @@ def clear_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Incremental walks over the 2^E edge subsets and resolutions, and over the
-# 2^V vertex flips.
+# Incremental walks over the 2^E edge subsets and resolutions of S's state
+# sum, and over the 2^V vertex flips.
 # ---------------------------------------------------------------------------
 
 
@@ -83,6 +85,9 @@ def _edge_pairing(x: int, y: int, joined: int) -> tuple[int, int, int, int]:
 
 class _StrandWalker:
     """Closed strands of a doubled map while single edges switch resolution.
+
+    It serves the state sum of S (``_cut_exponents``) and the flip walk
+    (``_flip_genera``).
 
     Half-edge h doubles into points 2h and 2h+1.  The vertex side pairs them
     by corner arcs, 2h with 2 sigma(h) + 1 as in ``brauer._corner_pairs``,
@@ -576,52 +581,23 @@ def krushkal_poly(m: CombMap) -> KrushkalPoly:
     Term for each spanning edge subset: ``X^(b0(G-T)-b0(G)) Y^(b1(G-T))
     A^(2 genus(G-T)) B^(2 dual-genus)``, where the dual genus is the genus of
     the geometric dual restricted to the edges dual to T.
+
+    One frontier sweep, ``brauer._rank_tally``, counts the kept edge sets A
+    by |A|, the components c and boundary components f of G|A, and the
+    components c* of G*|(E - A).  G|A and G*|(E - A) have the same boundary
+    components, so the doubled genera are 2c + |A| - V - f and
+    2c* + (E - |A|) - F - f, with F the face count of G.
     """
     if m.edge_twists:
         raise ValueError("the rank polynomial needs a twist-free map")
-    # A spanning subgraph G|A and the dual subgraph G*|A^c have the same
-    # boundary components, so one strand walk serves both genera; each side's
-    # components come from a union-find over the edges it keeps.
-    dual = m.geometric_dual()
-    v, dual_v, e_total = m.vertex_count, dual.vertex_count, m.edge_count
-    base_b0 = m.component_count
-    # each edge kept as a band or deleted as a cut
-    walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
-    kept = [True] * e_total
-    primal, dual_forest = _UnionFind(v), _UnionFind(dual_v)
-    ends = [
-        ((m.vertex_of[a], m.vertex_of[b]), (dual.vertex_of[a], dual.vertex_of[b]))
-        for a, b in m.edges
-    ]
-    data: dict[tuple[int, int, int, int], int] = {}
-
-    def visit(d: int, kept_below: int) -> None:
-        # Edges below d are fixed and held in the union-finds.  Edge d takes
-        # its current state, then the other one, so consecutive leaves differ
-        # by one walker toggle: a reflected Gray code.
-        if d == e_total:
-            faces = walker.strands
-            b0 = primal.components
-            genus2 = 2 * b0 + kept_below - v - faces
-            dual_genus2 = 2 * dual_forest.components + (e_total - kept_below) - dual_v - faces
-            _check_doubled(genus2)
-            _check_doubled(dual_genus2)
-            key = (b0 - base_b0, kept_below - v + b0, genus2, dual_genus2)
-            data[key] = data.get(key, 0) + 1
-            return
-        primal_ends, dual_ends = ends[d]
-        for first in (True, False):
-            if kept[d]:
-                forest, root = primal, primal.union(*primal_ends)
-            else:
-                forest, root = dual_forest, dual_forest.union(*dual_ends)
-            visit(d + 1, kept_below + kept[d])
-            forest.undo(root)
-            if first:
-                walker.toggle(d)
-                kept[d] = not kept[d]
-
-    visit(0, 0)
+    ed = m.euler_data()
+    data = {}
+    for (kept, b0, boundaries, dual_b0), count in _rank_tally(m).items():
+        genus2 = 2 * b0 + kept - ed.vertices - boundaries
+        dual_genus2 = 2 * dual_b0 + (ed.edges - kept) - ed.faces - boundaries
+        _check_doubled(genus2)
+        _check_doubled(dual_genus2)
+        data[(b0 - ed.components, kept - ed.vertices + b0, genus2, dual_genus2)] = count
     return KrushkalPoly.from_dict(data)
 
 

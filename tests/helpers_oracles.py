@@ -16,6 +16,9 @@ over GF(2) alone, apart from the signed class that ``obstruction_z2`` and
 ``obstruction_integral`` share.  The signature oracle builds every start's full code and takes the minimum, with
 no early exit; the tuple signature oracle is the per-entry tuple code that
 ``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components.  The
+rank polynomial's walker oracle is ``krushkal_poly`` as it was before the
+``brauer._Ranks`` sweep: a Gray-code strand walk over the 2^E edge subsets
+with a union-find per side.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
@@ -68,7 +71,16 @@ from ribbonpoly.brauer import (
 )
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
 from ribbonpoly.generate import POINT, Matrix, bouquet
-from ribbonpoly.invariants import _cut_exponents, _gray_toggles, _StrandWalker, flow_poly, s_poly
+from ribbonpoly.invariants import (
+    _check_doubled,
+    _cut_exponents,
+    _gray_toggles,
+    _StrandWalker,
+    _UnionFind,
+    flow_poly,
+    krushkal_poly,
+    s_poly,
+)
 from ribbonpoly.maps import CombMap, ConnectSumError, resolve_strands
 from ribbonpoly.penrose import parity_signs, w_sl_extended, with_signs
 
@@ -568,6 +580,86 @@ def state_sum_oracles(m: CombMap) -> tuple[HalfLaurent, HalfLaurent, KrushkalPol
         HalfLaurent.from_dict("Q", flow_data),
         KrushkalPoly.from_dict(rank_data),
     )
+
+
+def krushkal_walker_oracle(m: CombMap) -> KrushkalPoly:
+    """``krushkal_poly`` as it was before the frontier sweep: a 2^E strand walk.
+
+    Each edge is kept as a band or deleted as a cut, one walker toggle per
+    subset in a reflected Gray code, with one union-find per side.
+    """
+    if m.edge_twists:
+        raise ValueError("the rank polynomial needs a twist-free map")
+    # A spanning subgraph G|A and the dual subgraph G*|A^c have the same
+    # boundary components, so one strand walk serves both genera; each side's
+    # components come from a union-find over the edges it keeps.
+    dual = m.geometric_dual()
+    v, dual_v, e_total = m.vertex_count, dual.vertex_count, m.edge_count
+    base_b0 = m.component_count
+    # each edge kept as a band or deleted as a cut
+    walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
+    kept = [True] * e_total
+    primal, dual_forest = _UnionFind(v), _UnionFind(dual_v)
+    ends = [
+        ((m.vertex_of[a], m.vertex_of[b]), (dual.vertex_of[a], dual.vertex_of[b]))
+        for a, b in m.edges
+    ]
+    data: dict[tuple[int, int, int, int], int] = {}
+
+    def visit(d: int, kept_below: int) -> None:
+        # Edges below d are fixed and held in the union-finds.  Edge d takes
+        # its current state, then the other one, so consecutive leaves differ
+        # by one walker toggle: a reflected Gray code.
+        if d == e_total:
+            faces = walker.strands
+            b0 = primal.components
+            genus2 = 2 * b0 + kept_below - v - faces
+            dual_genus2 = 2 * dual_forest.components + (e_total - kept_below) - dual_v - faces
+            _check_doubled(genus2)
+            _check_doubled(dual_genus2)
+            key = (b0 - base_b0, kept_below - v + b0, genus2, dual_genus2)
+            data[key] = data.get(key, 0) + 1
+            return
+        primal_ends, dual_ends = ends[d]
+        for first in (True, False):
+            if kept[d]:
+                forest, root = primal, primal.union(*primal_ends)
+            else:
+                forest, root = dual_forest, dual_forest.union(*dual_ends)
+            visit(d + 1, kept_below + kept[d])
+            forest.undo(root)
+            if first:
+                walker.toggle(d)
+                kept[d] = not kept[d]
+
+    visit(0, 0)
+    return KrushkalPoly.from_dict(data)
+
+
+def krushkal_convention(m: CombMap, poly: KrushkalPoly) -> dict[tuple[int, int, int, int], Fraction]:
+    """The terms of ``krushkal_poly(m)`` with Y counting dual components, as Krushkal writes it.
+
+    A key (x, y, a, b) gives c = x + b0(G) and |A| = y + V - c, then
+    f = c + y - a boundary components and c* = (b + F - (E - |A|) + f) / 2
+    components of G*|(E - A).  Y's exponent becomes c* - b0(G*), and G*
+    has a component for each component of G.
+    """
+    ed = m.euler_data()
+    terms = {}
+    for (x, y, a, b), coeff in poly.terms:
+        c = x + ed.components
+        kept = y + ed.vertices - c
+        f = c + y - a
+        doubled = b + ed.faces - (ed.edges - kept) + f
+        assert doubled % 2 == 0, (m, (x, y, a, b))
+        terms[(x, doubled // 2 - ed.components, a, b)] = coeff
+    return terms
+
+
+def krushkal_dual_terms(m: CombMap) -> dict[tuple[int, int, int, int], Fraction]:
+    """P_G*(Y, X, B, A) in Krushkal's convention, which duality makes P_G(X, Y, A, B)."""
+    dual = m.geometric_dual()
+    return {(y, x, b, a): c for (x, y, a, b), c in krushkal_convention(dual, krushkal_poly(dual)).items()}
 
 
 def _corner_arcs(m: CombMap, reversed_vertices: frozenset[int]) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracles import w_sl_flip_oracle, yamada_resolution_oracle
+from helpers_oracles import krushkal_convention, krushkal_dual_terms, w_sl_flip_oracle, yamada_resolution_oracle
 from helpers_spatial import (
     crossed_diagram,
     forbidden_examples,
@@ -398,6 +398,27 @@ def test_12_chromatic_on_large_cubic_maps():
     assert time.monotonic() - start < 1
     for m, value in zip(maps, values):
         assert value == chromatic_via_dual(m), m
+
+
+def test_12_rank_polynomial_on_large_cubic_maps():
+    # the rank polynomial runs on the frontier sweep; a 2^E walk would take
+    # hours on the 30-edge map
+    rng = random.Random(20261018)
+    maps = [_bridgeless_cubic_map(rng, v) for v in (16, 16, 18, 18, 20)]
+    start = time.monotonic()
+    polys = [krushkal_poly(m) for m in maps]
+    assert time.monotonic() - start < 2
+    # the 24-edge map of test_12_s_poly_at_on_large_maps
+    rng = random.Random(181)
+    large = [random_connected_map(rng, e) for e in (20, 21, 22, 23, 24)][-1]
+    start = time.monotonic()
+    polys.append(krushkal_poly(large))
+    assert time.monotonic() - start < 1
+    for m, poly in zip(maps + [large], polys):
+        assert specialize_krushkal_to_s(poly, m.euler_data().first_betti) == s_poly(m), m
+    # P_G(X, Y, A, B) = P_G*(Y, X, B, A) in Krushkal's convention
+    for m, poly in zip(maps, polys):
+        assert krushkal_convention(m, poly) == krushkal_dual_terms(m), m
 
 
 def test_12_s_poly_at_on_large_maps():

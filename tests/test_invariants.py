@@ -11,6 +11,9 @@ from helpers_oracles import (
     EDGE_CASES,
     chromatic_cd_oracle,
     flow_cd_oracle,
+    krushkal_convention,
+    krushkal_dual_terms,
+    krushkal_walker_oracle,
     s_cd_oracle,
     state_sum_oracles,
     strand_count,
@@ -18,6 +21,7 @@ from helpers_oracles import (
 )
 
 import ribbonpoly
+from ribbonpoly import invariants
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import _chrom_tally, _sweep_plan, brauer_evaluate
 from ribbonpoly.fixtures import (
@@ -175,6 +179,36 @@ class TestKrushkal:
         for m in random_maps(seed=13, count=15, max_edges=7):
             b1 = m.euler_data().first_betti
             assert specialize_krushkal_to_s(krushkal_poly(m), b1) == s_poly(m)
+
+    def test_sweep_matches_walker_oracle(self):
+        rng = random.Random(193)
+        randoms = random_maps(seed=197, count=40, max_edges=12)
+        family = exhaustive_connected_maps(5) + EDGE_CASES + [CombMap((), ())] + randoms
+        family += [_relabeled_map(m, rng) for m in randoms]
+        for m in family:
+            assert krushkal_poly(m) == krushkal_walker_oracle(m), m
+
+    def test_duality(self):
+        # P_G(X, Y, A, B) = P_G*(Y, X, B, A) in Krushkal's convention
+        family = exhaustive_connected_maps(5) + random_maps(seed=5, count=30, max_edges=10) + EDGE_CASES
+        for m in family:
+            assert krushkal_convention(m, krushkal_poly(m)) == krushkal_dual_terms(m), m
+
+    def test_twisted_input_rejected(self, monkeypatch):
+        def no_sweep(*_args):
+            raise AssertionError("the sweep ran on a twisted map")
+
+        monkeypatch.setattr(invariants, "_rank_tally", no_sweep)
+        with pytest.raises(ValueError, match="needs a twist-free map"):
+            krushkal_poly(LOOP1.toggle_twist(0))
+
+
+def _relabeled_map(m, rng):
+    """m with its half-edges relabelled at random, which also reorders its vertices."""
+    perm = list(range(m.half_edge_count))
+    rng.shuffle(perm)
+    vertices = tuple(tuple(perm[h] for h in cycle) for cycle in m.vertices)
+    return CombMap(vertices, tuple((perm[a], perm[b]) for a, b in m.edges))
 
 
 class TestChromatic:
