@@ -5,7 +5,8 @@ deduplicated by canonical signature.  Larger instances come from structured
 families and a seeded random model.  Cubic multigraphs get their own census:
 simple graphs from a normalized adjacency search, the rest grown from the
 census two vertices smaller, with isomorphism rejection by a canonical form
-of the adjacency matrix.
+of the adjacency matrix.  Each smaller graph grows once per orbit of its
+edge sites under the automorphisms that its canonical search found.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _individualized(
     return lab, start, size
 
 
-def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
+def canonical_form(matrix: Sequence[Sequence[int]], automorphisms: list[list[int]] | None = None) -> tuple:
     """A complete isomorphism invariant of a multigraph adjacency matrix.
 
     Individualization-refinement (McKay, *Practical graph isomorphism*, 1981;
@@ -274,6 +275,10 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
 
     Both rules drop only subtrees that an automorphism maps onto explored
     ones, so the least form is still the least over the whole tree.
+
+    The automorphisms the search found are appended to ``automorphisms`` if
+    given, as lists ``g`` with ``g[x]`` the image of vertex x.  They generate
+    a subgroup of the automorphism group, not always all of it.
     """
     v = len(matrix)
     nbrs = [
@@ -281,7 +286,7 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
     ]
     # The first and the best leaf so far, as (path, vertex order, form).
     leaves: list[tuple[list[int], list[int], tuple]] = []
-    automorphisms: list[list[int]] = []
+    found: list[list[int]] = []
 
     def search(lab: list[int], start: list[int], size: list[int], path: list[int]) -> int:
         """Explore the node that ``path`` individualizes; return the level to resume at."""
@@ -296,7 +301,7 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
                     gamma = [0] * v
                     for a, b in zip(seen_lab, lab):
                         gamma[a] = b
-                    automorphisms.append(gamma)
+                    found.append(gamma)
                     common = 0
                     while path[common] == seen_path[common]:
                         common += 1
@@ -306,15 +311,18 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
             elif form < leaves[1][2]:
                 leaves[1] = (path, lab, form)
             return level - 1
+        # Orbits under the automorphisms that fix the path, joined as they are found.
         explored: list[int] = []
+        orbits, applied = _UnionFind(v), 0
         for w in lab[cell : cell + size[cell]]:
             if explored:
-                orbits = _UnionFind(v)
-                for g in automorphisms:
+                for g in found[applied:]:
                     if all(g[x] == x for x in path):
                         for x, y in enumerate(g):
                             orbits.union(x, y)
-                if any(orbits._find(u) == orbits._find(w) for u in explored):
+                applied = len(found)
+                root = orbits._find(w)
+                if any(orbits._find(u) == root for u in explored):
                     continue
             explored.append(w)
             resume = search(*_individualized(nbrs, lab, start, size, cell, w), path + [w])
@@ -330,14 +338,9 @@ def canonical_form(matrix: Sequence[Sequence[int]]) -> tuple:
         size[start[x]] += 1
     _refine(nbrs, lab, start, size, {p for p in range(v) if size[p]})
     search(lab, start, size, [])
+    if automorphisms is not None:
+        automorphisms.extend(found)
     return (v,) + leaves[1][2]
-
-
-def _dedupe_matrices(candidates: Iterator[Matrix]) -> list[Matrix]:
-    seen: dict[tuple, Matrix] = {}
-    for matrix in candidates:
-        seen.setdefault(canonical_form(matrix), matrix)
-    return list(seen.values())
 
 
 def _simple_cubic_connected(v: int) -> Iterator[Matrix]:
@@ -420,6 +423,48 @@ def _grow(matrix: Matrix, site: tuple[int, int], kind: str) -> Matrix:
     return tuple(tuple(row) for row in grown)
 
 
+def _orbit_sites(matrix: Matrix, automorphisms: list[list[int]]) -> list[tuple[int, int]]:
+    """The first edge site, in ``_edge_sites`` order, of each orbit under ``automorphisms``."""
+    sites = _edge_sites(matrix)
+    index = {site: k for k, site in enumerate(sites)}
+    orbits = _UnionFind(len(sites))
+    for g in automorphisms:
+        for k, (x, y) in enumerate(sites):
+            orbits.union(k, index[min(g[x], g[y]), max(g[x], g[y])])
+    first: dict[int, tuple[int, int]] = {}
+    for k, site in enumerate(sites):
+        first.setdefault(orbits._find(k), site)
+    return list(first.values())
+
+
+def _cubic_classes(v: int) -> list[tuple[Matrix, list[list[int]]]]:
+    """The census on v >= 2 vertices, each class with the automorphisms its search found.
+
+    A class is kept as its first candidate.  A smaller class grows only at the
+    first site of each orbit of its sites: ``_grow`` is symmetric in the two
+    ends of a site, so a later site of an orbit grows a candidate isomorphic
+    to one of the same kind earlier in the stream, which would not be kept.
+    """
+    if v == 2:
+        theta = ((0, 3), (3, 0))
+        dumbbell = ((1, 1), (1, 1))
+        return [(theta, []), (dumbbell, [])]
+
+    def candidates() -> Iterator[Matrix]:
+        yield from _simple_cubic_connected(v)
+        for smaller, automorphisms in _cubic_classes(v - 2):
+            for site in _orbit_sites(smaller, automorphisms):
+                yield _grow(smaller, site, "digon")
+                yield _grow(smaller, site, "lollipop")
+
+    classes: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
+    for matrix in candidates():
+        automorphisms: list[list[int]] = []
+        form = canonical_form(matrix, automorphisms)
+        classes.setdefault(form, (matrix, automorphisms))
+    return list(classes.values())
+
+
 def cubic_multigraph_census(v: int) -> list[Matrix]:
     """Connected cubic multigraphs on v vertices, up to isomorphism.
 
@@ -430,19 +475,7 @@ def cubic_multigraph_census(v: int) -> list[Matrix]:
     """
     if v % 2 or v <= 0:
         return []
-    if v == 2:
-        theta = ((0, 3), (3, 0))
-        dumbbell = ((1, 1), (1, 1))
-        return [theta, dumbbell]
-
-    def candidates() -> Iterator[Matrix]:
-        yield from _simple_cubic_connected(v)
-        for smaller in cubic_multigraph_census(v - 2):
-            for site in _edge_sites(smaller):
-                yield _grow(smaller, site, "digon")
-                yield _grow(smaller, site, "lollipop")
-
-    return _dedupe_matrices(candidates())
+    return [matrix for matrix, _automorphisms in _cubic_classes(v)]
 
 
 def map_from_adjacency(matrix: Sequence[Sequence[int]]) -> CombMap:

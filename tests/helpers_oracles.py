@@ -24,7 +24,9 @@ contraction-deletion oracles recurse on ``CombMap.contract`` and
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
 oracles list every rotation on a fixed edge involution, and every cubic
 adjacency matrix, and reject isomorphs by a canonical form that walks the full
-individualization tree with dense refinement and no pruning.  The Brauer
+individualization tree with dense refinement and no pruning.  The unpruned
+census oracle is the cubic census as it was before it grew each smaller graph
+once per automorphism orbit of its edge sites: it grows at every site.  The Brauer
 oracles compose and juxtapose matchings through their sets of pairs and a
 neighbour graph, and evaluate the functor one ``HalfLaurent`` term per edge
 state, apart from the partner arrays of ``BrauerMatching``.  The Gram oracles
@@ -70,7 +72,15 @@ from ribbonpoly.brauer import (
     partition_permutation,
 )
 from ribbonpoly.fixtures import BOUQUET2_INT, BRIDGE, LOOP1, THETA_P, THETA_T
-from ribbonpoly.generate import POINT, Matrix, bouquet
+from ribbonpoly.generate import (
+    POINT,
+    Matrix,
+    _edge_sites,
+    _grow,
+    _simple_cubic_connected,
+    bouquet,
+    canonical_form,
+)
 from ribbonpoly.invariants import (
     _check_doubled,
     _cut_exponents,
@@ -1503,6 +1513,36 @@ def _connected(matrix: Sequence[Sequence[int]]) -> bool:
                 seen.add(j)
                 stack.append(j)
     return len(seen) == v
+
+
+def cubic_census_candidates(v: int) -> list[Matrix]:
+    """The census's candidates on v >= 4 vertices, with growth at every site.
+
+    The simple labelings, then both kinds grown at every edge site of every
+    class of ``cubic_census_unpruned_oracle(v - 2)``, as the census grew
+    before it grew once per orbit of sites.
+    """
+    candidates = list(_simple_cubic_connected(v))
+    for smaller in cubic_census_unpruned_oracle(v - 2):
+        for site in _edge_sites(smaller):
+            candidates += [_grow(smaller, site, "digon"), _grow(smaller, site, "lollipop")]
+    return candidates
+
+
+def cubic_census_unpruned_oracle(v: int) -> list[Matrix]:
+    """``cubic_multigraph_census`` without site-orbit pruning.
+
+    Keeps the first of ``cubic_census_candidates(v)`` in each class of
+    ``canonical_form``, in the order the classes first appear.
+    """
+    if v % 2 or v <= 0:
+        return []
+    if v == 2:
+        return [((0, 3), (3, 0)), ((1, 1), (1, 1))]
+    seen: dict[tuple, Matrix] = {}
+    for matrix in cubic_census_candidates(v):
+        seen.setdefault(canonical_form(matrix), matrix)
+    return list(seen.values())
 
 
 def cubic_census_bruteforce(v: int) -> list[Matrix]:

@@ -7,6 +7,8 @@ import pytest
 from helpers_oracles import (
     canonical_form_oracle,
     cubic_census_bruteforce,
+    cubic_census_candidates,
+    cubic_census_unpruned_oracle,
     exhaustive_by_permutations,
 )
 
@@ -119,23 +121,26 @@ class TestCubicCensus:
         counts = {v: len(maps) for v, maps in cubic_census.items()}
         assert counts == {2: 2, 4: 5, 6: 17, 8: 71, 10: 388}
 
+    @pytest.mark.slow
+    def test_count_at_twelve(self):
+        # OEIS A005967.
+        assert len(cubic_maps(12)) == 2592
+
     def test_bruteforce_agreement(self):
-        for v in (2, 4):
-            fast = cubic_multigraph_census(v)
-            slow = cubic_census_bruteforce(v)
-            assert {canonical_form(m) for m in fast} == {canonical_form(m) for m in slow}
+        # Classes by the unpruned oracle form, apart from canonical_form.
+        for v in (2, 4, 6):
+            fast = [canonical_form_oracle(m) for m in cubic_multigraph_census(v)]
+            slow = {canonical_form_oracle(m) for m in cubic_census_bruteforce(v)}
+            assert len(set(fast)) == len(fast) and set(fast) == slow
 
-    def test_same_classes_as_oracle(self, monkeypatch):
-        # Every candidate list the census deduplicates, for v = 4, 6, 8.
-        batches = []
-        dedupe = generate._dedupe_matrices
+    def test_equals_unpruned_oracle(self):
+        # Growing once per site orbit keeps the same matrices in the same order.
+        for v in range(2, 11, 2):
+            assert cubic_multigraph_census(v) == cubic_census_unpruned_oracle(v), v
 
-        def recording(candidates):
-            batches.append(list(candidates))
-            return dedupe(iter(batches[-1]))
-
-        monkeypatch.setattr(generate, "_dedupe_matrices", recording)
-        cubic_multigraph_census(8)
+    def test_same_classes_as_oracle(self):
+        # Every candidate list of the unpruned growth, for v = 4, 6, 8.
+        batches = [cubic_census_candidates(v) for v in (4, 6, 8)]
         assert sorted(len(batch[0]) for batch in batches) == [4, 6, 8]
         assert sum(len(batch) for batch in batches) > 300
 
@@ -145,6 +150,22 @@ class TestCubicCensus:
 
         for batch in batches:
             assert classes(batch, canonical_form) == classes(batch, canonical_form_oracle)
+
+    def test_reported_automorphisms(self):
+        symmetric = _symmetric_graphs()
+        census = [m for v in (2, 4, 6, 8) for m in cubic_multigraph_census(v)]
+        for matrix in list(symmetric.values()) + census:
+            automorphisms = []
+            assert canonical_form(matrix, automorphisms) == canonical_form(matrix)
+            v = len(matrix)
+            for g in automorphisms:
+                assert sorted(g) == list(range(v))
+                assert all(matrix[g[i]][g[j]] == matrix[i][j] for i in range(v) for j in range(v))
+        # On the edge-transitive graphs the census grows at one site only.
+        for name in ("K4", "K33", "petersen"):
+            automorphisms = []
+            canonical_form(symmetric[name], automorphisms)
+            assert len(generate._orbit_sites(symmetric[name], automorphisms)) == 1, name
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(20261018)
@@ -157,22 +178,7 @@ class TestCubicCensus:
 
     def test_symmetric_graphs(self):
         # Large automorphism groups exercise the orbit pruning and the backjumps.
-        def ring(n, step):
-            return [(i, (i + step) % n) for i in range(n)]
-
-        def prism(n, step):
-            # an n-cycle and an n-cycle of the given step, joined by spokes
-            inner = [(i + n, j + n) for i, j in ring(n, step)]
-            return _adjacency(2 * n, ring(n, 1) + inner + [(i, i + n) for i in range(n)])
-
-        graphs = {
-            "K4": _adjacency(4, ring(4, 1) + ring(4, 2)[:2]),
-            "K33": _adjacency(6, [(i, j) for i in range(3) for j in range(3, 6)]),
-            "prism": prism(3, 1),
-            "petersen": prism(5, 2),
-            "5-prism": prism(5, 1),
-            "necklace": _adjacency(8, ring(8, 1) + ring(8, 1)[::2]),
-        }
+        graphs = _symmetric_graphs()
         rng = random.Random(3)
         forms = {}
         for name, matrix in graphs.items():
@@ -200,6 +206,25 @@ def _relabeled(matrix, rng):
     order = list(range(len(matrix)))
     rng.shuffle(order)
     return tuple(tuple(matrix[i][j] for j in order) for i in order)
+
+
+def _symmetric_graphs():
+    def ring(n, step):
+        return [(i, (i + step) % n) for i in range(n)]
+
+    def prism(n, step):
+        # an n-cycle and an n-cycle of the given step, joined by spokes
+        inner = [(i + n, j + n) for i, j in ring(n, step)]
+        return _adjacency(2 * n, ring(n, 1) + inner + [(i, i + n) for i in range(n)])
+
+    return {
+        "K4": _adjacency(4, ring(4, 1) + ring(4, 2)[:2]),
+        "K33": _adjacency(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        "prism": prism(3, 1),
+        "petersen": prism(5, 2),
+        "5-prism": prism(5, 1),
+        "necklace": _adjacency(8, ring(8, 1) + ring(8, 1)[::2]),
+    }
 
 
 def _adjacency(v, edges):
