@@ -20,6 +20,17 @@ in place of its dual's.  Flow is not a loop
 sum, so flow and ``R^F`` (``spatial``) take the kind ``_Partitions``, set
 partitions of the open half-edges.  The four-variable rank polynomial
 takes the kind ``_Ranks``, a pairing and two partitions in one state.
+
+Each state's tally of key -> coefficient is one int for ``_Pairings`` and
+``_Partitions`` (Kronecker substitution): the coefficient of key k sits at
+bit k * B, so moving every key by s is a shift by s * B, a weight of -1 a
+negation, and merging equal states one addition.  B is one more than the
+bit length of the mass, the product over vertices and edges of the sum of
+|weight| over their options and closings.  The mass bounds |coefficient|
+of every key in every tally and in the total, so the total is read back
+once as balanced digits in [-2^(B - 1), 2^(B - 1)).  The key of ``_Ranks``
+packs four counts, which spans far more positions than a tally fills, so
+its tallies stay dicts.
 """
 
 from __future__ import annotations
@@ -273,7 +284,7 @@ def br2_idempotent_verify() -> dict:
 
 
 _State = tuple[int, ...]
-_States = dict[_State, dict[int, int]]
+_States = dict[_State, int] | dict[_State, dict[int, int]]
 
 
 def _corner_pairs(cycle: Sequence[int]) -> list[tuple[int, int]]:
@@ -402,11 +413,27 @@ def _sweep(
     tally of key -> weight.  A vertex with a single option scales every
     tally alike, so its weight and shift are applied once, at the end.  The
     vertices are placed in ``order``, by default ``_sweep_plan``'s.
+
+    The tallies of ``_Pairings`` and ``_Partitions`` are packed ints with
+    B bits per key (see the module docstring), which the kind reads as
+    ``kind.bits``.  A vertex with several options moves its least shift
+    into the common shift, so no packed shift is negative, and the total is
+    unpacked once (``_unpack``).  Equal states merge even when their
+    tallies cancel to 0, so the state counts do not depend on the packing.
+    ``_Ranks`` keeps dict tallies (``_merge``).
     """
     if order is None:
         order = _sweep_plan(m)[0]
     frontier: list[int] = []  # the point in each slot
-    states: _States = {(): {0: 1}}
+    if kind.packed:
+        mass = kind.closing_mass()
+        for local in options:
+            mass *= sum(abs(weight) for _groups, weight, _shift in local)
+        bits = kind.bits = mass.bit_length() + 1
+        states: _States = {(): 1}
+    else:
+        bits = 0
+        states = {(): {0: 1}}
     common_weight, common_shift = 1, 0
     for v, cycle, closing in _sweep_steps(m, order):
         # every state holds -1 in the same closed slots
@@ -433,16 +460,49 @@ def _sweep(
                     for state, tally in states.items()
                 }
         else:
+            least = min(shift for _tail, _weight, shift in entries)
+            common_shift += least
+            entries = [(tail, weight, shift - least) for tail, weight, shift in entries]
             grown: _States = {}
             for state, tally in states.items():
                 if compact:
                     state = tuple([renumber[state[i]] for i in keep])
                 for tail, weight, shift in entries:
-                    _merge(grown, state + tail, tally, weight, shift)
+                    if bits:
+                        after = state + tail
+                        grown[after] = grown.get(after, 0) + (tally << shift * bits) * weight
+                    else:
+                        _merge(grown, state + tail, tally, weight, shift)
             states = grown
         for h in closing:
             states = kind.close(states, slot, h)
+    if bits:
+        return _unpack(sum(states.values()) * common_weight, bits, common_shift)
     return _scaled_total(states, common_weight, common_shift)
+
+
+def _unpack(total: int, bits: int, shift: int) -> dict[int, int]:
+    """The nonzero balanced digits of ``total`` in base 2^bits, digit k at key k + ``shift``.
+
+    A run of zero digits is skipped in one step, from the lowest set bit:
+    the tallies of the spatial sweeps fill only a few of their keys.
+    """
+    tally = {}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    key = shift
+    while total:
+        digit = total & mask
+        if not digit:
+            zeros = ((total & -total).bit_length() - 1) // bits
+            total >>= zeros * bits
+            key += zeros
+            continue
+        if digit >= half:
+            digit -= mask + 1
+        tally[key] = digit
+        total = (total - digit) >> bits
+        key += 1
+    return tally
 
 
 class _Pairings:
@@ -455,10 +515,17 @@ class _Pairings:
     weight, shift) naming the point paired to 2a: 2b+1 for a band and 2b
     for a crossed band, which pair 2a+1 to the other point of b, or 2a+1
     for a cut, which pairs 2b to 2b+1.  Each closed loop moves the key by 1.
+    No closing shift is negative.  The tallies are packed ints.
     """
+
+    packed = True
 
     def __init__(self, m: CombMap, closings: Sequence[Sequence[tuple[int, int, int]]]):
         self.edges, self.edge_of, self.closings = m.edges, m.edge_of, closings
+
+    def closing_mass(self) -> int:
+        """The product over the edges of the sum of |weight| over their closings."""
+        return math.prod(sum(abs(weight) for _point, weight, _shift in ways) for ways in self.closings)
 
     @staticmethod
     def points(half_edges: Sequence[int]) -> list[int]:
@@ -477,10 +544,11 @@ class _Pairings:
         e = self.edge_of[h]
         a, b = self.edges[e]
         x0, x1, y0, y1 = slot[2 * a], slot[2 * a + 1], slot[2 * b], slot[2 * b + 1]
+        loop = self.bits
         ways = [
-            (x0, x1, y0, y1, weight, shift)
+            (x0, x1, y0, y1, weight, shift * loop)
             if point == 2 * a + 1
-            else (x0, slot[point], x1, slot[point ^ 1], weight, shift)
+            else (x0, slot[point], x1, slot[point ^ 1], weight, shift * loop)
             for point, weight, shift in self.closings[e]
         ]
         closed: _States = {}
@@ -489,18 +557,19 @@ class _Pairings:
                 pairing = list(state)
                 end = pairing[p1]
                 if end == q1:
-                    shift += 1
+                    shift += loop
                 else:
                     other = pairing[q1]
                     pairing[end], pairing[other] = other, end
                 end = pairing[p2]
                 if end == q2:
-                    shift += 1
+                    shift += loop
                 else:
                     other = pairing[q2]
                     pairing[end], pairing[other] = other, end
                 pairing[x0] = pairing[x1] = pairing[y0] = pairing[y1] = -1
-                _merge(closed, tuple(pairing), tally, weight, shift)
+                after = tuple(pairing)
+                closed[after] = closed.get(after, 0) + (tally << shift) * weight
         return closed
 
 
@@ -524,10 +593,17 @@ class _Partitions:
     2, or cut, with weight -1.  A block that loses its last open half-edge
     is a closed component and moves the key by 2, so an empty local vertex
     moves nothing; a block whose least slot closes takes its next one.
+    The tallies are packed ints.
     """
+
+    packed = True
 
     def __init__(self, m: CombMap):
         self.alpha = m.alpha
+        self.edge_count = m.edge_count
+
+    def closing_mass(self) -> int:
+        return 1 << self.edge_count  # each edge joined, with weight 1, or cut, with -1
 
     @staticmethod
     def points(half_edges: Sequence[int]) -> list[int]:
@@ -546,6 +622,7 @@ class _Partitions:
 
     def close(self, states: _States, slot: dict[int, int], h: int) -> _States:
         i, j = slot[h], slot[self.alpha[h]]
+        two = 2 * self.bits  # a key move of 2
         closed: _States = {}
         for state, tally in states.items():
             x, y = state[i], state[j]
@@ -561,11 +638,11 @@ class _Partitions:
                     rest = [root if z == old else z for z in rest]
                 roots.append(root)
             after = tuple(rest)
-            _merge(closed, after, tally, -1, 2 * (len(blocks) - len(roots)))
+            closed[after] = closed.get(after, 0) - (tally << two * (len(blocks) - len(roots)))
             if len(roots) == 2:
                 low, high = sorted(roots)
                 after = tuple([low if z == high else z for z in rest])
-            _merge(closed, after, tally, 1, 2 if roots else 4)
+            closed[after] = closed.get(after, 0) + (tally << (two if roots else 2 * two))
         return closed
 
 
@@ -584,7 +661,12 @@ class _Ranks:
     the faces of G run on along both sides of e; a cut edge also joins the
     two sides, its dual edge being in G*|(E - A), and a kept one merges the
     primal blocks of a and b.  A block with no open slot left is counted.
+
+    The key spans digit^4 values (about 1.5e7 on a 13-edge map), far more
+    than a tally fills, so the tallies stay dicts of key -> count.
     """
+
+    packed = False
 
     def __init__(self, m: CombMap):
         self.edges, self.edge_of = m.edges, m.edge_of
@@ -689,7 +771,7 @@ def _rejoin(rest: list[int], roots: Sequence[int], relabel: list[int], moved: li
 
 
 def _scaled_total(states: _States, weight: int, shift: int) -> dict[int, int]:
-    """The tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
+    """The dict tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
     total: _States = {}
     for tally in states.values():
         _merge(total, (), tally, weight, shift)
@@ -697,7 +779,11 @@ def _scaled_total(states: _States, weight: int, shift: int) -> dict[int, int]:
 
 
 def _merge(states: _States, state: _State, tally: dict[int, int], weight: int, shift: int) -> None:
-    """Add ``tally``, times ``weight`` with every key moved by ``shift``, to ``states[state]``."""
+    """Add ``tally``, times ``weight`` with every key moved by ``shift``, to ``states[state]``.
+
+    The merge of dict tallies, which only ``_Ranks`` keeps; the packed
+    tallies of the other kinds merge by one int addition.
+    """
     target = states.get(state)
     if target is None:
         states[state] = {key + shift: weight * count for key, count in tally.items()}

@@ -44,7 +44,9 @@ half-edge pairs carried through the label compression, and a validated
 sweeps as they were before one loop, ``brauer._sweep``, served both: the
 pairing sweep takes arcs in place of local vertices, the partition sweep
 labels blocks by first occurrence and drops closed slots at once, and both
-record their state count after every closing.  The greedy order oracle is
+record their state count after every closing.  Both keep dict tallies with
+their own ``_merge`` and ``_scaled_total``, where ``brauer._sweep`` packs
+each tally into one int.  The greedy order oracle is
 one start of ``brauer._sweep_plan`` before the plan ranked its candidates by
 packed ints and dropped starts that could not win.
 """
@@ -61,9 +63,7 @@ from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
 from ribbonpoly.brauer import (
     BrauerMatching,
     _bareiss_det,
-    _merge,
     _perm_cycles,
-    _scaled_total,
     _sweep_plan,
     _sweep_steps,
     fpf_permutations,
@@ -1023,6 +1023,31 @@ def phi_evaluate_oracle(m: CombMap) -> HalfLaurent:
         half_exponent = (e_count - cut_count) + (loops + circles) - m.vertex_count
         result = result + HalfLaurent.from_dict("Q", {half_exponent: sign})
     return result
+
+
+def _merge(
+    states: dict[tuple[int, ...], dict[int, int]],
+    state: tuple[int, ...],
+    tally: dict[int, int],
+    weight: int,
+    shift: int,
+) -> None:
+    """Add ``tally``, times ``weight`` with every key moved by ``shift``, to ``states[state]``.
+
+    The sweep oracles' own dict-tally arithmetic, apart from ``brauer``'s.
+    """
+    target = states.setdefault(state, {})
+    for key, count in tally.items():
+        target[key + shift] = target.get(key + shift, 0) + weight * count
+
+
+def _scaled_total(states: dict[tuple[int, ...], dict[int, int]], weight: int, shift: int) -> dict[int, int]:
+    """The tallies of all states summed, times ``weight`` with every key moved by ``shift``."""
+    total: dict[int, int] = {}
+    for tally in states.values():
+        for key, count in tally.items():
+            total[key + shift] = total.get(key + shift, 0) + weight * count
+    return total
 
 
 def frontier_sweep_oracle(
