@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -219,22 +219,28 @@ def _render_term(tag: str, half_exp: int, magnitude: Fraction) -> str:
     return f"{magnitude}*{var}"
 
 
+def _add_q_shift(data: dict[int, Scalar], half_exp: int, coeff: Scalar, shift: int = 0) -> None:
+    """Add ``coeff * Q^(half_exp/2) * q^(shift/2)`` to ``data``, keyed by half-steps of q.
+
+    ``Q^{1/2} = q^{1/2} + q^{-1/2}`` expands by the binomial theorem; this is
+    the one expansion of ``substitute_q_shift`` and ``spatial._q_polynomial``.
+    """
+    if half_exp < 0:
+        raise ValueError("substitution requires non-negative exponents")
+    for j in range(half_exp + 1):
+        key = shift + half_exp - 2 * j
+        data[key] = data.get(key, 0) + coeff * comb(half_exp, j)
+
+
 def substitute_q_shift(poly: HalfLaurent, new_tag: str = "q") -> HalfLaurent:
     """Substitute ``Q^{1/2} := q^{1/2} + q^{-1/2}`` exactly.
 
     Integer exponents of course map through ``Q := q + 2 + q^{-1}``; half
     exponents expand by the binomial theorem on the half-step lattice.
     """
-    from math import comb
-
     data: dict[int, Fraction] = {}
     for half_exp, coeff in poly.terms:
-        if half_exp < 0:
-            raise ValueError("substitution requires non-negative exponents")
-        # (q^{1/2} + q^{-1/2})^half_exp expanded in half-steps of q.
-        for j in range(half_exp + 1):
-            key = half_exp - 2 * j
-            data[key] = data.get(key, Fraction(0)) + coeff * comb(half_exp, j)
+        _add_q_shift(data, half_exp, coeff)
     return HalfLaurent.from_dict(new_tag, data)
 
 
@@ -483,6 +489,8 @@ def eval_cyclotomic(
     ``power`` must be coprime to ``conductor`` (a primitive root) unless
     ``allow_nonprimitive`` is set.  Half-integer exponents are handled by
     doubling the conductor internally: ``q^{1/2} = zeta_{2n}^{power}``.
+    Each coefficient is added to the power of that working root it lands
+    on, and the sum is reduced modulo the cyclotomic polynomial once.
     """
     if conductor < 1:
         raise ValueError("conductor must be positive")
@@ -493,11 +501,8 @@ def eval_cyclotomic(
         )
     has_half = any(exp % 2 != 0 for exp, _ in poly.terms)
     working = 2 * conductor if has_half else conductor
-    result = CyclotomicElement.zero(working)
+    coeffs = [Fraction(0)] * working
     for half_exp, coeff in poly.terms:
-        if has_half:
-            exponent = half_exp * power
-        else:
-            exponent = (half_exp // 2) * power
-        result = result + CyclotomicElement.root_power(working, exponent).scale(coeff)
-    return result
+        exponent = half_exp * power if has_half else (half_exp // 2) * power
+        coeffs[exponent % working] += coeff
+    return CyclotomicElement.from_coeff_list(working, coeffs)

@@ -64,16 +64,6 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gray_toggles(count: int) -> Iterator[int]:
-    """The element toggled at each step of the reflected Gray code on ``count`` bits.
-
-    Starting from the empty set, the 2^count - 1 toggles visit every subset
-    exactly once (Knuth, TAOCP 4A, 7.2.1.1).
-    """
-    for i in range(1, 1 << count):
-        yield (i & -i).bit_length() - 1
-
-
 def _edge_pairing(x: int, y: int, joined: int) -> tuple[int, int, int, int]:
     """Partners of points x, x+1, y, y+1 when x is joined to ``joined``."""
     if joined == y + 1:  # band
@@ -84,39 +74,34 @@ def _edge_pairing(x: int, y: int, joined: int) -> tuple[int, int, int, int]:
 
 
 class _StrandWalker:
-    """Closed strands of a doubled map while single edges switch resolution.
-
-    It serves the state sum of S (``_cut_exponents``) and the flip walk
-    (``_flip_genera``).
+    """Closed strands of a doubled map, with the partner arrays that a walk switches.
 
     Half-edge h doubles into points 2h and 2h+1.  The vertex side pairs them
-    by corner arcs, 2h with 2 sigma(h) + 1 as in ``brauer._corner_pairs``,
-    and never changes.  Each edge (a, b)
-    switches between two of three resolutions, each named by the point it
-    joins to 2a: 2b+1 for a band, 2b for a crossed band, 2a+1 for a cut.
-    ``resolutions[e]`` gives edge e's starting resolution and its other one.
-    Strands are the cycles of the two pairings together; every isolated
-    vertex is one more strand.
+    by corner arcs, 2h with 2 sigma(h) + 1, read off ``m.sigma``, and never
+    changes.  Each edge (a, b) is resolved by the point it joins to 2a:
+    2b+1 for a band, 2b for a crossed band, 2a+1 for a cut; ``joined[e]``
+    gives edge e's starting resolution.  Strands are the cycles of the two
+    pairings together; every isolated vertex is one more strand.
 
     Away from edge e, the strands pair its four points by two outer arcs.  A
     resolution closes both arcs into two strands if it joins 2a to the outer
     partner of 2a, and into one strand otherwise, so a switch moves the count
     by [outer == new] - [outer == old] after one trace of the arc from 2a.
+    ``_cut_exponents`` and ``_flip_genera`` run that switch inline, in one
+    loop each, on the arrays built here.
     """
 
-    __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "pairings", "strands")
+    __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "strands")
 
-    def __init__(self, m: CombMap, resolutions: list[tuple[int, int]]) -> None:
+    def __init__(self, m: CombMap, joined: list[int]) -> None:
         vertex_partner = [0] * (2 * m.half_edge_count)
         for h, nxt in enumerate(m.sigma):
             vertex_partner[2 * h], vertex_partner[2 * nxt + 1] = 2 * nxt + 1, 2 * h
         edge_partner = [0] * len(vertex_partner)
         self.ends = [(2 * a, 2 * b) for a, b in m.edges]
-        self.pairings = []
-        for (x, y), (start, other) in zip(self.ends, resolutions):
-            current = _edge_pairing(x, y, start)
-            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = current
-            self.pairings.append((current, _edge_pairing(x, y, other)))
+        for (x, y), start in zip(self.ends, joined):
+            pairing = _edge_pairing(x, y, start)
+            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = pairing
         self.vertex_partner = vertex_partner
         self.edge_partner = edge_partner
         self.edge_of_point = [m.edge_of[p >> 1] for p in range(len(vertex_partner))]
@@ -133,21 +118,6 @@ class _StrandWalker:
                 seen[p] = True
                 p = edge_partner[p]
         self.strands = strands
-
-    def toggle(self, e: int) -> int:
-        """Switch edge ``e`` to its other resolution; return the change in strands."""
-        vertex_partner, edge_partner = self.vertex_partner, self.edge_partner
-        edge_of_point = self.edge_of_point
-        x, y = self.ends[e]
-        old, new = self.pairings[e]
-        self.pairings[e] = (new, old)
-        outer = vertex_partner[x]
-        while edge_of_point[outer] != e:
-            outer = vertex_partner[edge_partner[outer]]
-        edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = new
-        change = (outer == new[0]) - (outer == old[0])
-        self.strands += change
-        return change
 
 
 class _UnionFind:
@@ -198,16 +168,36 @@ def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
     """Signed state counts by joined edges + strands - vertices.
 
     Edge e is either joined by resolution ``joined[e]`` (a band or a crossed
-    band) or cut, and a state with c cut edges counts (-1)^c.
+    band) or cut, and a state with c cut edges counts (-1)^c.  Every one of
+    the 2^E states is visited once, in reflected Gray order (Knuth, TAOCP
+    4A, 7.2.1.1): step i switches edge e, the lowest set bit of i, with one
+    trace of the strand outside e, as ``_StrandWalker`` describes.  Every
+    exponent reached is a key of the tally, even where its count is 0.
     """
-    resolutions = [(point, 2 * a + 1) for point, (a, _b) in zip(joined, m.edges)]
-    walker = _StrandWalker(m, resolutions)
+    walker = _StrandWalker(m, joined)
+    vertex_partner, edge_partner = walker.vertex_partner, walker.edge_partner
+    edge_of_point = walker.edge_of_point
+    sides = [
+        (x, y, point, _edge_pairing(x, y, point), _edge_pairing(x, y, x + 1))
+        for (x, y), point in zip(walker.ends, joined)
+    ]
     cut, sign = 0, 1
     exponent = m.edge_count - m.vertex_count + walker.strands
     tally = {exponent: 1}
-    for e in _gray_toggles(m.edge_count):
-        cut ^= 1 << e
-        exponent += walker.toggle(e) + (-1 if cut >> e & 1 else 1)
+    for i in range(1, 1 << m.edge_count):
+        bit = i & -i
+        e = bit.bit_length() - 1
+        x, y, point, join, split = sides[e]
+        outer = vertex_partner[x]
+        while edge_of_point[outer] != e:
+            outer = vertex_partner[edge_partner[outer]]
+        cut ^= bit
+        if cut & bit:
+            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = split
+            exponent += (outer == x + 1) - (outer == point) - 1
+        else:
+            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = join
+            exponent += (outer == point) - (outer == x + 1) + 1
         sign = -sign
         tally[exponent] = tally.get(exponent, 0) + sign
     return tally
@@ -257,28 +247,35 @@ def _flip_genera(m: CombMap) -> Iterator[tuple[int, int]]:
     reversing its rotation changes no boundary component and puts a
     half-twist on each incident edge end; a loop at v gets two, which cancel.
     So reversing v has the faces of switching each non-loop edge at v between
-    band and crossed band in one strand walker, which starts with untwisted
-    edges as bands and twisted ones as crossed bands.  Going from mask k - 1
-    to k flips the vertices of bits 0..j, j the lowest set bit of k, and so
-    switches the edges at an odd number of those vertices.
+    band and crossed band on the arrays of one ``_StrandWalker``, which
+    starts with untwisted edges as bands and twisted ones as crossed bands.
+    Going from mask k - 1 to k flips the vertices of bits 0..j, j the lowest
+    set bit of k, and so switches the edges at an odd number of those
+    vertices, one strand trace each.
     """
     flippable = m.flippable_vertices()
-    resolutions = [
-        (2 * b, 2 * b + 1) if e in m.edge_twists else (2 * b + 1, 2 * b)
-        for e, (_a, b) in enumerate(m.edges)
-    ]
-    walker = _StrandWalker(m, resolutions)
-    switched: list[tuple[int, ...]] = []
+    joined = [2 * b if e in m.edge_twists else 2 * b + 1 for e, (_a, b) in enumerate(m.edges)]
+    walker = _StrandWalker(m, joined)
+    vertex_partner, edge_partner = walker.vertex_partner, walker.edge_partner
+    edge_of_point, strands = walker.edge_of_point, walker.strands
+    switched: list[tuple[tuple[int, int, int], ...]] = []
     edges: set[int] = set()
     for v in flippable:
         edges ^= {m.edge_of[h] for h in m.vertices[v] if not m.is_loop(m.edge_of[h])}
-        switched.append(tuple(edges))
+        switched.append(tuple((e, *walker.ends[e]) for e in edges))
     base = 2 * m.component_count + m.edge_count - m.vertex_count
     for mask in range(1 << len(flippable)):
         if mask:
-            for e in switched[(mask & -mask).bit_length() - 1]:
-                walker.toggle(e)
-        doubled = base - walker.strands
+            for e, x, y in switched[(mask & -mask).bit_length() - 1]:
+                outer = vertex_partner[x]
+                while edge_of_point[outer] != e:
+                    outer = vertex_partner[edge_partner[outer]]
+                # band and crossed band swap the partners of x and x + 1, and of y and y + 1
+                old, new = edge_partner[x], edge_partner[x + 1]
+                edge_partner[x], edge_partner[x + 1] = new, old
+                edge_partner[y], edge_partner[y + 1] = edge_partner[y + 1], edge_partner[y]
+                strands += (outer == new) - (outer == old)
+        doubled = base - strands
         if doubled % 2:
             raise ValueError("map is non-orientable (odd Euler defect); genus undefined")
         yield mask, doubled // 2

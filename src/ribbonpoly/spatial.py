@@ -42,8 +42,8 @@ from typing import Iterable, Optional
 from .algebra import (
     CyclotomicElement,
     HalfLaurent,
+    _add_q_shift,
     eval_cyclotomic,
-    substitute_q_shift,
 )
 from .brauer import _join_or_cut, _Pairings, _Partitions, _sweep
 from .invariants import flow_poly, s_poly
@@ -358,15 +358,18 @@ def _q_stride(d: SpatialDiagram) -> int:
 
 
 def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
-    """Unpack a sweep tally by q power and substitute Q = q + 2 + q^{-1} once per power."""
-    by_power: dict[int, dict[int, int]] = {}
+    """Unpack a sweep tally and substitute Q = q + 2 + q^{-1}, in one integer pass.
+
+    Each packed key, q power k and Q key j, expands straight into half-steps
+    of q by the binomial theorem, and one ``HalfLaurent`` is built at the end.
+    """
+    half = stride // 2
+    data: dict[int, int] = {}
     for key, count in tally.items():
-        power, half_exp = divmod(key + stride // 2, stride)
-        by_power.setdefault(power, {})[half_exp - stride // 2] = count
-    total = HalfLaurent.zero("q")
-    for power, data in by_power.items():
-        total = total + substitute_q_shift(HalfLaurent.from_dict("Q", data)).shift(2 * power)
-    return total
+        if count:
+            power, half_exp = divmod(key + half, stride)
+            _add_q_shift(data, half_exp - half, count, 2 * power)
+    return HalfLaurent.from_dict("q", data)
 
 
 def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:

@@ -18,7 +18,14 @@ no early exit; the tuple signature oracle is the per-entry tuple code that
 ``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components.  The
 rank polynomial's walker oracle is ``krushkal_poly`` as it was before the
 ``brauer._Ranks`` sweep: a Gray-code strand walk over the 2^E edge subsets
-with a union-find per side.  The
+with a union-find per side.  ``ToggleWalker`` is the strand walker with its
+per-edge ``toggle`` method, as the walks ran before ``_cut_exponents`` and
+``_flip_genera`` inlined the switch into one loop each; the cut-exponent
+and flip-walk oracles, the rank oracle and the walker oracle of ``w_so``
+step it once per Gray toggle.  The q-polynomial oracle substitutes
+Q = q + 2 + q^{-1} once per power of q through ``substitute_q_shift``, and
+the cyclotomic oracle adds one reduced root power per term, as before the
+one-pass versions in ``spatial`` and ``algebra``.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
@@ -59,7 +66,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from ribbonpoly import spatial as sp
-from ribbonpoly.algebra import HalfLaurent, KrushkalPoly, substitute_q_shift
+from ribbonpoly.algebra import CyclotomicElement, HalfLaurent, KrushkalPoly, substitute_q_shift
 from ribbonpoly.brauer import (
     BrauerMatching,
     _bareiss_det,
@@ -84,7 +91,7 @@ from ribbonpoly.generate import (
 from ribbonpoly.invariants import (
     _check_doubled,
     _cut_exponents,
-    _gray_toggles,
+    _edge_pairing,
     _StrandWalker,
     _UnionFind,
     flow_poly,
@@ -464,6 +471,85 @@ def subdivide_signed_oracle(m: CombMap, signs: Sequence[int], e: int, a: int) ->
     return with_signs(divided, new_signs)
 
 
+def gray_toggles(count: int) -> Iterator[int]:
+    """The element toggled at each step of the reflected Gray code on ``count`` bits.
+
+    Starting from the empty set, the 2^count - 1 toggles visit every subset
+    exactly once (Knuth, TAOCP 4A, 7.2.1.1).
+    """
+    for i in range(1, 1 << count):
+        yield (i & -i).bit_length() - 1
+
+
+class ToggleWalker(_StrandWalker):
+    """The strand walker with one method call per switched edge, as the walks
+    ran before ``_cut_exponents`` and ``_flip_genera`` inlined the switch.
+
+    ``resolutions[e]`` gives edge e's starting resolution and its other one,
+    each as the point it joins to 2a.
+    """
+
+    def __init__(self, m: CombMap, resolutions: list[tuple[int, int]]) -> None:
+        super().__init__(m, [start for start, _other in resolutions])
+        self.pairings = [
+            (_edge_pairing(x, y, start), _edge_pairing(x, y, other))
+            for (x, y), (start, other) in zip(self.ends, resolutions)
+        ]
+
+    def toggle(self, e: int) -> int:
+        """Switch edge ``e`` to its other resolution; return the change in strands."""
+        vertex_partner, edge_partner = self.vertex_partner, self.edge_partner
+        edge_of_point = self.edge_of_point
+        x, y = self.ends[e]
+        old, new = self.pairings[e]
+        self.pairings[e] = (new, old)
+        outer = vertex_partner[x]
+        while edge_of_point[outer] != e:
+            outer = vertex_partner[edge_partner[outer]]
+        edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = new
+        change = (outer == new[0]) - (outer == old[0])
+        self.strands += change
+        return change
+
+
+def cut_exponents_oracle(m: CombMap, joined: list[int]) -> dict[int, int]:
+    """``_cut_exponents`` with one ``ToggleWalker.toggle`` call per Gray step."""
+    walker = ToggleWalker(m, [(point, 2 * a + 1) for point, (a, _b) in zip(joined, m.edges)])
+    cut, sign = 0, 1
+    exponent = m.edge_count - m.vertex_count + walker.strands
+    tally = {exponent: 1}
+    for e in gray_toggles(m.edge_count):
+        cut ^= 1 << e
+        exponent += walker.toggle(e) + (-1 if cut >> e & 1 else 1)
+        sign = -sign
+        tally[exponent] = tally.get(exponent, 0) + sign
+    return tally
+
+
+def flip_genera_walker_oracle(m: CombMap) -> Iterator[tuple[int, int]]:
+    """``_flip_genera`` with one ``ToggleWalker.toggle`` call per switched edge."""
+    flippable = m.flippable_vertices()
+    resolutions = [
+        (2 * b, 2 * b + 1) if e in m.edge_twists else (2 * b + 1, 2 * b)
+        for e, (_a, b) in enumerate(m.edges)
+    ]
+    walker = ToggleWalker(m, resolutions)
+    switched: list[tuple[int, ...]] = []
+    edges: set[int] = set()
+    for v in flippable:
+        edges ^= {m.edge_of[h] for h in m.vertices[v] if not m.is_loop(m.edge_of[h])}
+        switched.append(tuple(edges))
+    base = 2 * m.component_count + m.edge_count - m.vertex_count
+    for mask in range(1 << len(flippable)):
+        if mask:
+            for e in switched[(mask & -mask).bit_length() - 1]:
+                walker.toggle(e)
+        doubled = base - walker.strands
+        if doubled % 2:
+            raise ValueError("map is non-orientable (odd Euler defect); genus undefined")
+        yield mask, doubled // 2
+
+
 def flip_genera_oracle(m: CombMap) -> Iterator[tuple[int, int]]:
     """(mask, genus) of each rotation variant, built as a ``CombMap``."""
     for mask, (_subset, variant) in enumerate(m.rotation_variants()):
@@ -607,7 +693,7 @@ def krushkal_walker_oracle(m: CombMap) -> KrushkalPoly:
     v, dual_v, e_total = m.vertex_count, dual.vertex_count, m.edge_count
     base_b0 = m.component_count
     # each edge kept as a band or deleted as a cut
-    walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
+    walker = ToggleWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
     kept = [True] * e_total
     primal, dual_forest = _UnionFind(v), _UnionFind(dual_v)
     ends = [
@@ -742,10 +828,10 @@ def w_so_walker_oracle(m: CombMap) -> HalfLaurent:
     band and crossed band per state, in Gray-code order.
     """
     # every edge starts as a band, and a twist mark gives the band -1
-    walker = _StrandWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
+    walker = ToggleWalker(m, [(2 * b + 1, 2 * b) for _a, b in m.edges])
     sign = -1 if len(m.edge_twists) % 2 else 1
     tally = {walker.strands: sign}
-    for e in _gray_toggles(m.edge_count):
+    for e in gray_toggles(m.edge_count):
         walker.toggle(e)
         sign = -sign
         tally[walker.strands] = tally.get(walker.strands, 0) + sign
@@ -865,6 +951,43 @@ def yamada_resolution_oracle(
     for coeff, resolved in sp.expand_crossings(d, mirror=mirror):
         total = total + coeff * substitute_q_shift(poly(resolved))
     return total
+
+
+def q_polynomial_oracle(tally: dict[int, int], stride: int) -> HalfLaurent:
+    """``spatial._q_polynomial`` as it was before the one integer pass: one
+    ``substitute_q_shift`` per power of q, the powers added as ``HalfLaurent``s."""
+    by_power: dict[int, dict[int, int]] = {}
+    for key, count in tally.items():
+        power, half_exp = divmod(key + stride // 2, stride)
+        by_power.setdefault(power, {})[half_exp - stride // 2] = count
+    total = HalfLaurent.zero("q")
+    for power, data in by_power.items():
+        total = total + substitute_q_shift(HalfLaurent.from_dict("Q", data)).shift(2 * power)
+    return total
+
+
+def eval_cyclotomic_oracle(
+    poly: HalfLaurent, conductor: int, power: int = 1, allow_nonprimitive: bool = False
+) -> CyclotomicElement:
+    """``eval_cyclotomic`` as it was before it reduced once: one reduced root
+    power per term, scaled and added as a ``CyclotomicElement``."""
+    if conductor < 1:
+        raise ValueError("conductor must be positive")
+    if not allow_nonprimitive and math.gcd(power, conductor) != 1:
+        raise ValueError(
+            f"power {power} is not a primitive residue modulo {conductor}; "
+            "pass allow_nonprimitive=True for ring evaluation at a non-primitive power"
+        )
+    has_half = any(exp % 2 != 0 for exp, _ in poly.terms)
+    working = 2 * conductor if has_half else conductor
+    result = CyclotomicElement.zero(working)
+    for half_exp, coeff in poly.terms:
+        if has_half:
+            exponent = half_exp * power
+        else:
+            exponent = (half_exp // 2) * power
+        result = result + CyclotomicElement.root_power(working, exponent).scale(coeff)
+    return result
 
 
 def obstruction_z2_oracle(d: sp.SpatialDiagram) -> sp.ObstructionClass:

@@ -1,8 +1,11 @@
 """Half-integer Laurent polynomials and cyclotomic evaluation."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from helpers_oracles import eval_cyclotomic_oracle
 
 from ribbonpoly.algebra import (
     CyclotomicElement,
@@ -112,6 +115,38 @@ class TestCyclotomic:
         assert eval_cyclotomic(p, 5, 1).is_zero()
         two = poly("q", {2: 1, 1: 1, 0: 2, -1: 1, -2: 1})
         assert eval_cyclotomic(two, 5, 1) == CyclotomicElement.one(5)
+
+    def test_eval_matches_per_term_oracle(self):
+        # one reduction of the summed root powers against one reduced root
+        # power per term, on integer, half and negative exponents
+        rng = random.Random(89)
+        polys = [HalfLaurent.zero("q")]
+        for i in range(10):
+            step = 2 if i % 2 else 1
+            data = {
+                step * rng.randint(-6, 6): Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 6))
+            }
+            polys.append(HalfLaurent.from_dict("q", data))
+        assert any(not p.has_integer_exponents() for p in polys)
+
+        refused = set()
+
+        def outcome(evaluate, *args, **kwargs):
+            try:
+                return evaluate(*args, **kwargs)
+            except ValueError as exc:
+                refused.add(str(exc).split(" ")[0])
+                return str(exc)
+
+        for p in polys:
+            for n in range(-1, 13):
+                for k in range(-1, n + 2):
+                    allow = n >= 1 and math.gcd(k, n) != 1
+                    for flag in {False, allow}:
+                        want = outcome(eval_cyclotomic_oracle, p, n, k, allow_nonprimitive=flag)
+                        assert outcome(eval_cyclotomic, p, n, k, allow_nonprimitive=flag) == want, (p, n, k)
+        assert refused == {"conductor", "power"}
 
     def test_nonprimitive_power_needs_flag(self):
         p = poly("q", {1: 1})

@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 from helpers_oracles import (
     EDGE_CASES,
+    ToggleWalker,
     chromatic_cd_oracle,
+    cut_exponents_oracle,
     flow_cd_oracle,
+    gray_toggles,
     krushkal_convention,
     krushkal_dual_terms,
     krushkal_walker_oracle,
@@ -45,13 +48,13 @@ from ribbonpoly.generate import (
 )
 from ribbonpoly.invariants import (
     _CHROM_CACHE,
-    _gray_toggles,
+    _cut_exponents,
     _kernel,
     _kernel_key,
     _lone_half_edge,
     _minor,
     _preferred_edge,
-    _StrandWalker,
+    _s_exponents,
     _subdivision_edge,
     chromatic_via_dual,
     clear_caches,
@@ -320,10 +323,10 @@ def _walk_against_oracle(m, names, reversed_vertices=frozenset()):
     resolutions = [tuple(point(a, b, name) for name in pair) for (a, b), pair in zip(m.edges, names)]
     flipped = m.flip_subset(reversed_vertices)
     assert flipped.edges == m.edges
-    walker = _StrandWalker(flipped, resolutions)
+    walker = ToggleWalker(flipped, resolutions)
     state = [pair[0] for pair in names]
     assert walker.strands == strand_count(m, state, reversed_vertices), m
-    for e in _gray_toggles(m.edge_count):
+    for e in gray_toggles(m.edge_count):
         before = walker.strands
         change = walker.toggle(e)
         state[e] = names[e][1] if state[e] == names[e][0] else names[e][0]
@@ -334,12 +337,12 @@ def _walk_against_oracle(m, names, reversed_vertices=frozenset()):
 class TestIncrementalWalks:
     def test_walker_faces_per_subset(self):
         for m in exhaustive_connected_maps(5) + EDGE_CASES:
-            walker = _StrandWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
+            walker = ToggleWalker(m, [(2 * b + 1, 2 * a + 1) for a, b in m.edges])
             mask = 0
             visited = {mask}
             doubled = m.edge_count - m.vertex_count + walker.strands
             assert walker.strands == subgraph_euler(m, mask)[2], m
-            for e in _gray_toggles(m.edge_count):
+            for e in gray_toggles(m.edge_count):
                 mask ^= 1 << e
                 doubled += walker.toggle(e) + (-1 if mask >> e & 1 else 1)
                 visited.add(mask)
@@ -364,6 +367,30 @@ class TestIncrementalWalks:
                     ("crossed" if rng.random() < 0.5 else "band", "cut") for _e in range(m.edge_count)
                 ]
                 _walk_against_oracle(m, names, reversed_vertices)
+
+    def test_cut_exponents_match_toggle_walk(self, six_edge_family, monkeypatch):
+        # the inlined walk against one toggle call per Gray step, key by key in
+        # the order reached, with the keys whose count cancels to 0 kept
+        rng = random.Random(73)
+        mixed = exhaustive_connected_maps(5) + random_maps(seed=79, count=20, max_edges=11)
+        cancelled = 0
+        for m in six_edge_family + mixed + EDGE_CASES:
+            bands = [2 * b + 1 for _a, b in m.edges]
+            want = cut_exponents_oracle(m, bands)
+            assert list(_cut_exponents(m, bands).items()) == list(want.items()), m
+            cancelled += 0 in want.values()
+        assert cancelled
+        for m in mixed + EDGE_CASES:
+            joined = [2 * b + 1 if rng.random() < 0.5 else 2 * b for _a, b in m.edges]
+            want = cut_exponents_oracle(m, joined)
+            assert list(_cut_exponents(m, joined).items()) == list(want.items()), m
+        # S checks every exponent the walk reaches, a cancelled one included
+        seen = []
+        monkeypatch.setattr(invariants, "_check_doubled", seen.append)
+        for m in mixed + EDGE_CASES:
+            seen.clear()
+            _s_exponents(m)
+            assert seen == list(cut_exponents_oracle(m, [2 * b + 1 for _a, b in m.edges])), m
 
     def test_state_sums_match_oracles(self, six_edge_family):
         family = six_edge_family + random_maps(seed=37, count=12, max_edges=10) + EDGE_CASES

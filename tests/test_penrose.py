@@ -9,6 +9,7 @@ from helpers_oracles import (
     cellular_embedding_oracle,
     degree2_connect_sum_oracle,
     flip_genera_oracle,
+    flip_genera_walker_oracle,
     g_min_oracle,
     planarity_oracle,
     subdivide_signed_oracle,
@@ -311,6 +312,22 @@ class TestFlipWalk:
             assert _states(_flip_genera(m)) == want, m
             raised += want[-1][0] == "ValueError"
         assert raised >= 10
+
+    def test_genera_match_toggle_walk(self, flip_family, cubic_census):
+        # the inlined switch against one toggle call per switched edge
+        family = flip_family + [m for v in (2, 4, 6, 8) for m in cubic_census[v]]
+        for m in family:
+            assert _states(_flip_genera(m)) == _states(flip_genera_walker_oracle(m)), m
+
+    def test_raise_after_a_yield(self):
+        # genus() reads mask 0 alone; the walk yields it, then raises at mask 1,
+        # and every flip sum raises there too
+        m = cubic_maps(4)[2].toggle_twist(0)
+        error = ("ValueError", "map is non-orientable (odd Euler defect); genus undefined")
+        assert m.genus() == 1
+        assert _states(_flip_genera(m)) == [(0, 1), error]
+        for flip_sum in (g_min, cellular_embedding_poly, planarity_by_flips):
+            assert _outcome(lambda: flip_sum(m)) == error, flip_sum
 
     def test_results_match_oracles(self, flip_family):
         for m in flip_family:

@@ -10,6 +10,7 @@ from helpers_oracles import (
     EDGE_CASES,
     map_key,
     obstruction_z2_oracle,
+    q_polynomial_oracle,
     resolve_oracle,
     yamada_resolution_oracle,
 )
@@ -38,7 +39,7 @@ from ribbonpoly.fixtures import (
     TRIANGLE,
 )
 from ribbonpoly.generate import POINT, cubic_maps, exhaustive_connected_maps, random_connected_map
-from ribbonpoly.invariants import flow_poly, s_poly
+from ribbonpoly.invariants import clear_caches, flow_poly, s_poly
 from ribbonpoly.maps import CombMap, InvalidMapError
 
 # Evaluation points where the polynomials survive the strand-commuting move:
@@ -150,6 +151,41 @@ class TestSweep:
         for d in diagrams:
             want = yamada_resolution_oracle(d, mirror, "f")
             assert sp.yamada(d, "f", mirror=mirror) == want, d
+
+    def test_q_substitution_matches_per_power_oracle(self, monkeypatch):
+        # the one integer pass against one substitute_q_shift per power of q,
+        # on the R^S and R^F tallies that the sweeps hand over
+        rng = random.Random(229)
+        diagrams = [seeded_diagram(rng, max_edges=3, crossings=c) for c in range(13)]
+        assert max(d.crossing_count for d in diagrams) == 12
+        unpacked = []
+
+        def recording(tally, stride):
+            unpacked.append((tally, stride))
+            return q_polynomial(tally, stride)
+
+        q_polynomial = sp._q_polynomial
+        monkeypatch.setattr(sp, "_q_polynomial", recording)
+        clear_caches()
+        for d in diagrams:
+            for variant in ("s", "f"):
+                sp.yamada(d, variant)
+        clear_caches()
+        assert len(unpacked) == 2 * len(set(diagrams))
+        for tally, stride in unpacked:
+            assert q_polynomial(tally, stride) == q_polynomial_oracle(tally, stride)
+        # a negative Q exponent is refused, unless its count is 0
+        # (stride 9: key -1 is Q^{-1/2}, key 3 is Q^{3/2}, both at q^0)
+        outcomes = []
+        for tally in ({-1: 1, 3: 2}, {-1: 0, 3: 2}):
+            for unpack in (q_polynomial, q_polynomial_oracle):
+                try:
+                    outcomes.append(unpack(tally, 9))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        refused = "substitution requires non-negative exponents"
+        kept = substitute_q_shift(HalfLaurent.monomial("Q", 3, 2))
+        assert outcomes == [refused, refused, kept, kept]
 
     def test_partition_sweep_on_plain_maps(self):
         rng = random.Random(227)
