@@ -256,7 +256,11 @@ def _individualized(
     return lab, start, size
 
 
-def canonical_form(matrix: Sequence[Sequence[int]], automorphisms: list[list[int]] | None = None) -> tuple:
+def canonical_form(
+    matrix: Sequence[Sequence[int]],
+    automorphisms: list[list[int]] | None = None,
+    leaf_forms: set[tuple] | None = None,
+) -> tuple | None:
     """A complete isomorphism invariant of a multigraph adjacency matrix.
 
     Individualization-refinement (McKay, *Practical graph isomorphism*, 1981;
@@ -279,6 +283,13 @@ def canonical_form(matrix: Sequence[Sequence[int]], automorphisms: list[list[int
     The automorphisms the search found are appended to ``automorphisms`` if
     given, as lists ``g`` with ``g[x]`` the image of vertex x.  They generate
     a subgroup of the automorphism group, not always all of it.
+
+    If ``leaf_forms`` is given, every leaf form the search explores is added
+    to it, and a search whose first leaf (the leftmost, never pruned) is
+    already there stops at once and returns None.  Two matrices are
+    isomorphic exactly when their trees have the same set of leaf forms, so
+    a hit proves that ``matrix`` is isomorphic to one searched before with
+    the same set.  A search that does not stop is unchanged.
     """
     v = len(matrix)
     nbrs = [
@@ -296,6 +307,10 @@ def canonical_form(matrix: Sequence[Sequence[int]], automorphisms: list[list[int
             cell += 1
         if cell == v:
             form = tuple([tuple(map(matrix[a].__getitem__, lab)) for a in lab])
+            if leaf_forms is not None:
+                if not leaves and form in leaf_forms:
+                    return -1
+                leaf_forms.add(form)
             for seen_path, seen_lab, seen_form in leaves:
                 if form == seen_form:
                     gamma = [0] * v
@@ -338,6 +353,8 @@ def canonical_form(matrix: Sequence[Sequence[int]], automorphisms: list[list[int
         size[start[x]] += 1
     _refine(nbrs, lab, start, size, {p for p in range(v) if size[p]})
     search(lab, start, size, [])
+    if not leaves:
+        return None
     if automorphisms is not None:
         automorphisms.extend(found)
     return (v,) + leaves[1][2]
@@ -444,6 +461,9 @@ def _cubic_classes(v: int) -> list[tuple[Matrix, list[list[int]]]]:
     first site of each orbit of its sites: ``_grow`` is symmetric in the two
     ends of a site, so a later site of an orbit grows a candidate isomorphic
     to one of the same kind earlier in the stream, which would not be kept.
+    All searches of a level share one set of leaf forms, so a repeat whose
+    first leaf some earlier search reached stops there; any other repeat
+    still meets its class by form.
     """
     if v == 2:
         theta = ((0, 3), (3, 0))
@@ -458,10 +478,12 @@ def _cubic_classes(v: int) -> list[tuple[Matrix, list[list[int]]]]:
                 yield _grow(smaller, site, "lollipop")
 
     classes: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
+    leaf_forms: set[tuple] = set()
     for matrix in candidates():
         automorphisms: list[list[int]] = []
-        form = canonical_form(matrix, automorphisms)
-        classes.setdefault(form, (matrix, automorphisms))
+        form = canonical_form(matrix, automorphisms, leaf_forms)
+        if form is not None:
+            classes.setdefault(form, (matrix, automorphisms))
     return list(classes.values())
 
 
@@ -503,4 +525,4 @@ def cubic_maps(v: int) -> list[CombMap]:
 
 
 def is_bridgeless(m: CombMap) -> bool:
-    return not any(m.is_bridge(e) for e in range(m.edge_count))
+    return not m.bridges

@@ -730,7 +730,7 @@ def special_value_checks(m: CombMap, engine: str = "auto") -> dict:
     report: dict = {}
     report["s_at_1_is_zero"] = s.evaluate(1) == 0
     report["s_at_0_equals_flow_at_0"] = s.evaluate(0) == f.evaluate(0)
-    has_bridge = any(m.is_bridge(e) for e in range(m.edge_count))
+    has_bridge = bool(m.bridges)
     report["bridge_iff_s_zero"] = has_bridge == s.is_zero()
     report["bridge_iff_s0_zero"] = has_bridge == (s.evaluate(0) == 0)
     flip_ok = True

@@ -188,8 +188,8 @@ class CombMap:
 
     # -- surface data ----------------------------------------------------------
 
-    def _vertex_roots(self, skip: int = -1) -> list[int]:
-        """Union-find root of each vertex over every edge except ``skip``."""
+    def _vertex_roots(self) -> list[int]:
+        """Union-find root of each vertex over the edges."""
         parent = list(range(len(self.vertices)))
 
         def find(x: int) -> int:
@@ -198,11 +198,10 @@ class CombMap:
                 x = parent[x]
             return x
 
-        for index, (a, b) in enumerate(self.edges):
-            if index != skip:
-                ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
-                if ra != rb:
-                    parent[ra] = rb
+        for a, b in self.edges:
+            ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
+            if ra != rb:
+                parent[ra] = rb
         return [find(i) for i in range(len(self.vertices))]
 
     @cached_property
@@ -379,12 +378,53 @@ class CombMap:
 
     # -- edge classification ---------------------------------------------------
 
+    @cached_property
+    def bridges(self) -> frozenset[int]:
+        """The edges whose deletion adds a component, from one DFS low-point pass.
+
+        Tarjan (1974): a tree edge into x is a bridge when no edge from the
+        subtree of x reaches above x.  The walk skips only the edge id it came
+        in by, so a parallel edge closes a cycle, and a loop is never a bridge.
+        """
+        vertex_of, edge_of, alpha = self.vertex_of, self.edge_of, self.alpha
+        order = [0] * len(self.vertices)
+        low = [0] * len(self.vertices)
+        found = []
+        count = 0
+        for root in range(len(self.vertices)):
+            if order[root]:
+                continue
+            count += 1
+            order[root] = low[root] = count
+            stack = [(root, -1, iter(self.vertices[root]))]
+            while stack:
+                x, via, rest = stack[-1]
+                for h in rest:
+                    e = edge_of[h]
+                    if e == via:
+                        continue
+                    y = vertex_of[alpha[h]]
+                    if not order[y]:
+                        count += 1
+                        order[y] = low[y] = count
+                        stack.append((y, e, iter(self.vertices[y])))
+                        break
+                    if order[y] < low[x]:
+                        low[x] = order[y]
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        if low[x] < low[parent]:
+                            low[parent] = low[x]
+                        elif low[x] > order[parent]:
+                            found.append(via)
+        return frozenset(found)
+
     def is_bridge(self, e: int) -> bool:
         """True when the other edges leave the two ends of ``e`` unjoined."""
         _check_index(e, self.edge_count)
-        roots = self._vertex_roots(skip=e)
-        a, b = self.edges[e]
-        return roots[self.vertex_of[a]] != roots[self.vertex_of[b]]
+        return e in self.bridges
 
     def is_coloop(self, e: int) -> bool:
         """True when deleting the edge increases the face count."""

@@ -415,7 +415,7 @@ def planarity_by_flips(m: CombMap) -> dict:
     genus, flipped = g_min(m)
     witness = flipped if genus == 0 else None
     report: dict = {"planar_somehow": witness is not None, "witness": witness}
-    if m.edge_count and not any(m.is_bridge(e) for e in range(m.edge_count)):
+    if m.edge_count and not m.bridges:
         b1 = m.euler_data().first_betti
         degree, _ = w_sl_extended(m, parity_signs(m)).degree_leading()
         report["degree_coherent"] = (degree == 2 * b1) == (witness is not None)

@@ -15,7 +15,9 @@ mod-2 obstruction oracle builds the crossing class and its coboundaries
 over GF(2) alone, apart from the signed class that ``obstruction_z2`` and
 ``obstruction_integral`` share.  The signature oracle builds every start's full code and takes the minimum, with
 no early exit; the tuple signature oracle is the per-entry tuple code that
-``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components.  The
+``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components;
+the union-find bridge oracle is ``CombMap.is_bridge`` as it was before the one-pass bridge set:
+one union-find over the other edges for each edge.  The
 rank polynomial's walker oracle is ``krushkal_poly`` as it was before the
 ``brauer._Ranks`` sweep: a Gray-code strand walk over the 2^E edge subsets
 with a union-find per side.  ``ToggleWalker`` is the strand walker with its
@@ -33,7 +35,10 @@ oracles list every rotation on a fixed edge involution, and every cubic
 adjacency matrix, and reject isomorphs by a canonical form that walks the full
 individualization tree with dense refinement and no pruning.  The unpruned
 census oracle is the cubic census as it was before it grew each smaller graph
-once per automorphism orbit of its edge sites: it grows at every site.  The Brauer
+once per automorphism orbit of its edge sites: it grows at every site.  The
+full-search census oracle is ``generate._cubic_classes`` as it was before
+the searches of a level shared their leaf forms: every candidate gets a full
+search.  The Brauer
 oracles compose and juxtapose matchings through their sets of pairs and a
 neighbour graph, and evaluate the functor one ``HalfLaurent`` term per edge
 state, apart from the partner arrays of ``BrauerMatching``.  The Gram oracles
@@ -84,6 +89,7 @@ from ribbonpoly.generate import (
     Matrix,
     _edge_sites,
     _grow,
+    _orbit_sites,
     _simple_cubic_connected,
     bouquet,
     canonical_form,
@@ -232,6 +238,16 @@ def _components(m: CombMap) -> list[list[int]]:
 def is_bridge_oracle(m: CombMap, e: int) -> bool:
     """Whether deleting edge ``e`` adds a component."""
     return m.delete_edge(e).component_count == m.component_count + 1
+
+
+def is_bridge_union_find_oracle(m: CombMap, e: int) -> bool:
+    """Whether the edges other than ``e`` leave the two ends of ``e`` unjoined."""
+    roots = _UnionFind(m.vertex_count)
+    for index, (a, b) in enumerate(m.edges):
+        if index != e:
+            roots.union(m.vertex_of[a], m.vertex_of[b])
+    a, b = m.edges[e]
+    return roots._find(m.vertex_of[a]) != roots._find(m.vertex_of[b])
 
 
 def face_count_oracle(m: CombMap) -> int:
@@ -1706,3 +1722,24 @@ def cubic_census_bruteforce(v: int) -> list[Matrix]:
         if _connected(m):
             seen.setdefault(canonical_form_oracle(m), m)
     return list(seen.values())
+
+
+def cubic_classes_full_search_oracle(v: int) -> list[tuple[Matrix, list[list[int]]]]:
+    """``generate._cubic_classes`` with a full ``canonical_form`` search per candidate.
+
+    Grows the classes of ``cubic_classes_full_search_oracle(v - 2)`` at the
+    first site of each orbit and keeps the first candidate of each form, with
+    the automorphisms its search found, as the census did before the searches
+    of a level shared their leaf forms.
+    """
+    if v == 2:
+        return [(((0, 3), (3, 0)), []), (((1, 1), (1, 1)), [])]
+    candidates = list(_simple_cubic_connected(v))
+    for smaller, automorphisms in cubic_classes_full_search_oracle(v - 2):
+        for site in _orbit_sites(smaller, automorphisms):
+            candidates += [_grow(smaller, site, "digon"), _grow(smaller, site, "lollipop")]
+    classes: dict[tuple, tuple[Matrix, list[list[int]]]] = {}
+    for matrix in candidates:
+        automorphisms: list[list[int]] = []
+        classes.setdefault(canonical_form(matrix, automorphisms), (matrix, automorphisms))
+    return list(classes.values())

@@ -9,6 +9,7 @@ from helpers_oracles import (
     cubic_census_bruteforce,
     cubic_census_candidates,
     cubic_census_unpruned_oracle,
+    cubic_classes_full_search_oracle,
     exhaustive_by_permutations,
 )
 
@@ -121,10 +122,60 @@ class TestCubicCensus:
         counts = {v: len(maps) for v, maps in cubic_census.items()}
         assert counts == {2: 2, 4: 5, 6: 17, 8: 71, 10: 388}
 
-    @pytest.mark.slow
     def test_count_at_twelve(self):
-        # OEIS A005967.
-        assert len(cubic_maps(12)) == 2592
+        # OEIS A005967; the digest pins the matrices and their order.
+        census = cubic_multigraph_census(12)
+        assert len(census) == 2592
+        digest = hashlib.sha256(repr(census).encode()).hexdigest()
+        assert digest == "24cc3d8e55b1571f5ee9f41e1a6f6c6ecf9e0dd5f3a5e61deb16b7bf0257ccf6"
+
+    def test_equals_full_search_oracle(self):
+        # Stopping repeats at their first leaf keeps every class, its first
+        # matrix and the automorphisms its search found.
+        for v in range(2, 11, 2):
+            assert generate._cubic_classes(v) == cubic_classes_full_search_oracle(v), v
+
+    def test_repeats_stop_at_first_leaf(self, monkeypatch):
+        # At v = 8, 113 of the 184 candidates repeat a class, and every one
+        # of them stops at its first leaf rather than falling back to its form.
+        outcomes = []
+
+        def counted(matrix, automorphisms=None, leaf_forms=None):
+            form = canonical_form(matrix, automorphisms, leaf_forms)
+            if len(matrix) == 8:
+                outcomes.append(form)
+            return form
+
+        monkeypatch.setattr(generate, "canonical_form", counted)
+        generate._cubic_classes(8)
+        forms = [form for form in outcomes if form is not None]
+        assert (len(outcomes), len(forms), len(set(forms))) == (184, 71, 71)
+
+    def test_relabeled_copy_stops_at_first_leaf(self):
+        rng = random.Random(27)
+        for matrix in (m for v in (2, 4, 6, 8) for m in cubic_multigraph_census(v)):
+            leaf_forms = set()
+            assert canonical_form(matrix, None, leaf_forms) is not None
+            for _ in range(2):
+                assert canonical_form(_relabeled(matrix, rng), None, set(leaf_forms)) is None, matrix
+
+    def test_classes_never_stop(self):
+        # Distinct classes share no leaf form, so none of them stops.
+        leaf_forms = set()
+        for matrix in cubic_multigraph_census(8):
+            assert canonical_form(matrix, None, leaf_forms) is not None, matrix
+        assert len(leaf_forms) >= 71
+
+    def test_leaf_forms_keep_forms_and_automorphisms(self):
+        # The census classes share one set; each symmetric graph gets its own.
+        shared_set = set()
+        census = [(m, shared_set) for v in (2, 4, 6, 8) for m in cubic_multigraph_census(v)]
+        symmetric = [(m, set()) for m in _symmetric_graphs().values()]
+        for matrix, leaf_forms in census + symmetric:
+            plain, shared = [], []
+            form = canonical_form(matrix, plain)
+            assert canonical_form(matrix, shared, leaf_forms) == form
+            assert shared == plain, matrix
 
     def test_bruteforce_agreement(self):
         # Classes by the unpruned oracle form, apart from canonical_form.

@@ -8,6 +8,7 @@ from helpers_oracles import (
     EDGE_CASES,
     face_count_oracle,
     is_bridge_oracle,
+    is_bridge_union_find_oracle,
     rebuild_oracle,
     signature_oracle,
     surgery_outcome,
@@ -18,7 +19,7 @@ from helpers_spatial import seeded_diagram
 
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.fixtures import SPATIAL_FIXTURES
-from ribbonpoly.generate import POINT, dipole, exhaustive_connected_maps, random_maps
+from ribbonpoly.generate import POINT, dipole, exhaustive_connected_maps, random_connected_map, random_maps
 from ribbonpoly.invariants import flow_poly, wedge
 from ribbonpoly.maps import (
     CombMap,
@@ -235,6 +236,33 @@ class TestSurgery:
                 assert m.is_bridge(e) == is_bridge_oracle(m, e), (m, e)
                 bridges += m.is_bridge(e)
         assert bridges >= 100
+
+    def test_bridge_set_matches_union_find_oracle(self, six_edge_family, cubic_census):
+        rng = random.Random(1974)
+        scattered = []
+        for _ in range(300):
+            # several components, isolated vertices and twisted edges
+            m = random_connected_map(rng, rng.randint(1, 8))
+            for _ in range(rng.randint(0, 2)):
+                other = random_connected_map(rng, rng.randint(1, 4)) if rng.random() < 0.7 else POINT
+                m = m.disjoint_union(other)
+            for e in rng.sample(range(m.edge_count), rng.randint(0, min(3, m.edge_count))):
+                m = m.toggle_twist(e)
+            scattered.append(m)
+        family = six_edge_family + EDGE_CASES + scattered
+        family += [m for v in sorted(cubic_census) for m in cubic_census[v]]
+        seen = {"bridge": 0, "loop": 0, "parallel": 0, "twist": 0, "isolated": 0, "split": 0}
+        for m in family:
+            want = {e for e in range(m.edge_count) if is_bridge_union_find_oracle(m, e)}
+            assert m.bridges == want, m
+            ends = [frozenset(m.vertex_of[h] for h in edge) for edge in m.edges]
+            seen["bridge"] += bool(want)
+            seen["loop"] += any(len(pair) == 1 for pair in ends)
+            seen["parallel"] += len(set(ends)) < len(ends)
+            seen["twist"] += bool(m.edge_twists)
+            seen["isolated"] += any(not cycle for cycle in m.vertices)
+            seen["split"] += m.component_count > 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestTwists:
