@@ -10,7 +10,7 @@ combinations that give local relations at square integer values of Q.
 
 The functor composes its local diagrams in one frontier sweep, ``_sweep``:
 vertices enter one at a time, edges close once both ends are placed
-(``_sweep_steps``, the one schedule of the sweep and its cost bound), and
+(``_sweep_steps``, the one schedule of the sweep), and
 equal states of the open slots merge.  Its state kind ``_Pairings`` pairs
 the open points, which also evaluates ``W_so`` and ``W_sl`` (``penrose``)
 and ``R^S`` (``spatial``), whose vertices enter as weighted choices of local
@@ -353,38 +353,13 @@ def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
     return tuple(best_order), best_width, bound[best_width]
 
 
-def _sweep_cost(m: CombMap, order: Sequence[int]) -> int:
-    """A bound on the states ``_sweep`` passes over in ``order``, one option per vertex.
-
-    Each step places a vertex or closes an edge.  After a step, w
-    half-edges are open and c edges closed.  A ``_Pairings`` state pairs
-    the 2w open points, so there are at most (2w - 1)!! states, and a
-    closing at most doubles them, so there are at most 2^c.  The bound sums
-    the lesser of the two over every step.  ``_Partitions`` keeps no more:
-    its states partition the open half-edges, and Bell(w) <= (2w - 1)!!.
-    """
-    cap = 1 << m.edge_count
-    pairings = [1]  # (2w - 1)!!, capped at 2^E
-    for w in range(1, m.half_edge_count + 1):
-        pairings.append(min(pairings[-1] * (2 * w - 1), cap))
-    open_count = closed = total = 0
-    for _v, cycle, closing in _sweep_steps(m, order):
-        open_count += len(cycle)
-        total += min(pairings[open_count], 1 << closed)
-        for _h in closing:
-            open_count -= 2
-            closed += 1
-            total += min(pairings[open_count], 1 << closed)
-    return total
-
-
 def _sweep_steps(
     m: CombMap, order: Sequence[int]
 ) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
-    """The one schedule of ``_sweep`` and of its cost bound: each vertex v
-    of ``order``, its rotation, and the half-edges at v whose edges close
-    once v is placed.  An edge closes when its second end is placed, and a
-    loop closes at its larger half-edge."""
+    """The one schedule of ``_sweep``: each vertex v of ``order``, its
+    rotation, and the half-edges at v whose edges close once v is placed.
+    An edge closes when its second end is placed, and a loop closes at its
+    larger half-edge."""
     vertex_of, alpha = m.vertex_of, m.alpha
     placed = [False] * m.vertex_count
     for v in order:
@@ -806,20 +781,20 @@ def phi_evaluate(m: CombMap) -> HalfLaurent:
     return HalfLaurent.from_dict("Q", _s_tally(m))
 
 
-def _s_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
-    """The tally of ``phi_evaluate`` by doubled exponent, swept in ``order``."""
+def _s_tally(m: CombMap) -> dict[int, int]:
+    """The tally of ``phi_evaluate`` by doubled exponent."""
     options = [[([cycle], 1, -1)] for cycle in m.vertices]
-    return _sweep(m, options, _Pairings(m, _join_or_cut(m)), order)
+    return _sweep(m, options, _Pairings(m, _join_or_cut(m)))
 
 
-def _flow_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:
-    """The flow polynomial by doubled nullity, swept by ``_Partitions`` in ``order``.
+def _flow_tally(m: CombMap) -> dict[int, int]:
+    """The flow polynomial by doubled nullity, swept by ``_Partitions``.
 
     Each vertex enters as one local vertex and each edge is kept or cut, so
     the key is 2 b1 of the kept edges and the sign (-1)^(cut edges).  The
     rotation and the twists play no part.
     """
-    return _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], _Partitions(m), order)
+    return _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], _Partitions(m))
 
 
 def _chrom_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, int]:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .brauer import brauer_evaluate, fpf_permutations, gram_det
 from .fixtures import MAP_FIXTURES, bundled_fixture_paths
 from .generate import cubic_maps, is_bridgeless
-from .invariants import _flow_poly, _s_poly, flow_poly, s_poly, virtual_chromatic
+from .invariants import flow_poly, resolve_engine, s_poly, virtual_chromatic
 from .maps import CombMap, InvalidMapError
 from .penrose import cellular_embedding_poly, w_sl_extended, w_so
 from .spatial import (
@@ -78,10 +78,9 @@ def _report(obj, engine: str, polynomials: dict, verdicts: dict) -> str:
 def _cmd_invariant(args) -> int:
     m = _load_map(args.file)
     engine = args.engine
-    if args.poly == "s":
-        poly, used = _s_poly(m, engine)
-    elif args.poly == "f":
-        poly, used = _flow_poly(m, engine)
+    if args.poly in ("s", "f"):
+        used = resolve_engine(m, engine)
+        poly = s_poly(m, used) if args.poly == "s" else flow_poly(m, used)
     else:
         if engine != "auto":
             raise CliError(f"--engine applies to --poly s or f, not {args.poly}")

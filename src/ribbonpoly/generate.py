@@ -15,8 +15,7 @@ import random
 from typing import Iterator, Sequence
 
 from .brauer import _perm_cycles
-from .invariants import _UnionFind
-from .maps import CombMap
+from .maps import CombMap, _UnionFind
 
 POINT = CombMap(((),), ())
 

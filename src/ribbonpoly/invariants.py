@@ -11,13 +11,13 @@ vertex-count-normalized chromatic polynomial for virtual graphs.  S and flow
 each have three independent engines, so the test suite can cross-check them
 term by term: the state sum, memoized contraction-deletion, and a frontier
 sweep of ``brauer`` (over boundary pairings for S, over set partitions for
-flow).  ``resolve_engine`` chooses between the state sum and the sweeps by
-estimated cost; contraction-deletion runs only by name.  The chromatic
-polynomial has two engines: the pairing sweep over the map itself, which
-``auto`` names, and contraction-deletion by name.  ``s_poly_at`` evaluates
-the tally of the engine that ``auto`` picks.  The rank polynomial has one
-engine, the ``brauer._Ranks`` sweep over boundary pairings, dual and primal
-partitions at once.
+flow).  ``resolve_engine`` chooses between the state sum and the sweeps
+from the edge and vertex counts alone; contraction-deletion runs only by
+name.  The chromatic polynomial has two engines: the pairing sweep over the
+map itself, which ``auto`` names, and contraction-deletion by name.
+``s_poly_at`` evaluates the tally of the engine that ``auto`` picks.  The
+rank polynomial has one engine, the ``brauer._Ranks`` sweep over boundary
+pairings, dual and primal partitions at once.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
-from .brauer import _chrom_tally, _flow_tally, _rank_tally, _s_tally, _sweep_cost, _sweep_plan
-from .maps import CombMap, _canonical_code, _kernel
+from .brauer import _chrom_tally, _flow_tally, _rank_tally, _s_tally
+from .maps import CombMap, _canonical_code, _kernel, _UnionFind
 
 _S_CACHE: dict = {}
 _FLOW_CACHE: dict = {}
@@ -118,44 +118,6 @@ class _StrandWalker:
                 seen[p] = True
                 p = edge_partner[p]
         self.strands = strands
-
-
-class _UnionFind:
-    """Union by size without path compression, so unions undo in reverse order."""
-
-    __slots__ = ("parent", "size", "components")
-
-    def __init__(self, count: int) -> None:
-        self.parent = list(range(count))
-        self.size = [1] * count
-        self.components = count
-
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> int:
-        """Join the classes of x and y; return the absorbed root, or -1 if already joined."""
-        x, y = self._find(x), self._find(y)
-        if x == y:
-            return -1
-        if self.size[x] > self.size[y]:
-            x, y = y, x
-        self.parent[x] = y
-        self.size[y] += self.size[x]
-        self.components -= 1
-        return x
-
-    def undo(self, root: int) -> None:
-        """Reverse the latest union still in force, given the root it returned."""
-        if root < 0:
-            return
-        top = self.parent[root]
-        self.parent[root] = root
-        self.size[top] -= self.size[root]
-        self.components += 1
 
 
 def _check_doubled(value: int) -> None:
@@ -403,45 +365,29 @@ def _preferred_edge(sigma: list[int]) -> tuple[int, bool]:
 
 # The sweep's cost in state-sum subsets, fitted to the crossover table in
 # CHANGES.md: _SWEEP_STEP per step (placing a vertex, closing an edge, and
-# the final sum), V^3 / _PLAN_CUBE for _sweep_plan's greedy starts, and one
-# per _PAIRING_STATES states of the bound.
+# the final sum) and V^3 / _PLAN_CUBE for _sweep_plan's greedy starts.
 _SWEEP_STEP = 10
 _PLAN_CUBE = 4
-_PAIRING_STATES = 8
 
 
 def resolve_engine(m: CombMap, engine: str) -> str:
     """The engine that computes S or flow.
 
-    ``auto`` compares costs known before anything runs, counted in subsets
-    of the state sum, which visits all 2^E.  The frontier sweep
-    (``brauer._sweep``) costs a share per step and for planning, plus its
-    state bound on ``_sweep_plan``'s order (``brauer._sweep_cost``).  That
-    bound is for ``_Pairings``, for S; ``_Partitions``, for flow, keeps no
-    more states, so one choice serves both.  The sweeps take over at 7 to 9
-    edges, later on maps with more vertices.  Contraction-deletion runs only
-    by name.  Any other name is returned unchanged.
-    """
-    return _choose(m, engine)[0]
-
-
-def _choose(m: CombMap, engine: str) -> tuple[str, Optional[tuple[int, ...]]]:
-    """``resolve_engine``, with the sweep order when ``auto`` planned one.
-
-    The plan is made only when 2^E exceeds the sweep's step and planning
-    costs.  Once made, its cost is spent, so the state sum still runs if 2^E
-    is at most the step costs plus the bound.
+    ``auto`` decides from E and V alone, with the sweep's cost counted in
+    subsets of the state sum, which visits all 2^E: the state sum runs while
+    2^E <= _SWEEP_STEP (V + E + 1) + V^3 // _PLAN_CUBE, and the frontier
+    sweep (``brauer``) beyond.  One rule serves S and flow.  The sweeps take
+    over at 7 to 9 edges, later on maps with more vertices.
+    Contraction-deletion runs only by name.  Any other name is returned
+    unchanged.
     """
     if engine != "auto":
-        return engine, None
+        return engine
     subsets = 1 << m.edge_count
     steps = _SWEEP_STEP * (m.vertex_count + m.edge_count + 1)
     if subsets <= steps + m.vertex_count**3 // _PLAN_CUBE:
-        return "state-sum", None
-    order = _sweep_plan(m)[0]
-    if subsets <= steps + _sweep_cost(m, order) // _PAIRING_STATES:
-        return "state-sum", None
-    return "brauer", order
+        return "state-sum"
+    return "brauer"
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +400,18 @@ def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
 
     Three independent engines compute it: the state sum over kept edge sets
     with a union-find, memoized contraction-deletion, and the partition
-    sweep (``brauer``); ``auto`` picks by ``resolve_engine``.
+    sweep (``brauer``); ``resolve_engine`` names the one ``auto`` runs.
     """
-    return _flow_poly(m, engine)[0]
-
-
-def _flow_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
-    """``flow_poly`` and the engine that computed it."""
-    engine, order = _choose(m, engine)
+    engine = resolve_engine(m, engine)
     if engine == "state-sum":
         tally = _flow_exponents(m)
     elif engine == "contraction-deletion":
         tally = _flow_cd(*_kernel(m))
     elif engine == "brauer":
-        tally = _flow_tally(m, order)
+        tally = _flow_tally(m)
     else:
         raise ValueError(f"unknown flow engine {engine!r}")
-    return HalfLaurent.from_dict("Q", tally), engine
+    return HalfLaurent.from_dict("Q", tally)
 
 
 def _flow_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -505,19 +446,13 @@ def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
 
     Three independent engines compute it: the state sum over edge subsets,
     memoized contraction-deletion, and the frontier sweep of the diagram
-    category (``brauer``); ``auto`` picks by ``resolve_engine``.
+    category (``brauer``); ``resolve_engine`` names the one ``auto`` runs.
     """
-    return _s_poly(m, engine)[0]
+    return HalfLaurent.from_dict("Q", _s_engine_tally(m, engine))
 
 
-def _s_poly(m: CombMap, engine: str) -> tuple[HalfLaurent, str]:
-    """``s_poly`` and the engine that computed it."""
-    tally, engine = _s_engine_tally(m, engine)
-    return HalfLaurent.from_dict("Q", tally), engine
-
-
-def _s_engine_tally(m: CombMap, engine: str) -> tuple[dict[int, int], str]:
-    """The integer tally of S by doubled exponent and the engine that computed it.
+def _s_engine_tally(m: CombMap, engine: str) -> dict[int, int]:
+    """The integer tally of S by doubled exponent, from the engine ``resolve_engine`` names.
 
     The tally may be a memo value of contraction-deletion, so callers only read it.
     """
@@ -525,16 +460,16 @@ def _s_engine_tally(m: CombMap, engine: str) -> tuple[dict[int, int], str]:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
         )
-    engine, order = _choose(m, engine)
+    engine = resolve_engine(m, engine)
     if engine == "state-sum":
         tally = _s_exponents(m)
     elif engine == "contraction-deletion":
         tally = _s_cd(*_kernel(m))
     elif engine == "brauer":
-        tally = _s_tally(m, order)
+        tally = _s_tally(m)
     else:
         raise ValueError(f"unknown S engine {engine!r}")
-    return tally, engine
+    return tally
 
 
 def _s_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -560,7 +495,7 @@ def s_poly_at(m: CombMap, value: Fraction | int) -> Fraction:
     """Evaluate S at a rational point from the integer tally of the ``auto`` engine."""
     point = Fraction(value)
     total = Fraction(0)
-    for doubled, coeff in _s_engine_tally(m, "auto")[0].items():
+    for doubled, coeff in _s_engine_tally(m, "auto").items():
         exp = doubled // 2
         term = point**exp if point != 0 else Fraction(1 if exp == 0 else 0)
         total += coeff * term

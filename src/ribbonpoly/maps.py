@@ -89,6 +89,44 @@ def diagnose(
     return problems
 
 
+class _UnionFind:
+    """Union by size without path compression, so unions undo in reverse order."""
+
+    __slots__ = ("parent", "size", "components")
+
+    def __init__(self, count: int) -> None:
+        self.parent = list(range(count))
+        self.size = [1] * count
+        self.components = count
+
+    def _find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> int:
+        """Join the classes of x and y; return the absorbed root, or -1 if already joined."""
+        x, y = self._find(x), self._find(y)
+        if x == y:
+            return -1
+        if self.size[x] > self.size[y]:
+            x, y = y, x
+        self.parent[x] = y
+        self.size[y] += self.size[x]
+        self.components -= 1
+        return x
+
+    def undo(self, root: int) -> None:
+        """Reverse the latest union still in force, given the root it returned."""
+        if root < 0:
+            return
+        top = self.parent[root]
+        self.parent[root] = root
+        self.size[top] -= self.size[root]
+        self.components += 1
+
+
 @dataclass(frozen=True)
 class EulerData:
     vertices: int
@@ -188,25 +226,13 @@ class CombMap:
 
     # -- surface data ----------------------------------------------------------
 
-    def _vertex_roots(self) -> list[int]:
-        """Union-find root of each vertex over the edges."""
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(self.vertex_of[a]), find(self.vertex_of[b])
-            if ra != rb:
-                parent[ra] = rb
-        return [find(i) for i in range(len(self.vertices))]
-
     @cached_property
     def component_count(self) -> int:
-        return len(set(self._vertex_roots()))
+        forest = _UnionFind(len(self.vertices))
+        vertex_of = self.vertex_of
+        for a, b in self.edges:
+            forest.union(vertex_of[a], vertex_of[b])
+        return forest.components
 
     @cached_property
     def face_count(self) -> int:

@@ -16,6 +16,7 @@ over GF(2) alone, apart from the signed class that ``obstruction_z2`` and
 ``obstruction_integral`` share.  The signature oracle builds every start's full code and takes the minimum, with
 no early exit; the tuple signature oracle is the per-entry tuple code that
 ``CombMap.signature`` ran before it moved to the kernel form.  The bridge oracle deletes the edge and counts components;
+the component oracle is ``CombMap.component_count`` with its own path-halving union-find;
 the union-find bridge oracle is ``CombMap.is_bridge`` as it was before the one-pass bridge set:
 one union-find over the other edges for each edge.  The
 rank polynomial's walker oracle is ``krushkal_poly`` as it was before the
@@ -60,7 +61,10 @@ record their state count after every closing.  Both keep dict tallies with
 their own ``_merge`` and ``_scaled_total``, where ``brauer._sweep`` packs
 each tally into one int.  The greedy order oracle is
 one start of ``brauer._sweep_plan`` before the plan ranked its candidates by
-packed ints and dropped starts that could not win.
+packed ints and dropped starts that could not win.  The engine-choice
+oracle is ``invariants.resolve_engine`` as it was when ``auto`` also
+compared 2^E with a bound on the sweep's states along the planned order,
+the sweep-cost oracle.
 """
 
 from __future__ import annotations
@@ -99,12 +103,11 @@ from ribbonpoly.invariants import (
     _cut_exponents,
     _edge_pairing,
     _StrandWalker,
-    _UnionFind,
     flow_poly,
     krushkal_poly,
     s_poly,
 )
-from ribbonpoly.maps import CombMap, ConnectSumError, resolve_strands
+from ribbonpoly.maps import CombMap, ConnectSumError, _UnionFind, resolve_strands
 from ribbonpoly.penrose import parity_signs, w_sl_extended, with_signs
 
 # Maps the exhaustive family leaves out or rarely reaches: no edges, isolated
@@ -248,6 +251,24 @@ def is_bridge_union_find_oracle(m: CombMap, e: int) -> bool:
             roots.union(m.vertex_of[a], m.vertex_of[b])
     a, b = m.edges[e]
     return roots._find(m.vertex_of[a]) != roots._find(m.vertex_of[b])
+
+
+def component_count_oracle(m: CombMap) -> int:
+    """``CombMap.component_count`` as it was before it shared ``_UnionFind``:
+    its own union-find with path halving, counting the distinct roots."""
+    parent = list(range(len(m.vertices)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in m.edges:
+        ra, rb = find(m.vertex_of[a]), find(m.vertex_of[b])
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(i) for i in range(len(m.vertices))})
 
 
 def face_count_oracle(m: CombMap) -> int:
@@ -1405,6 +1426,59 @@ def greedy_order_oracle(m: CombMap, start: int) -> tuple[int, int, list[int]]:
                 growth[w] -= 2
                 touched[w] = step
     return cost, width, order
+
+
+# The engine rule's constants as they were when ``auto`` also compared 2^E
+# with the sweep's state bound, copied so that the rule oracle does not
+# follow a change to the constants of ``invariants``.
+_SWEEP_STEP = 10
+_PLAN_CUBE = 4
+_PAIRING_STATES = 8
+
+
+def sweep_cost_oracle(m: CombMap, order: Sequence[int]) -> int:
+    """A bound on the states ``_sweep`` passes over in ``order``, one option per vertex.
+
+    Each step places a vertex or closes an edge.  After a step, w
+    half-edges are open and c edges closed.  A ``_Pairings`` state pairs
+    the 2w open points, so there are at most (2w - 1)!! states, and a
+    closing at most doubles them, so there are at most 2^c.  The bound sums
+    the lesser of the two over every step.  ``_Partitions`` keeps no more:
+    its states partition the open half-edges, and Bell(w) <= (2w - 1)!!.
+    """
+    cap = 1 << m.edge_count
+    pairings = [1]  # (2w - 1)!!, capped at 2^E
+    for w in range(1, m.half_edge_count + 1):
+        pairings.append(min(pairings[-1] * (2 * w - 1), cap))
+    open_count = closed = total = 0
+    for _v, cycle, closing in _sweep_steps(m, order):
+        open_count += len(cycle)
+        total += min(pairings[open_count], 1 << closed)
+        for _h in closing:
+            open_count -= 2
+            closed += 1
+            total += min(pairings[open_count], 1 << closed)
+    return total
+
+
+def choose_engine_oracle(m: CombMap, engine: str) -> tuple[str, Optional[tuple[int, ...]]]:
+    """``invariants.resolve_engine`` as it was with the state bound, and the
+    sweep order when ``auto`` planned one.
+
+    The plan is made only when 2^E exceeds the sweep's step and planning
+    costs.  Once made, its cost is spent, so the state sum still runs if 2^E
+    is at most the step costs plus the bound.
+    """
+    if engine != "auto":
+        return engine, None
+    subsets = 1 << m.edge_count
+    steps = _SWEEP_STEP * (m.vertex_count + m.edge_count + 1)
+    if subsets <= steps + m.vertex_count**3 // _PLAN_CUBE:
+        return "state-sum", None
+    order = _sweep_plan(m)[0]
+    if subsets <= steps + sweep_cost_oracle(m, order) // _PAIRING_STATES:
+        return "state-sum", None
+    return "brauer", order
 
 
 def gram_matrix_oracle(n: int) -> list[list[HalfLaurent]]:

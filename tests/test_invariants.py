@@ -10,6 +10,7 @@ import pytest
 from helpers_oracles import (
     EDGE_CASES,
     ToggleWalker,
+    choose_engine_oracle,
     chromatic_cd_oracle,
     cut_exponents_oracle,
     flow_cd_oracle,
@@ -420,8 +421,8 @@ class TestIncrementalWalks:
         assert resolve_engine(K4, "auto") == "state-sum"
         assert resolve_engine(K33_STD, "auto") == "brauer"
         # two vertices with 6 parallel edges stay on the state sum, with 7 the
-        # sweep wins; K6 too.  On the last two the plan's bound (2w - 1)!! is
-        # far above 2^E, but a closing at most doubles the states.
+        # sweep wins; K6 too.  The rule reads only E and V, so the sweep is
+        # named even where the plan's bound (2w - 1)!! is far above 2^E.
         assert resolve_engine(_dipole(6), "auto") == "state-sum"
         for m in (_dipole(7), complete_map(6)):
             assert _sweep_plan(m)[2] > 100 * 2**m.edge_count, m
@@ -432,6 +433,26 @@ class TestIncrementalWalks:
         assert resolve_engine(cycle_map(30), "auto") == "brauer"
         for engine in ("state-sum", "contraction-deletion", "brauer"):
             assert resolve_engine(cycle_map(14), engine) == engine
+
+    def test_auto_engine_matches_bound_rule(self, cubic_census):
+        # the rule from E and V alone names the engine that the rule with
+        # the sweep's state bound named, on both sides of the crossover
+        rng = random.Random(577)
+        family = exhaustive_connected_maps(5) + random_maps(seed=1, count=300, max_edges=16)
+        family += [m for v in sorted(cubic_census) for m in cubic_census[v]]
+        family += [random_connected_map(rng, e) for e in range(3, 25) for _ in range(4)]
+        family += [complete_map(n) for n in range(2, 8)]
+        family += [_dipole(k) for k in range(2, 10)] + [cycle_map(n) for n in range(3, 31)]
+        # isolated vertices, where the planning term V^3 moves the crossover
+        for k in (10, 20, 30, 40):
+            family += [cycle_map(n).disjoint_union(CombMap(((),) * k, ())) for n in range(6, 15)]
+        planned = 0
+        for m in family:
+            want, order = choose_engine_oracle(m, "auto")
+            assert resolve_engine(m, "auto") == want, m
+            planned += order is not None
+        # many maps reached the bound test, and it named the sweep on each
+        assert planned >= 700, planned
 
 
 def _dipole(k):

@@ -6,6 +6,7 @@ import random
 import pytest
 from helpers_oracles import (
     EDGE_CASES,
+    component_count_oracle,
     face_count_oracle,
     is_bridge_oracle,
     is_bridge_union_find_oracle,
@@ -107,6 +108,25 @@ class TestStructure:
         two = LOOP1.disjoint_union(BRIDGE)
         assert two.component_count == 2
         assert two.euler_data().first_betti == 1
+
+    def test_component_count_matches_oracle(self, cubic_census):
+        rng = random.Random(2031)
+        scattered = []
+        for _ in range(60):
+            # disjoint unions with isolated vertices mixed in
+            m = CombMap(((),) * rng.randint(0, 3), ())
+            for _ in range(rng.randint(1, 3)):
+                other = random_connected_map(rng, rng.randint(1, 5)) if rng.random() < 0.6 else POINT
+                m = m.disjoint_union(other)
+            scattered.append(m)
+        family = exhaustive_connected_maps(5) + EDGE_CASES + scattered
+        family += [m for v in (2, 4, 6, 8) for m in cubic_census[v]]
+        split = 0
+        for m in family:
+            want = component_count_oracle(m)
+            assert m.component_count == want, m
+            split += want > 1
+        assert split >= 50
 
 
 class TestCanonicalization:

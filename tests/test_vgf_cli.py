@@ -9,6 +9,8 @@ from ribbonpoly import cli
 from ribbonpoly.fixtures import (
     ALL_FIXTURES,
     K4_SPATIAL,
+    LOOP1,
+    MAP_FIXTURES,
     SPATIAL_FIXTURES,
     THETA_P,
     THETA_T,
@@ -357,6 +359,42 @@ class TestCliJson:
         code, out, _ = run(capsys, "invariant", "--poly", "f", "--json", str(fixture_path("petersen")))
         assert code == 0
         assert json.loads(out)["engine"] == "brauer"
+
+    def test_auto_engine_table(self, capsys):
+        # the engine that --json names for S and flow under auto, per bundled map
+        table = {
+            "bouquet2_int": "state-sum",
+            "bridge": "state-sum",
+            "k33_std": "brauer",
+            "k4": "state-sum",
+            "loop1": "state-sum",
+            "petersen": "brauer",
+            "theta_p": "state-sum",
+            "theta_t": "state-sum",
+            "triangle": "state-sum",
+        }
+        assert sorted(table) == sorted(MAP_FIXTURES)
+        for name, engine in table.items():
+            path = str(fixture_path(name))
+            for poly in ("s", "f"):
+                code, out, _ = run(capsys, "invariant", "--poly", poly, "--json", path)
+                assert code == 0, (name, poly)
+                assert json.loads(out)["engine"] == engine, (name, poly)
+
+    def test_twisted_map(self, capsys, tmp_path):
+        path = tmp_path / "loop_twisted.vgf"
+        path.write_text(serialize_vgf(LOOP1.toggle_twist(0)))
+        assert '"edge_twists"' in path.read_text()
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "invariant", "--poly", "s", *flags, str(path))
+            assert code == 1 and out == ""
+            assert err == (
+                "error: S is defined for twist-free maps; "
+                "twisted edges are consumed by the Penrose evaluations\n"
+            )
+        code, out, _ = run(capsys, "invariant", "--poly", "f", str(path))
+        assert code == 0
+        assert out == "Q - 1\n"
 
     def test_classify_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", str(fixture_path("theta_t_as_spatial")))
