@@ -815,14 +815,14 @@ def _chrom_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[int, in
     return {key + shift: count for key, count in tally.items()}
 
 
-def _rank_tally(m: CombMap, order: Sequence[int] | None = None) -> dict[tuple[int, int, int, int], int]:
-    """Edge subsets A by (|A|, c(A), f(A), c*), swept by ``_Ranks`` in ``order``.
+def _rank_tally(m: CombMap) -> dict[tuple[int, int, int, int], int]:
+    """Edge subsets A by (|A|, c(A), f(A), c*), swept by ``_Ranks``.
 
     c(A) counts the components of G|A, f(A) its boundary components and c*
     the components of G*|(E - A).  The map must be twist-free.
     """
     kind = _Ranks(m)
-    tally = _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], kind, order)
+    tally = _sweep(m, [[([cycle], 1, 0)] for cycle in m.vertices], kind)
     d = kind.digit
     return {(key % d, key // d % d, key // d**2 % d, key // d**3): count for key, count in tally.items()}
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .algebra import HalfLaurent, KrushkalPoly
@@ -87,8 +88,10 @@ class _StrandWalker:
     resolution closes both arcs into two strands if it joins 2a to the outer
     partner of 2a, and into one strand otherwise, so a switch moves the count
     by [outer == new] - [outer == old] after one trace of the arc from 2a.
-    ``_cut_exponents`` and ``_flip_genera`` run that switch inline, in one
-    loop each, on the arrays built here.
+    ``_flip_genera`` runs that switch inline, in one loop, on the arrays
+    built here.  ``_cut_exponents`` runs it in blocks of Gray steps, and
+    inside a block traces the edges that switch on a vertex side compressed
+    past the edges that do not.
     """
 
     __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "strands")
@@ -98,13 +101,15 @@ class _StrandWalker:
         for h, nxt in enumerate(m.sigma):
             vertex_partner[2 * h], vertex_partner[2 * nxt + 1] = 2 * nxt + 1, 2 * h
         edge_partner = [0] * len(vertex_partner)
+        edge_of_point = [0] * len(vertex_partner)
         self.ends = [(2 * a, 2 * b) for a, b in m.edges]
-        for (x, y), start in zip(self.ends, joined):
+        for e, ((x, y), start) in enumerate(zip(self.ends, joined)):
             pairing = _edge_pairing(x, y, start)
             edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = pairing
+            edge_of_point[x] = edge_of_point[x + 1] = edge_of_point[y] = edge_of_point[y + 1] = e
         self.vertex_partner = vertex_partner
         self.edge_partner = edge_partner
-        self.edge_of_point = [m.edge_of[p >> 1] for p in range(len(vertex_partner))]
+        self.edge_of_point = edge_of_point
         seen = [False] * len(vertex_partner)
         strands = sum(1 for cycle in m.vertices if not cycle)
         for start in range(len(vertex_partner)):
@@ -118,6 +123,26 @@ class _StrandWalker:
                 seen[p] = True
                 p = edge_partner[p]
         self.strands = strands
+
+
+_BLOCK_BITS = 6
+
+
+def _ruler(start: int) -> tuple[int, ...]:
+    """Gray steps 1..2^_BLOCK_BITS - 1 of a block whose low edges start cut as ``start``.
+
+    Step j switches edge e, the lowest set bit of j; it is 2e + 1 if that
+    cuts e, which bit e of ``start`` ^ gray(j) says, and 2e if it joins e.
+    """
+    steps = []
+    for j in range(1, 1 << _BLOCK_BITS):
+        e = (j & -j).bit_length() - 1
+        steps.append(2 * e + ((start ^ j ^ j >> 1) >> e & 1))
+    return tuple(steps)
+
+
+# blocks start with no low edge cut and with only the top one cut, alternately
+_RULERS = (_ruler(0), _ruler(1 << (_BLOCK_BITS - 1)))
 
 
 def _check_doubled(value: int) -> None:
@@ -135,33 +160,66 @@ def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
     4A, 7.2.1.1): step i switches edge e, the lowest set bit of i, with one
     trace of the strand outside e, as ``_StrandWalker`` describes.  Every
     exponent reached is a key of the tally, even where its count is 0.
+
+    The walk runs in blocks of 2^_BLOCK_BITS steps.  The low edges, below
+    _BLOCK_BITS, switch inside a block, and a high edge switches between
+    blocks, traced on the full arrays.  A block starts with no low edge cut
+    or with only the top one cut, alternately, so the two ``_RULERS`` serve
+    every block, expanded once per map into records of x, e, x + 1, y,
+    y + 1, the new partners, the points whose match adds and takes a
+    strand, the change in joined edges and the sign.  When there are high
+    edges, each block start sets ``skip[p]`` for every low edge point p
+    whose corner arc ends on a high edge: the first low edge point the
+    strand reaches from there, past the high edges, which stay fixed inside
+    the block.  The trace hops on ``skip``, a copy of the vertex side, and
+    meets the points of the switched edge in the same order, so it finds
+    the same outer partner.  With at most _BLOCK_BITS edges there is one
+    block and nothing to skip.
     """
     walker = _StrandWalker(m, joined)
     vertex_partner, edge_partner = walker.vertex_partner, walker.edge_partner
     edge_of_point = walker.edge_of_point
-    sides = [
-        (x, y, point, _edge_pairing(x, y, point), _edge_pairing(x, y, x + 1))
-        for (x, y), point in zip(walker.ends, joined)
-    ]
-    cut, sign = 0, 1
+    # Switch 2e joins edge e and switch 2e + 1 cuts it.  Step i reaches a
+    # state of sign (-1)^i, and i is odd exactly when it switches edge 0.
+    switches = []
+    for e, ((x, y), point) in enumerate(zip(walker.ends, joined)):
+        sign = -1 if e == 0 else 1
+        switches.append((x, e, x + 1, y, y + 1, _edge_pairing(x, y, point), point, x + 1, 1, sign))
+        switches.append((x, e, x + 1, y, y + 1, _edge_pairing(x, y, x + 1), x + 1, point, -1, sign))
+    low = min(m.edge_count, _BLOCK_BITS)
+    blocks = [list(map(switches.__getitem__, _RULERS[0][: (1 << low) - 1]))]
+    skip, low_points = vertex_partner, []
+    if m.edge_count > low:
+        blocks.append(list(map(switches.__getitem__, _RULERS[1])))
+        skip = vertex_partner[:]
+        points = [p for x, y in walker.ends[:low] for p in (x, x + 1, y, y + 1)]
+        low_points = [p for p in points if edge_of_point[vertex_partner[p]] >= low]
     exponent = m.edge_count - m.vertex_count + walker.strands
     tally = {exponent: 1}
-    for i in range(1, 1 << m.edge_count):
-        bit = i & -i
-        e = bit.bit_length() - 1
-        x, y, point, join, split = sides[e]
-        outer = vertex_partner[x]
-        while edge_of_point[outer] != e:
-            outer = vertex_partner[edge_partner[outer]]
-        cut ^= bit
-        if cut & bit:
-            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = split
-            exponent += (outer == x + 1) - (outer == point) - 1
-        else:
-            edge_partner[x], edge_partner[x + 1], edge_partner[y], edge_partner[y + 1] = join
-            exponent += (outer == point) - (outer == x + 1) + 1
-        sign = -sign
-        tally[exponent] = tally.get(exponent, 0) + sign
+    for block in range(1 << (m.edge_count - low)):
+        if block:
+            # high edge low + k switches between blocks, traced on the full arrays
+            k = (block & -block).bit_length() - 1
+            switch = switches[2 * (low + k) + ((block ^ block >> 1) >> k & 1)]
+            x, e, x1, y, y1, pairing, plus, minus, joins, sign = switch
+            outer = vertex_partner[x]
+            while edge_of_point[outer] != e:
+                outer = vertex_partner[edge_partner[outer]]
+            edge_partner[x], edge_partner[x1], edge_partner[y], edge_partner[y1] = pairing
+            exponent += (outer == plus) - (outer == minus) + joins
+            tally[exponent] = tally.get(exponent, 0) + sign
+        for p in low_points:
+            q = vertex_partner[p]
+            while edge_of_point[q] >= low:
+                q = vertex_partner[edge_partner[q]]
+            skip[p] = q
+        for x, e, x1, y, y1, pairing, plus, minus, joins, sign in blocks[block & 1]:
+            outer = skip[x]
+            while edge_of_point[outer] != e:
+                outer = skip[edge_partner[outer]]
+            edge_partner[x], edge_partner[x1], edge_partner[y], edge_partner[y1] = pairing
+            exponent += (outer == plus) - (outer == minus) + joins
+            tally[exponent] = tally.get(exponent, 0) + sign
     return tally
 
 
@@ -633,9 +691,20 @@ def degree_report(m: CombMap, engine: str = "auto") -> DegreeReport:
 
 
 def g_min(m: CombMap) -> tuple[int, frozenset[int]]:
-    """Minimal genus over all vertex flips, with a witness flip set."""
+    """Minimal genus over all vertex flips, with a witness flip set.
+
+    Flipping every vertex gives the mirror map, and flipping a vertex of
+    degree <= 2 changes no face, so a mask and its complement have the same
+    genus.  The first mask of least genus, the first genus-0 mask and the
+    first that raises therefore all have the top flippable bit clear, and
+    only those masks are walked.
+    """
+    walk = _flip_genera(m)
+    flippable = len(m.flippable_vertices())
+    if flippable:
+        walk = islice(walk, 1 << (flippable - 1))
     best: Optional[tuple[int, int]] = None
-    for mask, genus in _flip_genera(m):
+    for mask, genus in walk:
         if best is None or genus < best[0]:
             best = (genus, mask)
             if genus == 0:

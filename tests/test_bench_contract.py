@@ -34,3 +34,24 @@ def test_tracer_finds_its_spans_and_memos():
         assert tracer._memo_size() is not None
     finally:
         traced.uninstall()
+
+
+def test_state_sum_walks_once_per_call(monkeypatch):
+    # A selftest can count the state sum by its ``_cut_exponents`` calls,
+    # with a closed form of one call per ``s_poly(..., engine="state-sum")``.
+    from ribbonpoly import invariants
+    from ribbonpoly.generate import complete_map, cycle_map, petersen_map
+    from ribbonpoly.maps import CombMap
+
+    walk = invariants._cut_exponents
+    calls = []
+
+    def counted(m, joined):
+        calls.append(m)
+        return walk(m, joined)
+
+    monkeypatch.setattr(invariants, "_cut_exponents", counted)
+    for m in (CombMap((), ()), cycle_map(3), complete_map(4), cycle_map(7), petersen_map()):
+        calls.clear()
+        invariants.s_poly(m, engine="state-sum")
+        assert calls == [m], m

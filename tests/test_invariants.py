@@ -44,6 +44,7 @@ from ribbonpoly.generate import (
     cycle_map,
     exhaustive_connected_maps,
     is_bridgeless,
+    petersen_map,
     random_connected_map,
     random_maps,
 )
@@ -373,7 +374,18 @@ class TestIncrementalWalks:
         # the inlined walk against one toggle call per Gray step, key by key in
         # the order reached, with the keys whose count cancels to 0 kept
         rng = random.Random(73)
-        mixed = exhaustive_connected_maps(5) + random_maps(seed=79, count=20, max_edges=11)
+        block = invariants._BLOCK_BITS
+        # one block short of, at, and one past the block size; then 12-15
+        # edges, so the high edges switch between 64 and 512 blocks
+        blocks = [
+            random_connected_map(random.Random(seed), edges)
+            for edges in (block - 1, block, block + 1)
+            for seed in range(83, 87)
+        ]
+        blocks += [cycle_map(block + 1), cycle_map(13), petersen_map(), complete_map(6)]
+        blocks += [random_connected_map(random.Random(89 + edges), edges) for edges in (12, 13, 14, 15)]
+        assert {block - 1, block, block + 1, 12, 15} <= {m.edge_count for m in blocks}
+        mixed = exhaustive_connected_maps(5) + random_maps(seed=79, count=20, max_edges=11) + blocks
         cancelled = 0
         for m in six_edge_family + mixed + EDGE_CASES:
             bands = [2 * b + 1 for _a, b in m.edges]

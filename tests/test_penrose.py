@@ -27,6 +27,7 @@ from ribbonpoly.fixtures import BOUQUET2_INT, K4, K33_STD, LOOP1, THETA_P, THETA
 from ribbonpoly.generate import (
     POINT,
     cubic_maps,
+    cycle_map,
     exhaustive_connected_maps,
     is_bridgeless,
     random_maps,
@@ -339,6 +340,26 @@ class TestFlipWalk:
                 want = _outcome(lambda: cellular_embedding_oracle(m))
                 assert _outcome(lambda: cellular_embedding_poly(m)) == want, m
 
+
+    def test_g_min_half_walk(self, cubic_census):
+        # g_min walks only the masks with the top flippable bit clear.  The
+        # maps carry random twists, and subdividing an edge adds a vertex of
+        # degree 2, which no mask flips.
+        rng = random.Random(197)
+        maps = [CombMap((), ()), cycle_map(5), LOOP1.toggle_twist(0)]
+        for m in [m for v in (2, 4, 6) for m in cubic_census[v]] + random_maps(seed=199, count=40, max_edges=8):
+            twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.3)
+            twisted = CombMap(m.vertices, m.edges, None, twists)
+            maps.append(twisted)
+            if m.edge_count:
+                maps.append(twisted.subdivide(rng.randrange(m.edge_count)))
+        outcomes = set()
+        for m in maps:
+            want = _outcome(lambda: g_min_oracle(m))
+            assert _outcome(lambda: g_min(m)) == want, m
+            low_degree = len(m.flippable_vertices()) < m.vertex_count
+            outcomes.add((low_degree, "raised" if want[0] == "ValueError" else "value"))
+        assert outcomes == {(False, "value"), (False, "raised"), (True, "value"), (True, "raised")}
 
     def test_cemb_half_walk_on_twisted_census(self, cubic_census):
         # cemb walks only the masks with the top bit clear; twists on a
