@@ -9,17 +9,17 @@ their exactly interpolated determinants, and the symmetrized negligible
 combinations that give local relations at square integer values of Q.
 
 The functor composes its local diagrams in one frontier sweep, ``_sweep``:
-vertices enter one at a time, edges close once both ends are placed
-(``_sweep_steps``, the one schedule of the sweep), and
-equal states of the open slots merge.  Its state kind ``_Pairings`` pairs
-the open points, which also evaluates ``W_so`` and ``W_sl`` (``penrose``)
-and ``R^S`` (``spatial``), whose vertices enter as weighted choices of local
-vertices and whose edges close in weighted resolutions, and the virtual
-chromatic polynomial, whose edges close as bands or cuts of the map itself
-in place of its dual's.  Flow is not a loop
+vertices enter one at a time in the map's one ``CombMap.sweep_plan``, edges
+close once both ends are placed (``_sweep_steps``, the one schedule of the
+sweep), and equal states of the open slots merge.  Its state kind
+``_Pairings`` pairs the open points, which also evaluates ``W_so`` and
+``W_sl`` (``penrose``) and ``R^S`` (``spatial``), whose vertices enter as
+weighted choices of local vertices and whose edges close in weighted
+resolutions, and the virtual chromatic polynomial, whose edges close as
+bands or cuts of the map itself in place of its dual's.  Flow is not a loop
 sum, so flow and ``R^F`` (``spatial``) take the kind ``_Partitions``, set
-partitions of the open half-edges.  The four-variable rank polynomial
-takes the kind ``_Ranks``, a pairing and two partitions in one state.
+partitions of the open half-edges.  The four-variable rank polynomial takes
+the kind ``_Ranks``, a pairing and two partitions in one state.
 
 Each state's tally of key -> coefficient is one int for ``_Pairings`` and
 ``_Partitions`` (Kronecker substitution): the coefficient of key k sits at
@@ -293,66 +293,6 @@ def _corner_pairs(cycle: Sequence[int]) -> list[tuple[int, int]]:
     return [(2 * h, 2 * cycle[(i + 1) % size] + 1) for i, h in enumerate(cycle)]
 
 
-def _sweep_plan(m: CombMap) -> tuple[tuple[int, ...], int, int]:
-    """Vertex order of the frontier sweep, its width and its state bound.
-
-    From each start vertex a greedy order places next the vertex that
-    leaves the fewest open half-edges, ties going to the one next to the
-    most recently placed vertex and then to the smallest label.  After step
-    i, w_i half-edges are open, and a ``_Pairings`` state pairs their 2 w_i
-    points, so there are at most (2 w_i - 1)!! states.  The order with the
-    least sum of these bounds is kept, ties going to the smaller start.  The
-    width w is the largest w_i, and the state bound is (2w - 1)!!.
-    ``_Partitions`` takes the same order; its states partition the w_i open
-    half-edges, so there are at most Bell(w) of them.
-
-    Each candidate's rank is one int, growth then recency then label, so
-    the greedy step is a ``min`` over ints.  Every term of a sum is at
-    least 1, so a start is dropped once its running sum reaches the best
-    finished one: it could only end higher, or tie a smaller start.
-    """
-    count = m.vertex_count
-    vertex_of, alpha = m.vertex_of, m.alpha
-    # the neighbour across each non-loop half-edge, and the open half-edges
-    # that placing v first would add
-    neighbours = [
-        [w for h in cycle if (w := vertex_of[alpha[h]]) != v] for v, cycle in enumerate(m.vertices)
-    ]
-    growth0 = [len(around) for around in neighbours]
-    bound = [1]  # bound[w] = (2w - 1)!!, the pairings of 2w points
-    for w in range(1, sum(growth0) + 1):
-        bound.append(bound[-1] * (2 * w - 1))
-    # rank = growth * stride + (count - 1 - the last step that touched v) * count + v,
-    # where a vertex no step has touched takes count for the middle digit
-    stride = count * (count + 1)
-    rank0 = [g * stride + count * count + v for v, g in enumerate(growth0)]
-    best_cost, best_width, best_order = 0, 0, []
-    for start in range(count):
-        growth, rank = growth0[:], rank0[:]
-        unplaced = set(range(count))
-        order: list[int] = []
-        open_count = width = cost = 0
-        v = start
-        for step in range(count):
-            if step:
-                v = min(unplaced, key=rank.__getitem__)
-            unplaced.discard(v)
-            order.append(v)
-            open_count += growth[v]
-            width = max(width, open_count)
-            cost += bound[open_count]
-            if start and cost >= best_cost:
-                break
-            recent = (count - 1 - step) * count
-            for w in neighbours[v]:
-                if w in unplaced:
-                    growth[w] -= 2
-                    rank[w] = growth[w] * stride + recent + w
-        else:
-            best_cost, best_width, best_order = cost, width, order
-    return tuple(best_order), best_width, bound[best_width]
-
-
 def _sweep_steps(
     m: CombMap, order: Sequence[int]
 ) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
@@ -387,7 +327,7 @@ def _sweep(
     -1 until the next vertex drops them.  Equal states merge, each keeping a
     tally of key -> weight.  A vertex with a single option scales every
     tally alike, so its weight and shift are applied once, at the end.  The
-    vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    vertices are placed in ``order``, by default the map's cached plan's.
 
     The tallies of ``_Pairings`` and ``_Partitions`` are packed ints with
     B bits per key (see the module docstring), which the kind reads as
@@ -398,7 +338,7 @@ def _sweep(
     ``_Ranks`` keeps dict tallies (``_merge``).
     """
     if order is None:
-        order = _sweep_plan(m)[0]
+        order = m.sweep_plan[0]
     frontier: list[int] = []  # the point in each slot
     if kind.packed:
         mass = kind.closing_mass()

@@ -423,7 +423,7 @@ def _preferred_edge(sigma: list[int]) -> tuple[int, bool]:
 
 # The sweep's cost in state-sum subsets, fitted to the crossover table in
 # CHANGES.md: _SWEEP_STEP per step (placing a vertex, closing an edge, and
-# the final sum) and V^3 / _PLAN_CUBE for _sweep_plan's greedy starts.
+# the final sum) and V^3 / _PLAN_CUBE for CombMap.sweep_plan's greedy starts.
 _SWEEP_STEP = 10
 _PLAN_CUBE = 4
 

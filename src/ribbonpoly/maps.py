@@ -472,6 +472,65 @@ class CombMap:
         fa, fb = (h - (h > a) - (h > b) for h in self.edges[f])
         return not deleted.is_coloop(deleted.edge_index((fa, fb)))
 
+    # -- the plan of the frontier sweep ------------------------------------------
+
+    @cached_property
+    def sweep_plan(self) -> tuple[tuple[int, ...], int, int]:
+        """Vertex order of ``brauer._sweep``, its width and its state bound,
+        planned once per map for every sweep given no order.
+
+        From each start vertex a greedy order places next the vertex that
+        leaves the fewest open half-edges, ties going to the one next to the
+        most recently placed vertex and then to the smallest label: the least
+        rank, an int of growth then recency then label, whose low digit is
+        the label.  After step i, w_i half-edges are open, and a ``_Pairings``
+        state pairs their 2 w_i points: at most (2 w_i - 1)!! states.  The
+        order with the least sum of these bounds is kept, ties going to the
+        smaller start; a start is dropped once its running sum, of terms
+        >= 1, reaches the best finished one.  The width w is the largest w_i,
+        and the state bound is (2w - 1)!!.  ``_Partitions`` states partition
+        the w_i open half-edges: at most Bell(w).
+        """
+        count = len(self.vertices)
+        vertex_of, alpha = self.vertex_of, self.alpha
+        # the neighbour across each non-loop half-edge, and the open half-edges
+        # that placing v first would add
+        neighbours = [
+            [w for h in cycle if (w := vertex_of[alpha[h]]) != v] for v, cycle in enumerate(self.vertices)
+        ]
+        growth0 = [len(around) for around in neighbours]
+        bound = [1]  # bound[w] = (2w - 1)!!, the pairings of 2w points
+        for w in range(1, sum(growth0) + 1):
+            bound.append(bound[-1] * (2 * w - 1))
+        # rank = growth * stride + (count - 1 - the last step that touched v) * count + v,
+        # where a vertex no step has touched takes count for the middle digit
+        stride = count * (count + 1)
+        rank0 = {v: g * stride + count * count + v for v, g in enumerate(growth0)}
+        best_cost, best_width, best_order = 0, 0, []
+        for start in range(count):
+            growth, rank = growth0[:], rank0.copy()  # rank holds the unplaced vertices
+            order: list[int] = []
+            open_count = width = cost = 0
+            v = start
+            for step in range(count):
+                if step:
+                    v = min(rank.values()) % count
+                del rank[v]
+                order.append(v)
+                open_count += growth[v]
+                width = max(width, open_count)
+                cost += bound[open_count]
+                if start and cost >= best_cost:
+                    break
+                recent = (count - 1 - step) * count
+                for w in neighbours[v]:
+                    if w in rank:
+                        growth[w] -= 2
+                        rank[w] = growth[w] * stride + recent + w
+            else:
+                best_cost, best_width, best_order = cost, width, order
+        return tuple(best_order), best_width, bound[best_width]
+
     # -- enumeration -------------------------------------------------------------
 
     def flippable_vertices(self) -> tuple[int, ...]:

@@ -352,9 +352,10 @@ def _local_states(
 
 
 def _q_stride(d: SpatialDiagram) -> int:
-    """Packing of a sweep key: q power k and Q key j as k * stride + j, with |j| < stride / 2."""
+    """Packing of a sweep key: q power k and Q key j as k * stride + j, with 0 <= j <= 2 b1(base):
+    j = 2 b1(A) in R^F, and j = f(A) + |A| - n <= 2 b1(A) in R^S, as c(A) <= f(A) <= 2 c(A) - n + |A|."""
     base = d.base
-    return 2 * (base.half_edge_count + base.vertex_count + d.crossing_count) + 1
+    return 2 * (base.edge_count - base.vertex_count + base.component_count) + 1
 
 
 def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
@@ -363,12 +364,11 @@ def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
     Each packed key, q power k and Q key j, expands straight into half-steps
     of q by the binomial theorem, and one ``HalfLaurent`` is built at the end.
     """
-    half = stride // 2
     data: dict[int, int] = {}
     for key, count in tally.items():
         if count:
-            power, half_exp = divmod(key + half, stride)
-            _add_q_shift(data, half_exp - half, count, 2 * power)
+            power, half_exp = divmod(key, stride)
+            _add_q_shift(data, half_exp, count, 2 * power)
     return HalfLaurent.from_dict("q", data)
 
 

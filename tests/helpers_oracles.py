@@ -59,9 +59,13 @@ pairing sweep takes arcs in place of local vertices, the partition sweep
 labels blocks by first occurrence and drops closed slots at once, and both
 record their state count after every closing.  Both keep dict tallies with
 their own ``_merge`` and ``_scaled_total``, where ``brauer._sweep`` packs
-each tally into one int.  The greedy order oracle is
-one start of ``brauer._sweep_plan`` before the plan ranked its candidates by
-packed ints and dropped starts that could not win.  The engine-choice
+each tally into one int.  The sweep plan oracle is
+``CombMap.sweep_plan`` as it was before each map kept its plan, when the
+greedy step took the least rank over a set of the unplaced vertices, and the
+greedy order oracle is one start of it before the plan ranked its candidates
+by packed ints and dropped starts that could not win.  The dict-tally R^S and
+R^F oracle is one of the two sweep oracles over a crossing diagram's local
+states, keyed at the q stride the spatial sweeps used before it was fitted.  The engine-choice
 oracle is ``invariants.resolve_engine`` as it was when ``auto`` also
 compared 2^E with a bound on the sweep's states along the planned order,
 the sweep-cost oracle.
@@ -79,8 +83,9 @@ from ribbonpoly.algebra import CyclotomicElement, HalfLaurent, KrushkalPoly, sub
 from ribbonpoly.brauer import (
     BrauerMatching,
     _bareiss_det,
+    _corner_pairs,
+    _join_or_cut,
     _perm_cycles,
-    _sweep_plan,
     _sweep_steps,
     fpf_permutations,
     glue_map,
@@ -995,8 +1000,8 @@ def q_polynomial_oracle(tally: dict[int, int], stride: int) -> HalfLaurent:
     ``substitute_q_shift`` per power of q, the powers added as ``HalfLaurent``s."""
     by_power: dict[int, dict[int, int]] = {}
     for key, count in tally.items():
-        power, half_exp = divmod(key + stride // 2, stride)
-        by_power.setdefault(power, {})[half_exp - stride // 2] = count
+        power, half_exp = divmod(key, stride)
+        by_power.setdefault(power, {})[half_exp] = count
     total = HalfLaurent.zero("q")
     for power, data in by_power.items():
         total = total + substitute_q_shift(HalfLaurent.from_dict("Q", data)).shift(2 * power)
@@ -1238,10 +1243,10 @@ def frontier_sweep_oracle(
     the next vertex drops them.  Equal states merge, each keeping a tally
     of key -> weight.  A vertex with a single option scales every tally
     alike, so its weight and shift are applied once, at the end.  The
-    vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    vertices are placed in ``order``, by default ``sweep_plan_oracle``'s.
     """
     if order is None:
-        order = _sweep_plan(m)[0]
+        order = sweep_plan_oracle(m)[0]
     edge_of = m.edge_of
     frontier: list[int] = []  # the point in each slot, -1 once closed
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
@@ -1340,10 +1345,10 @@ def partition_sweep_oracle(
     keeping a tally of key -> weight, and with w open half-edges there are
     at most Bell(w) states.  A vertex with a single option scales every
     tally alike, so its weight and shift are applied once, at the end.
-    The vertices are placed in ``order``, by default ``_sweep_plan``'s.
+    The vertices are placed in ``order``, by default ``sweep_plan_oracle``'s.
     """
     if order is None:
-        order = _sweep_plan(m)[0]
+        order = sweep_plan_oracle(m)[0]
     alpha = m.alpha
     frontier: list[int] = []  # the half-edge in each slot
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
@@ -1396,8 +1401,95 @@ def partition_sweep_oracle(
     return _scaled_total(states, common_weight, common_shift)
 
 
+def sweep_plan_oracle(m: CombMap) -> tuple[tuple[int, ...], int, int]:
+    """Vertex order of the frontier sweep, its width and its state bound.
+
+    From each start vertex a greedy order places next the vertex that
+    leaves the fewest open half-edges, ties going to the one next to the
+    most recently placed vertex and then to the smallest label.  After step
+    i, w_i half-edges are open, and a ``_Pairings`` state pairs their 2 w_i
+    points, so there are at most (2 w_i - 1)!! states.  The order with the
+    least sum of these bounds is kept, ties going to the smaller start.  The
+    width w is the largest w_i, and the state bound is (2w - 1)!!.
+    ``_Partitions`` takes the same order; its states partition the w_i open
+    half-edges, so there are at most Bell(w) of them.
+
+    Each candidate's rank is one int, growth then recency then label, so
+    the greedy step is a ``min`` over ints.  Every term of a sum is at
+    least 1, so a start is dropped once its running sum reaches the best
+    finished one: it could only end higher, or tie a smaller start.
+    """
+    count = m.vertex_count
+    vertex_of, alpha = m.vertex_of, m.alpha
+    # the neighbour across each non-loop half-edge, and the open half-edges
+    # that placing v first would add
+    neighbours = [
+        [w for h in cycle if (w := vertex_of[alpha[h]]) != v] for v, cycle in enumerate(m.vertices)
+    ]
+    growth0 = [len(around) for around in neighbours]
+    bound = [1]  # bound[w] = (2w - 1)!!, the pairings of 2w points
+    for w in range(1, sum(growth0) + 1):
+        bound.append(bound[-1] * (2 * w - 1))
+    # rank = growth * stride + (count - 1 - the last step that touched v) * count + v,
+    # where a vertex no step has touched takes count for the middle digit
+    stride = count * (count + 1)
+    rank0 = [g * stride + count * count + v for v, g in enumerate(growth0)]
+    best_cost, best_width, best_order = 0, 0, []
+    for start in range(count):
+        growth, rank = growth0[:], rank0[:]
+        unplaced = set(range(count))
+        order: list[int] = []
+        open_count = width = cost = 0
+        v = start
+        for step in range(count):
+            if step:
+                v = min(unplaced, key=rank.__getitem__)
+            unplaced.discard(v)
+            order.append(v)
+            open_count += growth[v]
+            width = max(width, open_count)
+            cost += bound[open_count]
+            if start and cost >= best_cost:
+                break
+            recent = (count - 1 - step) * count
+            for w in neighbours[v]:
+                if w in unplaced:
+                    growth[w] -= 2
+                    rank[w] = growth[w] * stride + recent + w
+        else:
+            best_cost, best_width, best_order = cost, width, order
+    return tuple(best_order), best_width, bound[best_width]
+
+
+def yamada_sweep_oracle(d: sp.SpatialDiagram, mirror: bool = False, variant: str = "s") -> HalfLaurent:
+    """R^S (variant "s") or R^F (variant "f") from the dict-tally sweep oracles.
+
+    The local states are ``spatial._local_states``, the pairing sweep takes
+    them as corner arcs, and the keys are packed at the stride
+    2(H + V + C) + 1 that ``spatial._q_stride`` used before it was fitted to
+    the Q window.
+    """
+    base = d.base
+    stride = 2 * (base.half_edge_count + base.vertex_count + d.crossing_count) + 1
+    local = sp._local_states(d, mirror)
+    if variant == "s":
+        # each local vertex as its corner arcs, with one factor Q^(-1/2)
+        arcs = [
+            [
+                ([arc for group in groups for arc in _corner_pairs(group)], w, power * stride - len(groups))
+                for groups, w, power in states
+            ]
+            for states in local
+        ]
+        tally = frontier_sweep_oracle(base, arcs, _join_or_cut(base))
+    else:
+        options = [[(groups, weight, power * stride) for groups, weight, power in states] for states in local]
+        tally = partition_sweep_oracle(base, options)
+    return q_polynomial_oracle(tally, stride)
+
+
 def greedy_order_oracle(m: CombMap, start: int) -> tuple[int, int, list[int]]:
-    """One greedy start of ``_sweep_plan`` as it ran before its starts were
+    """One greedy start of ``sweep_plan_oracle`` as it ran before its starts were
     pruned: the order from ``start``, its sum of state bounds and its width,
     each step a ``min`` over (growth, -last touching step, label) tuples."""
     vertex_of, alpha = m.vertex_of, m.alpha
@@ -1475,7 +1567,7 @@ def choose_engine_oracle(m: CombMap, engine: str) -> tuple[str, Optional[tuple[i
     steps = _SWEEP_STEP * (m.vertex_count + m.edge_count + 1)
     if subsets <= steps + m.vertex_count**3 // _PLAN_CUBE:
         return "state-sum", None
-    order = _sweep_plan(m)[0]
+    order = sweep_plan_oracle(m)[0]
     if subsets <= steps + sweep_cost_oracle(m, order) // _PAIRING_STATES:
         return "state-sum", None
     return "brauer", order

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from helpers_oracles import (
@@ -17,11 +18,12 @@ from helpers_oracles import (
     newton_interpolate_oracle,
     partition_sweep_oracle,
     phi_evaluate_oracle,
+    sweep_plan_oracle,
     sym_pairings_oracle,
 )
 from helpers_spatial import seeded_diagram
 
-from ribbonpoly import brauer
+from ribbonpoly import brauer, penrose
 from ribbonpoly import spatial as sp
 from ribbonpoly.algebra import HalfLaurent
 from ribbonpoly.brauer import (
@@ -38,7 +40,6 @@ from ribbonpoly.brauer import (
     _Partitions,
     _s_tally,
     _sweep,
-    _sweep_plan,
     br2_idempotent_verify,
     brauer_evaluate,
     fpf_permutations,
@@ -50,9 +51,17 @@ from ribbonpoly.brauer import (
     sym_pairing_at,
 )
 from ribbonpoly.fixtures import BOUQUET2_INT, PETERSEN
-from ribbonpoly.generate import complete_map, exhaustive_connected_maps, is_bridgeless, random_maps
-from ribbonpoly.invariants import flow_poly, s_poly
+from ribbonpoly.generate import (
+    complete_map,
+    exhaustive_connected_maps,
+    is_bridgeless,
+    petersen_map,
+    random_connected_map,
+    random_maps,
+)
+from ribbonpoly.invariants import clear_caches, flow_poly, krushkal_poly, s_poly, virtual_chromatic
 from ribbonpoly.maps import CombMap
+from ribbonpoly.vgf import serialize_vgf
 
 
 def random_cubic_map(rng, v):
@@ -203,13 +212,13 @@ class TestFunctor:
 
     def test_sweep_plan(self):
         # (order, width, (2 width - 1)!!), pinned for Petersen and K6
-        assert _sweep_plan(PETERSEN) == ((0, 1, 2, 3, 4, 9, 6, 8, 5, 7), 6, 10395)
-        assert _sweep_plan(complete_map(6)) == ((0, 1, 2, 3, 4, 5), 9, 34459425)
-        assert _sweep_plan(CombMap((), ())) == ((), 0, 1)
+        assert PETERSEN.sweep_plan == ((0, 1, 2, 3, 4, 9, 6, 8, 5, 7), 6, 10395)
+        assert complete_map(6).sweep_plan == ((0, 1, 2, 3, 4, 5), 9, 34459425)
+        assert CombMap((), ()).sweep_plan == ((), 0, 1)
         rng = random.Random(113)
         cubic = [random_cubic_map(rng, v) for v in (16, 24, 32, 40, 48, 56, 64)]
         for m in EDGE_CASES + random_maps(seed=109, count=12, max_edges=10) + cubic:
-            order, width, bound = _sweep_plan(m)
+            order, width, bound = m.sweep_plan
             assert sorted(order) == list(range(m.vertex_count)), m
             assert width <= m.edge_count
             assert bound == math.prod(range(2 * width - 1, 0, -2))
@@ -219,6 +228,15 @@ class TestFunctor:
                 cheapest = min(cost for cost, _width, _order in greedy)
                 first = next(g for g in greedy if g[0] == cheapest)
                 assert (first[1], tuple(first[2])) == (width, order), m
+
+    def test_sweep_plan_matches_oracle(self, six_edge_family, cubic_census):
+        # the greedy step over a dict of ranks plans as the step over a set did
+        rng = random.Random(127)
+        family = list(six_edge_family) + [m for v in (2, 4, 6, 8, 10) for m in cubic_census[v]]
+        family += [complete_map(n) for n in range(2, 8)]
+        family += [random_connected_map(rng, e) for e in range(1, 25) for _ in range(3)]
+        for m in family:
+            assert m.sweep_plan == sweep_plan_oracle(m), m
 
     def test_sweep_weights_and_shifts(self):
         # every vertex entering with weight 3 and one more shift scales S and
@@ -231,6 +249,80 @@ class TestFunctor:
             tally = _sweep(m, [[([cycle], 3, 1)] for cycle in m.vertices], _Partitions(m))
             want = flow_poly(m, engine="state-sum").scale(3**m.vertex_count).shift(m.vertex_count)
             assert HalfLaurent.from_dict("Q", tally) == want, m
+
+
+def _count_plans(monkeypatch):
+    """Every map that ``CombMap.sweep_plan`` plans from now on, in order."""
+    planned = []
+    plan = CombMap.sweep_plan.func
+
+    def counted(m):
+        planned.append(m)
+        return plan(m)
+
+    prop = cached_property(counted)
+    prop.__set_name__(CombMap, "sweep_plan")
+    monkeypatch.setattr(CombMap, "sweep_plan", prop)
+    return planned
+
+
+class TestPlanOnce:
+    """Each map plans its sweep once, for every sweep kind that takes no order."""
+
+    def test_one_plan_per_map(self, monkeypatch):
+        clear_caches()
+        planned = _count_plans(monkeypatch)
+        m = petersen_map()
+        sweeps = (s_poly, flow_poly, virtual_chromatic, krushkal_poly, penrose.w_so, brauer.phi_evaluate)
+        for invariant in sweeps:
+            invariant(m)
+        assert len(planned) == 1 and planned[0] is m
+        # a map equal by value is another object, and plans on its own
+        twin = CombMap(m.vertices, m.edges)
+        assert twin == m and twin is not m
+        assert s_poly(twin) == s_poly(m)
+        assert len(planned) == 2 and planned[1] is twin
+
+    def test_one_plan_per_diagram_base(self, monkeypatch):
+        clear_caches()
+        planned = _count_plans(monkeypatch)
+        d = seeded_diagram(random.Random(131), max_edges=6, crossings=3)
+        assert d.crossing_count == 3
+        for variant in ("s", "f"):
+            for mirror in (False, True):
+                sp.yamada(d, variant, mirror=mirror)
+        clear_caches()
+        assert len(planned) == 1 and planned[0] is d.base
+
+    def test_explicit_order_leaves_the_plan_alone(self, monkeypatch):
+        planned = _count_plans(monkeypatch)
+        rng = random.Random(137)
+        for m in random_maps(seed=139, count=6, max_edges=9) + [petersen_map()]:
+            order = list(range(m.vertex_count))
+            rng.shuffle(order)
+            options = [[([cycle], 1, -1)] for cycle in m.vertices]
+            want = _nonzero(frontier_sweep_oracle(m, _as_arcs(options), _join_or_cut(m), order))
+            assert _sweep(m, options, _Pairings(m, _join_or_cut(m)), order) == want, m
+            assert "sweep_plan" not in m.__dict__, m
+            # a cached plan that would give a wrong tally is not read
+            m.__dict__["sweep_plan"] = ((), 0, 1)
+            assert _sweep(m, options, _Pairings(m, _join_or_cut(m)), order) == want, m
+            assert m.sweep_plan == ((), 0, 1)
+        assert planned == []
+
+    def test_swept_map_equals_a_fresh_copy(self):
+        family = [petersen_map(), penrose.with_signs(complete_map(4)), BOUQUET2_INT.toggle_twist(0)]
+        family += [m.flip_subset({0}) for m in random_maps(seed=151, count=6, max_edges=10)]
+        for m in family:
+            fresh = CombMap(m.vertices, m.edges, m.vertex_signs, m.edge_twists)
+            penrose.w_so(m)
+            if not m.edge_twists:
+                s_poly(m, engine="brauer")
+                flow_poly(m, engine="brauer")
+            assert "sweep_plan" in m.__dict__ and "sweep_plan" not in fresh.__dict__, m
+            assert m == fresh and hash(m) == hash(fresh), m
+            assert m.signature == fresh.signature, m
+            assert serialize_vgf(m) == serialize_vgf(fresh), m
 
 
 class _Watched:
@@ -341,7 +433,7 @@ class TestSweepKinds:
         shuffled = [list(range(m.vertex_count)) for _ in range(2)]
         for order in shuffled:
             rng.shuffle(order)
-        return [_sweep_plan(m)[0], *shuffled]
+        return [m.sweep_plan[0], *shuffled]
 
     def test_maps(self):
         rng = random.Random(229)
@@ -362,7 +454,7 @@ class TestSweepKinds:
         # closings and total shift are ``_chrom_tally``'s.
         for seed in (0, 1):
             m = bridgeless_cubic_map(random.Random(seed), 32)
-            assert _sweep_plan(m)[1] <= 9, seed
+            assert m.sweep_plan[1] <= 9, seed
             s = frontier_sweep_oracle(m, _as_arcs([[([c], 1, -1)] for c in m.vertices]), _join_or_cut(m))
             flow = partition_sweep_oracle(m, [[([c], 1, 0)] for c in m.vertices])
             bands_or_cuts = [((2 * b + 1, -1, 0), (2 * a + 1, 1, 1)) for a, b in m.edges]

@@ -27,7 +27,7 @@ from helpers_oracles import (
 import ribbonpoly
 from ribbonpoly import invariants
 from ribbonpoly.algebra import HalfLaurent
-from ribbonpoly.brauer import _chrom_tally, _sweep_plan, brauer_evaluate
+from ribbonpoly.brauer import _chrom_tally, brauer_evaluate
 from ribbonpoly.fixtures import (
     BOUQUET2_INT,
     BRIDGE,
@@ -437,7 +437,7 @@ class TestIncrementalWalks:
         # named even where the plan's bound (2w - 1)!! is far above 2^E.
         assert resolve_engine(_dipole(6), "auto") == "state-sum"
         for m in (_dipole(7), complete_map(6)):
-            assert _sweep_plan(m)[2] > 100 * 2**m.edge_count, m
+            assert m.sweep_plan[2] > 100 * 2**m.edge_count, m
             assert resolve_engine(m, "auto") == "brauer", m
         # 40 isolated vertices make the sweep's steps alone cost more than 2^9
         crowded = cycle_map(9).disjoint_union(CombMap(((),) * 40, ()))

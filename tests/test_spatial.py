@@ -13,6 +13,7 @@ from helpers_oracles import (
     q_polynomial_oracle,
     resolve_oracle,
     yamada_resolution_oracle,
+    yamada_sweep_oracle,
 )
 from helpers_spatial import (
     crossed_diagram,
@@ -152,6 +153,16 @@ class TestSweep:
             want = yamada_resolution_oracle(d, mirror, "f")
             assert sp.yamada(d, "f", mirror=mirror) == want, d
 
+    @pytest.mark.parametrize("seed", [4, 8, pytest.param(5, marks=pytest.mark.slow)])
+    def test_twelve_crossings_match_dict_tallies(self, seed):
+        # the packed sweeps at the fitted q stride against the dict-tally
+        # sweeps at the old one, on diagrams whose packed tallies once lost
+        d = seeded_diagram(random.Random(seed), max_edges=14, crossings=12)
+        assert d.crossing_count == 12
+        for variant in ("s", "f"):
+            assert sp.yamada(d, variant) == yamada_sweep_oracle(d, False, variant), variant
+        clear_caches()
+
     def test_q_substitution_matches_per_power_oracle(self, monkeypatch):
         # the one integer pass against one substitute_q_shift per power of q,
         # on the R^S and R^F tallies that the sweeps hand over
@@ -174,18 +185,16 @@ class TestSweep:
         assert len(unpacked) == 2 * len(set(diagrams))
         for tally, stride in unpacked:
             assert q_polynomial(tally, stride) == q_polynomial_oracle(tally, stride)
-        # a negative Q exponent is refused, unless its count is 0
-        # (stride 9: key -1 is Q^{-1/2}, key 3 is Q^{3/2}, both at q^0)
-        outcomes = []
-        for tally in ({-1: 1, 3: 2}, {-1: 0, 3: 2}):
-            for unpack in (q_polynomial, q_polynomial_oracle):
-                try:
-                    outcomes.append(unpack(tally, 9))
-                except ValueError as exc:
-                    outcomes.append(str(exc))
-        refused = "substitution requires non-negative exponents"
+        # the Q window starts at Q^0, and a zero count is skipped
+        # (stride 9: key -1 is q^{-1} Q^4, key 3 is Q^{3/2} at q^0)
+        outcomes = [
+            unpack(tally, 9)
+            for tally in ({-1: 1, 3: 2}, {-1: 0, 3: 2})
+            for unpack in (q_polynomial, q_polynomial_oracle)
+        ]
         kept = substitute_q_shift(HalfLaurent.monomial("Q", 3, 2))
-        assert outcomes == [refused, refused, kept, kept]
+        below = substitute_q_shift(HalfLaurent.monomial("Q", 8)).shift(-2) + kept
+        assert outcomes == [below, below, kept, kept]
 
     def test_partition_sweep_on_plain_maps(self):
         rng = random.Random(227)
