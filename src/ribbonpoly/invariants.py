@@ -91,7 +91,9 @@ class _StrandWalker:
     ``_flip_genera`` runs that switch inline, in one loop, on the arrays
     built here.  ``_cut_exponents`` runs it in blocks of Gray steps, and
     inside a block traces the edges that switch on a vertex side compressed
-    past the edges that do not.
+    past the edges that do not.  That compressed side is all a block reads
+    of the edges that stay fixed, so a block whose compressed side repeats
+    repeats its strand changes, and the walk reuses them.
     """
 
     __slots__ = ("vertex_partner", "edge_partner", "edge_of_point", "ends", "strands")
@@ -144,6 +146,10 @@ def _ruler(start: int) -> tuple[int, ...]:
 # blocks start with no low edge cut and with only the top one cut, alternately
 _RULERS = (_ruler(0), _ruler(1 << (_BLOCK_BITS - 1)))
 
+# Fewest blocks for which a walk memoizes them.  Walks of 2-16 blocks (7-10
+# edges) repeat few keys, and keeping them made some of those maps slower.
+_MEMO_BLOCKS = 32
+
 
 def _check_doubled(value: int) -> None:
     # Twice a genus, or twice b1 - genus, of a subgraph in an oriented surface.
@@ -175,6 +181,17 @@ def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
     meets the points of the switched edge in the same order, so it finds
     the same outer partner.  With at most _BLOCK_BITS edges there is one
     block and nothing to skip.
+
+    So a block's counts, taken relative to its start exponent, and its move
+    of the exponent depend only on its key: its parity, which picks the
+    ruler and the start of the low edges, and ``skip`` on the low edge
+    points whose corner arc ends on a high edge.  A walk of at least
+    _MEMO_BLOCKS blocks keeps, the first time a key appears, the block's own
+    tally with its start and end exponents.  When the key comes back, the
+    kept counts are added shifted to the current exponent, in the order
+    first reached, cancelled ones included, and the top low edge is switched
+    to where the block would leave it.  Every state still counts once, in
+    Gray order; the memo lives for one call.
     """
     walker = _StrandWalker(m, joined)
     vertex_partner, edge_partner = walker.vertex_partner, walker.edge_partner
@@ -195,8 +212,15 @@ def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
         points = [p for x, y in walker.ends[:low] for p in (x, x + 1, y, y + 1)]
         low_points = [p for p in points if edge_of_point[vertex_partner[p]] >= low]
     exponent = m.edge_count - m.vertex_count + walker.strands
-    tally = {exponent: 1}
-    for block in range(1 << (m.edge_count - low)):
+    # blocks add into the tally, or into a block tally of their own to memoize
+    tally = into = {exponent: 1}
+    count, memos = 1 << (m.edge_count - low), None
+    if count >= _MEMO_BLOCKS:
+        memos = ({}, {})
+        # a block leaves the top low edge cut if it is even, joined if odd
+        top, top_y = walker.ends[low - 1]
+        ends = (_edge_pairing(top, top_y, top + 1), _edge_pairing(top, top_y, joined[low - 1]))
+    for block in range(count):
         if block:
             # high edge low + k switches between blocks, traced on the full arrays
             k = (block & -block).bit_length() - 1
@@ -213,13 +237,33 @@ def _cut_exponents(m: CombMap, joined: list[int]) -> dict[int, int]:
             while edge_of_point[q] >= low:
                 q = vertex_partner[edge_partner[q]]
             skip[p] = q
+        if memos is not None:
+            memo = memos[block & 1]
+            key = tuple(map(skip.__getitem__, low_points))
+            kept = memo.get(key)
+            if kept is not None:
+                # the kept block's counts, moved from its start exponent to this one
+                counts, start, end = kept
+                shift = exponent - start
+                for reached, c in counts.items():
+                    reached += shift
+                    tally[reached] = tally.get(reached, 0) + c
+                exponent = end + shift
+                pairing = ends[block & 1]
+                edge_partner[top], edge_partner[top + 1], edge_partner[top_y], edge_partner[top_y + 1] = pairing
+                continue
+            into, start = {}, exponent
         for x, e, x1, y, y1, pairing, plus, minus, joins, sign in blocks[block & 1]:
             outer = skip[x]
             while edge_of_point[outer] != e:
                 outer = skip[edge_partner[outer]]
             edge_partner[x], edge_partner[x1], edge_partner[y], edge_partner[y1] = pairing
             exponent += (outer == plus) - (outer == minus) + joins
-            tally[exponent] = tally.get(exponent, 0) + sign
+            into[exponent] = into.get(exponent, 0) + sign
+        if memos is not None:
+            memo[key] = into, start, exponent
+            for reached, c in into.items():
+                tally[reached] = tally.get(reached, 0) + c
     return tally
 
 

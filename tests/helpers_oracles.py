@@ -25,7 +25,9 @@ with a union-find per side.  ``ToggleWalker`` is the strand walker with its
 per-edge ``toggle`` method, as the walks ran before ``_cut_exponents`` and
 ``_flip_genera`` inlined the switch into one loop each; the cut-exponent
 and flip-walk oracles, the rank oracle and the walker oracle of ``w_so``
-step it once per Gray toggle.  The q-polynomial oracle substitutes
+step it once per Gray toggle.  The block walk oracle is ``_cut_exponents``
+as it was before it memoized its Gray blocks by their compressed boundary:
+it walks every block step by step.  The q-polynomial oracle substitutes
 Q = q + 2 + q^{-1} once per power of q through ``substitute_q_shift``, and
 the cyclotomic oracle adds one reduced root power per term, as before the
 one-pass versions in ``spatial`` and ``algebra``.  The
@@ -104,9 +106,11 @@ from ribbonpoly.generate import (
     canonical_form,
 )
 from ribbonpoly.invariants import (
+    _BLOCK_BITS,
     _check_doubled,
     _cut_exponents,
     _edge_pairing,
+    _RULERS,
     _StrandWalker,
     flow_poly,
     krushkal_poly,
@@ -565,6 +569,60 @@ def cut_exponents_oracle(m: CombMap, joined: list[int]) -> dict[int, int]:
         exponent += walker.toggle(e) + (-1 if cut >> e & 1 else 1)
         sign = -sign
         tally[exponent] = tally.get(exponent, 0) + sign
+    return tally
+
+
+def block_walk_oracle(m: CombMap, joined: list[int], keys: Optional[list] = None) -> dict[int, int]:
+    """``_cut_exponents`` as it was before it memoized its Gray blocks: every
+    block is walked step by step.
+
+    When ``keys`` is given, each block's key is appended to it: the block's
+    parity, and where the high edges route each low edge point whose corner
+    arc ends on one.  These are the keys the memo of ``_cut_exponents`` reads.
+    """
+    walker = _StrandWalker(m, joined)
+    vertex_partner, edge_partner = walker.vertex_partner, walker.edge_partner
+    edge_of_point = walker.edge_of_point
+    switches = []
+    for e, ((x, y), point) in enumerate(zip(walker.ends, joined)):
+        sign = -1 if e == 0 else 1
+        switches.append((x, e, x + 1, y, y + 1, _edge_pairing(x, y, point), point, x + 1, 1, sign))
+        switches.append((x, e, x + 1, y, y + 1, _edge_pairing(x, y, x + 1), x + 1, point, -1, sign))
+    low = min(m.edge_count, _BLOCK_BITS)
+    blocks = [list(map(switches.__getitem__, _RULERS[0][: (1 << low) - 1]))]
+    skip, low_points = vertex_partner, []
+    if m.edge_count > low:
+        blocks.append(list(map(switches.__getitem__, _RULERS[1])))
+        skip = vertex_partner[:]
+        points = [p for x, y in walker.ends[:low] for p in (x, x + 1, y, y + 1)]
+        low_points = [p for p in points if edge_of_point[vertex_partner[p]] >= low]
+    exponent = m.edge_count - m.vertex_count + walker.strands
+    tally = {exponent: 1}
+    for block in range(1 << (m.edge_count - low)):
+        if block:
+            k = (block & -block).bit_length() - 1
+            switch = switches[2 * (low + k) + ((block ^ block >> 1) >> k & 1)]
+            x, e, x1, y, y1, pairing, plus, minus, joins, sign = switch
+            outer = vertex_partner[x]
+            while edge_of_point[outer] != e:
+                outer = vertex_partner[edge_partner[outer]]
+            edge_partner[x], edge_partner[x1], edge_partner[y], edge_partner[y1] = pairing
+            exponent += (outer == plus) - (outer == minus) + joins
+            tally[exponent] = tally.get(exponent, 0) + sign
+        for p in low_points:
+            q = vertex_partner[p]
+            while edge_of_point[q] >= low:
+                q = vertex_partner[edge_partner[q]]
+            skip[p] = q
+        if keys is not None:
+            keys.append((block & 1, tuple(skip[p] for p in low_points)))
+        for x, e, x1, y, y1, pairing, plus, minus, joins, sign in blocks[block & 1]:
+            outer = skip[x]
+            while edge_of_point[outer] != e:
+                outer = skip[edge_partner[outer]]
+            edge_partner[x], edge_partner[x1], edge_partner[y], edge_partner[y1] = pairing
+            exponent += (outer == plus) - (outer == minus) + joins
+            tally[exponent] = tally.get(exponent, 0) + sign
     return tally
 
 

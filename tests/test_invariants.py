@@ -10,6 +10,7 @@ import pytest
 from helpers_oracles import (
     EDGE_CASES,
     ToggleWalker,
+    block_walk_oracle,
     choose_engine_oracle,
     chromatic_cd_oracle,
     cut_exponents_oracle,
@@ -404,6 +405,52 @@ class TestIncrementalWalks:
             seen.clear()
             _s_exponents(m)
             assert seen == list(cut_exponents_oracle(m, [2 * b + 1 for _a, b in m.edges])), m
+
+    @pytest.mark.slow
+    def test_cut_exponents_match_block_walk(self, monkeypatch):
+        # the walk that memoizes its Gray blocks against one that walks every
+        # block, key by key in the order reached, with cancelled keys kept
+        rng = random.Random(97)
+        family = [random_connected_map(random.Random(101 + edges), edges) for edges in range(16, 21)]
+        family += [petersen_map(), complete_map(6), cycle_map(18)]
+        # the low edges alone in a component, or meeting the rest at one
+        # vertex, so block keys repeat heavily
+        family += [cycle_map(6).disjoint_union(complete_map(5)), wedge(complete_map(4), 0, cycle_map(9), 0)]
+        # the fewest blocks that memoize, with every block key distinct
+        family.append(random_connected_map(random.Random(3), 11))
+        seen = []
+        monkeypatch.setattr(invariants, "_check_doubled", seen.append)
+        repeated = distinct = cancelled = 0
+        for m in family:
+            bands = [2 * b + 1 for _a, b in m.edges]
+            joined = [2 * b + 1 if rng.random() < 0.5 else 2 * b for _a, b in m.edges]
+            for start in (bands, joined):
+                keys: list = []
+                want = block_walk_oracle(m, start, keys)
+                if start is bands:
+                    # S checks every exponent the walk reaches, a cancelled one included
+                    seen.clear()
+                    got = _s_exponents(m)
+                    assert seen == list(want), m
+                else:
+                    got = _cut_exponents(m, start)
+                assert list(got.items()) == list(want.items()), m
+                repeated += len(set(keys)) < len(keys)
+                distinct += len(set(keys)) == len(keys) >= invariants._MEMO_BLOCKS
+                cancelled += 0 in want.values()
+        assert repeated and distinct and cancelled
+
+    def test_state_sum_matches_sweep_at_scale(self):
+        # S by the memoized state sum against the frontier sweep, which share
+        # no code, on bridgeless maps past the sizes the oracle tests reach
+        rng = random.Random(103)
+        for edges in (18, 20, 22):
+            m = random_connected_map(rng, edges)
+            while not is_bridgeless(m):
+                m = random_connected_map(rng, edges)
+            s = s_poly(m, engine="state-sum")
+            assert s == s_poly(m, engine="brauer"), m
+            assert s, m
 
     def test_state_sums_match_oracles(self, six_edge_family):
         family = six_edge_family + random_maps(seed=37, count=12, max_edges=10) + EDGE_CASES
