@@ -14,10 +14,10 @@ import json
 import sys
 from typing import Sequence
 
-from .brauer import brauer_evaluate, fpf_permutations, gram_det
+from .brauer import fpf_permutations, gram_det
 from .fixtures import MAP_FIXTURES, bundled_fixture_paths
 from .generate import cubic_maps, is_bridgeless
-from .invariants import flow_poly, resolve_engine, s_poly, virtual_chromatic
+from .invariants import _ENGINES, flow_poly, resolve_engine, s_poly, virtual_chromatic
 from .maps import CombMap, InvalidMapError
 from .penrose import cellular_embedding_poly, w_sl_extended, w_so
 from .spatial import (
@@ -31,9 +31,6 @@ from .spatial import (
     yamada,
 )
 from .vgf import VgfError, input_hash, parse_vgf_file
-
-_ENGINES = ("auto", "state-sum", "contraction-deletion", "brauer")
-
 
 class CliError(Exception):
     """Computation-level failure: message on stderr, exit code 1."""
@@ -85,6 +82,7 @@ def _cmd_invariant(args) -> int:
         if engine != "auto":
             raise CliError(f"--engine applies to --poly s or f, not {args.poly}")
         if args.poly == "chrom":
+            # C-D by name, not auto's sweep: moving it is a CLI change (ROADMAP item 15)
             poly, used = virtual_chromatic(m, engine="contraction-deletion"), "contraction-deletion"
         elif args.poly == "wso":
             poly, used = w_so(m), "corner-pairing"
@@ -175,20 +173,16 @@ def _cmd_obstruction(args) -> int:
 def _cmd_check(args) -> int:
     failures = []
     lines = []
+    polys = (("S", s_poly), ("flow", flow_poly))
     for name in sorted(MAP_FIXTURES):
         m = MAP_FIXTURES[name]
-        s_state = s_poly(m, engine="state-sum")
-        s_cd = s_poly(m, engine="contraction-deletion")
-        s_br = brauer_evaluate(m)
-        f_state = flow_poly(m, engine="state-sum")
-        f_cd = flow_poly(m, engine="contraction-deletion")
-        ok = s_state == s_cd == s_br and f_state == f_cd
+        ok = all(len({poly(m, engine) for engine in _ENGINES[row]}) == 1 for row, poly in polys)
         lines.append(f"{name}: {'ok' if ok else 'MISMATCH'}")
         if not ok:
             failures.append(name)
     verdicts = {"agree": not failures, "fixtures": len(lines)}
     if args.json:
-        print(_report(None, "state-sum/contraction-deletion/brauer", {}, verdicts))
+        print(_report(None, "/".join(_ENGINES["S"]), {}, verdicts))
     else:
         for line in lines:
             print(line)
@@ -229,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         default="auto",
-        choices=_ENGINES,
+        choices=("auto", *_ENGINES["S"]),
         help="engine for --poly s or f; auto takes the state sum or the frontier sweep (brauer), "
         "whichever its cost estimate says is cheaper",
     )

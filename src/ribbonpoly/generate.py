@@ -90,12 +90,10 @@ def bouquet(pairings: Sequence[tuple[int, int]]) -> CombMap:
     return CombMap((rotation,), tuple(tuple(sorted(p)) for p in pairings))
 
 
-def dipole(n: int, twist_second_vertex: bool = False) -> CombMap:
+def dipole(n: int) -> CombMap:
     """Two vertices joined by n parallel edges."""
     top = tuple(2 * i for i in range(n))
     bottom = tuple(2 * i + 1 for i in range(n))
-    if twist_second_vertex:
-        bottom = tuple(reversed(bottom))
     edges = tuple((2 * i, 2 * i + 1) for i in range(n))
     return CombMap((top, bottom), edges)
 

@@ -7,17 +7,12 @@ rotation-sensitive refinement
     S(Q) = sum over edge subsets T of (-1)^|T| Q^(b1(G-T) - genus(G-T)),
 
 together with the four-variable rank polynomial that specializes to S, and a
-vertex-count-normalized chromatic polynomial for virtual graphs.  S and flow
-each have three independent engines, so the test suite can cross-check them
-term by term: the state sum, memoized contraction-deletion, and a frontier
-sweep of ``brauer`` (over boundary pairings for S, over set partitions for
-flow).  ``resolve_engine`` chooses between the state sum and the sweeps
-from the edge and vertex counts alone; contraction-deletion runs only by
-name.  The chromatic polynomial has two engines: the pairing sweep over the
-map itself, which ``auto`` names, and contraction-deletion by name.
-``s_poly_at`` evaluates the tally of the engine that ``auto`` picks.  The
-rank polynomial has one engine, the ``brauer._Ranks`` sweep over boundary
-pairings, dual and primal partitions at once.
+vertex-count-normalized chromatic polynomial for virtual graphs.  S, flow and
+the chromatic polynomial each have independent engines, so the test suite can
+cross-check them term by term; ``_ENGINES`` lists them with their costs, and
+``auto`` runs the cheapest.  The rank polynomial has one engine, the
+``brauer._Ranks`` sweep over boundary pairings, dual and primal partitions at
+once.
 
 Contraction-deletion recurses on a bare half-edge form of the map (see
 ``maps._kernel``), memoizes integer tallies by doubled exponent under the
@@ -461,7 +456,7 @@ def _preferred_edge(sigma: list[int]) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# The engine choice for S and flow.
+# The engines of S, flow and the chromatic polynomial.
 # ---------------------------------------------------------------------------
 
 
@@ -472,24 +467,65 @@ _SWEEP_STEP = 10
 _PLAN_CUBE = 4
 
 
-def resolve_engine(m: CombMap, engine: str) -> str:
-    """The engine that computes S or flow.
+def _subset_count(m: CombMap) -> int:
+    return 1 << m.edge_count
 
-    ``auto`` decides from E and V alone, with the sweep's cost counted in
-    subsets of the state sum, which visits all 2^E: the state sum runs while
-    2^E <= _SWEEP_STEP (V + E + 1) + V^3 // _PLAN_CUBE, and the frontier
-    sweep (``brauer``) beyond.  One rule serves S and flow.  The sweeps take
-    over at 7 to 9 edges, later on maps with more vertices.
-    Contraction-deletion runs only by name.  Any other name is returned
-    unchanged.
+
+def _sweep_cost(m: CombMap) -> int:
+    return _SWEEP_STEP * (m.vertex_count + m.edge_count + 1) + m.vertex_count**3 // _PLAN_CUBE
+
+
+# One row per polynomial with more than one engine, in ``--engine`` order:
+# each engine's integer tally by doubled exponent, and its cost in state-sum
+# subsets, or None if it runs only by name.  The state sum visits all 2^E
+# subsets (a strand walk for S, a union-find for flow); contraction-deletion
+# is the memoized recursion below, whose tallies are memo values that callers
+# only read; ``brauer`` is a frontier sweep over boundary pairings (S, and the
+# chromatic polynomial of the map itself) or set partitions (flow).
+_ENGINES: dict[str, dict[str, tuple[Callable, Optional[Callable]]]] = {
+    "S": {
+        "state-sum": (_s_exponents, _subset_count),
+        "contraction-deletion": (lambda m: _s_cd(*_kernel(m)), None),
+        "brauer": (_s_tally, _sweep_cost),
+    },
+    "flow": {
+        "state-sum": (_flow_exponents, _subset_count),
+        "contraction-deletion": (lambda m: _flow_cd(*_kernel(m)), None),
+        "brauer": (_flow_tally, _sweep_cost),
+    },
+    "chromatic": {
+        "contraction-deletion": (lambda m: _chrom_cd(*_kernel(m)), None),
+        "brauer": (_chrom_tally, _sweep_cost),
+    },
+}
+
+
+def _resolve(row: str, m: CombMap, engine: str) -> str:
+    """The engine of ``_ENGINES[row]`` that ``engine`` names; ``auto`` is the first of least cost."""
+    engines = _ENGINES[row]
+    if engine == "auto":
+        costed = (name for name, (_, cost) in engines.items() if cost is not None)
+        return min(costed, key=lambda name: engines[name][1](m))
+    if engine not in engines:
+        raise ValueError(f"unknown {row} engine {engine!r}")
+    return engine
+
+
+def _tally(row: str, m: CombMap, engine: str) -> dict[int, int]:
+    """The integer tally from the engine of ``_ENGINES[row]`` that ``_resolve`` names."""
+    return _ENGINES[row][_resolve(row, m, engine)][0](m)
+
+
+def resolve_engine(m: CombMap, engine: str) -> str:
+    """The engine of the ``S`` row of ``_ENGINES`` that computes S or flow.
+
+    ``auto`` decides from E and V alone: the state sum while 2^E <=
+    _SWEEP_STEP (V + E + 1) + V^3 // _PLAN_CUBE, and the frontier sweep
+    (``brauer``) beyond, from 7 to 9 edges on, later on maps with more
+    vertices.  Any other name is returned if it names an engine, and raises
+    ``ValueError`` if not.
     """
-    if engine != "auto":
-        return engine
-    subsets = 1 << m.edge_count
-    steps = _SWEEP_STEP * (m.vertex_count + m.edge_count + 1)
-    if subsets <= steps + m.vertex_count**3 // _PLAN_CUBE:
-        return "state-sum"
-    return "brauer"
+    return _resolve("S", m, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +536,12 @@ def resolve_engine(m: CombMap, engine: str) -> str:
 def flow_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     """Flow polynomial; blind to rotations and twists.
 
-    Three independent engines compute it: the state sum over kept edge sets
-    with a union-find, memoized contraction-deletion, and the partition
-    sweep (``brauer``); ``resolve_engine`` names the one ``auto`` runs.
+    The engines are the ``flow`` row of ``_ENGINES``: the state sum over
+    kept edge sets with a union-find, memoized contraction-deletion, and the
+    partition sweep (``brauer``); ``auto`` runs the one ``resolve_engine``
+    names.
     """
-    engine = resolve_engine(m, engine)
-    if engine == "state-sum":
-        tally = _flow_exponents(m)
-    elif engine == "contraction-deletion":
-        tally = _flow_cd(*_kernel(m))
-    elif engine == "brauer":
-        tally = _flow_tally(m)
-    else:
-        raise ValueError(f"unknown flow engine {engine!r}")
-    return HalfLaurent.from_dict("Q", tally)
+    return HalfLaurent.from_dict("Q", _tally("flow", m, engine))
 
 
 def _flow_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -546,32 +574,21 @@ def _flow_cd_compute(sigma: list[int], isolated: int) -> dict[int, int]:
 def s_poly(m: CombMap, engine: str = "auto") -> HalfLaurent:
     """The genus-corrected flow polynomial of a map in an oriented surface.
 
-    Three independent engines compute it: the state sum over edge subsets,
-    memoized contraction-deletion, and the frontier sweep of the diagram
-    category (``brauer``); ``resolve_engine`` names the one ``auto`` runs.
+    The engines are the ``S`` row of ``_ENGINES``: the state sum over edge
+    subsets, memoized contraction-deletion, and the frontier sweep of the
+    diagram category (``brauer``); ``auto`` runs the one ``resolve_engine``
+    names.
     """
     return HalfLaurent.from_dict("Q", _s_engine_tally(m, engine))
 
 
 def _s_engine_tally(m: CombMap, engine: str) -> dict[int, int]:
-    """The integer tally of S by doubled exponent, from the engine ``resolve_engine`` names.
-
-    The tally may be a memo value of contraction-deletion, so callers only read it.
-    """
+    """The integer tally of S by doubled exponent, from the engine ``resolve_engine`` names."""
     if m.edge_twists:
         raise ValueError(
             "S is defined for twist-free maps; twisted edges are consumed by the Penrose evaluations"
         )
-    engine = resolve_engine(m, engine)
-    if engine == "state-sum":
-        tally = _s_exponents(m)
-    elif engine == "contraction-deletion":
-        tally = _s_cd(*_kernel(m))
-    elif engine == "brauer":
-        tally = _s_tally(m)
-    else:
-        raise ValueError(f"unknown S engine {engine!r}")
-    return tally
+    return _tally("S", m, engine)
 
 
 def _s_cd(sigma: list[int], isolated: int) -> dict[int, int]:
@@ -655,8 +672,9 @@ def specialize_krushkal_to_s(poly: KrushkalPoly, b1: int) -> HalfLaurent:
 def virtual_chromatic(m: CombMap, engine: str = "auto") -> HalfLaurent:
     """Chromatic polynomial of a twist-free map, t^(b0 - genus) S(G*).
 
-    Two independent engines compute it.  ``brauer``, which ``auto`` names,
-    is one ``_Pairings`` sweep over the map itself (``brauer._chrom_tally``).
+    The engines are the ``chromatic`` row of ``_ENGINES``.  ``brauer``,
+    the only one with a cost and so the one ``auto`` runs, is one
+    ``_Pairings`` sweep over the map itself (``brauer._chrom_tally``).
     ``contraction-deletion`` runs only by name: deletion-contraction with
     the loop correction ``t^(-1)``, where a loop deletes to the plain term
     and contracts (splitting its vertex) with weight ``t^(-1)``, edgeless
@@ -665,13 +683,7 @@ def virtual_chromatic(m: CombMap, engine: str = "auto") -> HalfLaurent:
     """
     if m.edge_twists:
         raise ValueError("the chromatic polynomial needs a twist-free map")
-    if engine in ("auto", "brauer"):
-        tally = _chrom_tally(m)
-    elif engine == "contraction-deletion":
-        tally = _chrom_cd(*_kernel(m))
-    else:
-        raise ValueError(f"unknown chromatic engine {engine!r}")
-    return HalfLaurent.from_dict("t", tally)
+    return HalfLaurent.from_dict("t", _tally("chromatic", m, engine))
 
 
 def _chrom_cd(sigma: list[int], isolated: int) -> dict[int, int]:

@@ -320,7 +320,7 @@ def yamada(d: SpatialDiagram, variant: str = "s", mirror: bool = False) -> HalfL
     key = (d, variant, mirror)
     cached = _YAMADA_CACHE.get(key)
     if cached is None:
-        cached = _YAMADA_CACHE[key] = (_rs_sweep if variant == "s" else _rf_sweep)(d, mirror)
+        cached = _YAMADA_CACHE[key] = _yamada_sweep(d, variant, mirror)
     return cached
 
 
@@ -372,27 +372,20 @@ def _q_polynomial(tally: dict[int, int], stride: int) -> HalfLaurent:
     return HalfLaurent.from_dict("q", data)
 
 
-def _rs_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
-    """R^S from one frontier sweep over the crossing states and edge states.
+def _yamada_sweep(d: SpatialDiagram, variant: str, mirror: bool) -> HalfLaurent:
+    """R^S or R^F from one frontier sweep over the crossing states and edge states.
 
-    Each local vertex enters as its corners with one factor Q^(-1/2).
+    R^S sweeps ``_Pairings``, and each local vertex enters as its corners
+    with one factor Q^(-1/2).  R^F sweeps ``_Partitions`` over kept edge sets.
     """
     stride = _q_stride(d)
+    per_corner = 1 if variant == "s" else 0
     options = [
-        [(groups, weight, power * stride - len(groups)) for groups, weight, power in local]
+        [(groups, weight, power * stride - per_corner * len(groups)) for groups, weight, power in local]
         for local in _local_states(d, mirror)
     ]
-    return _q_polynomial(_sweep(d.base, options, _Pairings(d.base, _join_or_cut(d.base))), stride)
-
-
-def _rf_sweep(d: SpatialDiagram, mirror: bool) -> HalfLaurent:
-    """R^F from one ``_Partitions`` sweep over the crossing states and kept edge sets."""
-    stride = _q_stride(d)
-    options = [
-        [(groups, weight, power * stride) for groups, weight, power in local]
-        for local in _local_states(d, mirror)
-    ]
-    return _q_polynomial(_sweep(d.base, options, _Partitions(d.base)), stride)
+    kind = _Pairings(d.base, _join_or_cut(d.base)) if per_corner else _Partitions(d.base)
+    return _q_polynomial(_sweep(d.base, options, kind), stride)
 
 
 # -- the move engine ---------------------------------------------------------

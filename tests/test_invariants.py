@@ -1,5 +1,6 @@
 """S, flow, Krushkal, and chromatic polynomials."""
 
+import argparse
 import importlib
 import pkgutil
 import random
@@ -26,9 +27,9 @@ from helpers_oracles import (
 )
 
 import ribbonpoly
-from ribbonpoly import invariants
+from ribbonpoly import cli, invariants
 from ribbonpoly.algebra import HalfLaurent
-from ribbonpoly.brauer import _chrom_tally, brauer_evaluate
+from ribbonpoly.brauer import _chrom_tally
 from ribbonpoly.fixtures import (
     BOUQUET2_INT,
     BRIDGE,
@@ -51,6 +52,7 @@ from ribbonpoly.generate import (
 )
 from ribbonpoly.invariants import (
     _CHROM_CACHE,
+    _ENGINES,
     _cut_exponents,
     _kernel,
     _kernel_key,
@@ -125,18 +127,15 @@ class TestNamedValues:
 class TestEngines:
     def test_agreement_small(self):
         for m in exhaustive_connected_maps(3):
-            state = s_poly(m, engine="state-sum")
-            cd = s_poly(m, engine="contraction-deletion")
-            br = brauer_evaluate(m)
-            assert state == cd == br, m
-            assert flow_poly(m, engine="state-sum") == flow_poly(m, engine="contraction-deletion")
+            assert len({s_poly(m, engine=engine) for engine in _ENGINES["S"]}) == 1, m
+            assert len({flow_poly(m, engine=engine) for engine in _ENGINES["flow"]}) == 1, m
 
     def test_agreement_random(self):
         for m in random_maps(seed=11, count=20, max_edges=8):
             assert s_poly(m, engine="state-sum") == s_poly(m, engine="contraction-deletion")
 
     def test_flow_sweep_matches_both_engines(self):
-        # the partition sweep, the state sum and contraction-deletion on flow
+        # every flow engine, the partition sweep among them, against the state sum
         rng = random.Random(167)
         family = exhaustive_connected_maps(5) + EDGE_CASES
         family += [random_connected_map(rng, e) for e in range(1, 13) for _ in range(3)]
@@ -145,7 +144,7 @@ class TestEngines:
             want = flow_poly(m, engine="state-sum")
             twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.5)
             twisted = CombMap(m.vertices, m.edges, None, twists)
-            for engine in ("brauer", "contraction-deletion"):
+            for engine in _ENGINES["flow"]:
                 assert flow_poly(m, engine=engine) == want, (m, engine)
                 # flow is blind to twists
                 assert flow_poly(twisted, engine=engine) == want, (twisted, engine)
@@ -160,12 +159,26 @@ class TestEngines:
         chosen = set()
         for m in family:
             chosen.add(resolve_engine(m, "auto"))
-            engines = ("state-sum", "contraction-deletion", "brauer")
-            flows = {flow_poly(m, engine=engine) for engine in engines}
+            flows = {flow_poly(m, engine=engine) for engine in _ENGINES["flow"]}
             assert flows == {flow_poly(m)}, m
             if not m.edge_twists:
-                assert {s_poly(m, engine=engine) for engine in engines} == {s_poly(m)}, m
+                assert {s_poly(m, engine=engine) for engine in _ENGINES["S"]} == {s_poly(m)}, m
+                chromatic = {virtual_chromatic(m, engine=engine) for engine in _ENGINES["chromatic"]}
+                assert chromatic == {virtual_chromatic(m)}, m
         assert chosen == {"state-sum", "brauer"}
+
+    def test_engine_table(self):
+        # the CLI offers auto and the S row, in the row's order
+        invariant = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        engine = next(a for a in invariant.choices["invariant"]._actions if a.dest == "engine")
+        assert tuple(engine.choices) == ("auto", *_ENGINES["S"])
+        # auto names an engine with a cost on both sides of the crossover,
+        # and the sweep for the chromatic polynomial
+        family = exhaustive_connected_maps(3) + EDGE_CASES + [_dipole(7), cycle_map(30), complete_map(6)]
+        for m in family:
+            for row, engines in _ENGINES.items():
+                assert engines[invariants._resolve(row, m, "auto")][1] is not None, (m, row)
+            assert invariants._resolve("chromatic", m, "auto") == "brauer", m
 
     def test_twisted_input_rejected(self):
         with pytest.raises(ValueError):
@@ -239,9 +252,9 @@ class TestChromatic:
         family = six_edge_family + EDGE_CASES + unions + [CombMap((), ())]
         family += random_maps(seed=167, count=20, max_edges=12)
         for m in family:
-            swept = virtual_chromatic(m, engine="brauer")
-            assert swept == virtual_chromatic(m, engine="contraction-deletion"), m
-            assert swept == chromatic_cd_oracle(m), m
+            want = chromatic_cd_oracle(m)
+            for engine in _ENGINES["chromatic"]:
+                assert virtual_chromatic(m, engine=engine) == want, (m, engine)
         assert virtual_chromatic(CombMap((), ())) == HalfLaurent.one("t")
         # the sweep agrees with contraction-deletion in any vertex order
         for m in unions[:20]:

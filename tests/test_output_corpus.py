@@ -50,7 +50,6 @@ def test_corpus_covers_every_engine_choice():
     for engine in choices:
         for poly in ("s", "f"):
             assert f"invariant --poly {poly} --engine {engine} petersen" in rows, (poly, engine)
-    assert len(rows) == len(record.cli_calls()) > 600
 
 
 def _subparser(name):
