@@ -169,8 +169,8 @@ class TestEngines:
 
     def test_engine_table(self):
         # the CLI offers auto and the S row, in the row's order
-        invariant = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        engine = next(a for a in invariant.choices["invariant"]._actions if a.dest == "engine")
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        engine = next(a for a in subparsers.choices["invariant"]._actions if a.dest == "engine")
         assert tuple(engine.choices) == ("auto", *_ENGINES["S"])
         # auto names an engine with a cost on both sides of the crossover,
         # and the sweep for the chromatic polynomial
@@ -179,6 +179,15 @@ class TestEngines:
             for row, engines in _ENGINES.items():
                 assert engines[invariants._resolve(row, m, "auto")][1] is not None, (m, row)
             assert invariants._resolve("chromatic", m, "auto") == "brauer", m
+
+    def test_check_compares_every_engine(self, capsys, monkeypatch):
+        # a wrong tally from any engine of the S and flow rows makes the CLI's check fail
+        for row in ("S", "flow"):
+            for engine, (_, cost) in _ENGINES[row].items():
+                monkeypatch.setitem(_ENGINES[row], engine, (lambda m: {0: 7}, cost))
+                assert cli.main(["check"]) == 1, (row, engine)
+                assert capsys.readouterr().out.splitlines()[-1] == "MISMATCH: 9 fixtures", (row, engine)
+                monkeypatch.undo()
 
     def test_twisted_input_rejected(self):
         with pytest.raises(ValueError):
