@@ -17,7 +17,9 @@ stdout, stderr and the exit code, with the fixture directory written as
 apart with the Python version that recorded them.  Library rows render S,
 flow and the chromatic polynomial under every engine name, and the
 ``ValueError`` text of unknown engines and twisted inputs, each row over one
-family of maps.
+family of maps.  The spatial rows record the ``.vgf`` text and ``input_hash``
+of every bundled fixture and 20 seeded diagrams, and the ``repr`` of both
+sides of the golden identity on the same inputs.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ DATA = Path(__file__).resolve().parent
 sys.path[:0] = [str(DATA.parent), str(DATA.parent.parent / "src")]
 
 from helpers_oracles import EDGE_CASES  # noqa: E402
+from helpers_spatial import crossed_diagram, seeded_diagram  # noqa: E402
 
 from ribbonpoly import cli  # noqa: E402
-from ribbonpoly.fixtures import LOOP1, TRIANGLE, bundled_fixture_paths, fixture_dir  # noqa: E402
-from ribbonpoly.generate import exhaustive_connected_maps, random_connected_map  # noqa: E402
+from ribbonpoly.fixtures import ALL_FIXTURES, LOOP1, TRIANGLE, bundled_fixture_paths, fixture_dir  # noqa: E402
+from ribbonpoly.generate import cubic_maps, exhaustive_connected_maps, random_connected_map  # noqa: E402
 from ribbonpoly.invariants import (  # noqa: E402
     flow_poly,
     resolve_engine,
@@ -47,6 +50,8 @@ from ribbonpoly.invariants import (  # noqa: E402
     virtual_chromatic,
 )
 from ribbonpoly.maps import CombMap  # noqa: E402
+from ribbonpoly.spatial import SpatialDiagram, crossingless_diagram, golden_identity_values  # noqa: E402
+from ribbonpoly.vgf import input_hash, serialize_vgf  # noqa: E402
 
 CORPUS = DATA / "output_corpus.json"
 
@@ -133,6 +138,24 @@ def library_family() -> list[CombMap]:
     return exhaustive_connected_maps(4) + EDGE_CASES + randoms
 
 
+def spatial_family() -> list:
+    """Every bundled fixture, then 20 seeded diagrams with 0 to 10 crossings.
+
+    The even draws cross edges of a cubic census map, so the golden identity
+    evaluates them; the odd draws cross a random connected map.
+    """
+    rng = random.Random(33)
+    cubic = cubic_maps(4) + cubic_maps(6)
+    diagrams = []
+    for i in range(20):
+        crossings = i * 10 // 19
+        if i % 2:
+            diagrams.append(seeded_diagram(rng, max_edges=6, crossings=crossings))
+        else:
+            diagrams.append(crossed_diagram(rng.choice(cubic), rng, crossings))
+    return [ALL_FIXTURES[name] for name in sorted(ALL_FIXTURES)] + diagrams
+
+
 def _outcome(compute) -> str:
     try:
         value = compute()
@@ -167,6 +190,12 @@ def _library_rows() -> dict[str, str]:
         else:
             row(f"virtual_chromatic engine={engine!r}", [LOOP1, TRIANGLE], compute)
         row(f"virtual_chromatic engine={engine!r} twisted", twisted, compute)
+    spatial = spatial_family()
+    diagrams = [d if isinstance(d, SpatialDiagram) else crossingless_diagram(d) for d in spatial]
+    row("serialize_vgf", spatial, serialize_vgf)
+    row("input_hash", spatial, input_hash)
+    for allow in (False, True):
+        row(f"golden_identity_values allow_virtual={allow}", diagrams, lambda d, allow=allow: golden_identity_values(d, allow))
     return rows
 
 
