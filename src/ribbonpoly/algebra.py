@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic used by every invariant engine.
 
-Three coefficient domains, all built on :class:`fractions.Fraction` and never
-on floating point:
+Three coefficient domains, all with :class:`fractions.Fraction` coefficients
+and never floating point:
 
 * :class:`HalfLaurent` -- Laurent polynomials in a single named variable whose
   exponents live on the half-integer lattice.  Exponents are stored doubled
@@ -10,7 +10,10 @@ on floating point:
 * :class:`KrushkalPoly` -- four-variable polynomials ``X^i Y^j A^k B^l`` with
   integer exponents, used by the four-variable rank polynomial.
 * :class:`CyclotomicElement` -- elements of ``Q[x]/Phi_n(x)``, used to
-  evaluate Laurent polynomials exactly at roots of unity.
+  evaluate Laurent polynomials exactly at roots of unity.  Its products,
+  powers and reductions, and :func:`eval_cyclotomic`, compute on integer
+  numerators over one common denominator: ``Phi_n`` is monic, so reducing
+  modulo it keeps integers integral.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -358,31 +361,64 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return result
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
+def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
+    """Integer coefficients reduced modulo Phi_n; monic Phi_n keeps them integral."""
     phi = cyclotomic_polynomial(n)
     degree = len(phi) - 1
     # Phi_n is monic: subtract multiples of it from the top down.
     for i in range(len(coeffs) - 1, degree - 1, -1):
         lead = coeffs[i]
-        if lead == 0:
-            continue
-        shift = i - degree
-        for j, c in enumerate(phi):
-            coeffs[shift + j] -= lead * c
+        if lead:
+            shift = i - degree
+            for j, c in enumerate(phi):
+                coeffs[shift + j] -= lead * c
     del coeffs[degree:]
-    while len(coeffs) < degree:
-        coeffs.append(Fraction(0))
+    coeffs += [0] * (degree - len(coeffs))
     return coeffs
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    den = 1
+    for v in values:
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den
+
+
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their least common denominator."""
+    den = _common_denominator(coeffs)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _times(a: list[int], b: list[int], n: int) -> list[int]:
+    """The product of two reduced integer coefficient lists, reduced modulo Phi_n."""
+    product = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                product[j] += x * y
+    return _reduce_mod_cyclotomic(product, n)
 
 
 @dataclass(frozen=True)
 class CyclotomicElement:
-    """An element of Q[x]/Phi_n(x), with x standing for a primitive n-th root."""
+    """An element of Q[x]/Phi_n(x), with x standing for a primitive n-th root.
+
+    ``coeffs`` are ``Fraction``s in the power basis 1, x, ..., x^(phi(n)-1).
+    Products, powers and reductions run on integer numerators over one
+    common denominator and return to ``Fraction`` at the end.
+    """
 
     conductor: int
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if self.conductor < 1:
+            raise ValueError("conductor must be positive")
         expected = euler_phi(self.conductor)
         if len(self.coeffs) != expected:
             raise ValueError(
@@ -392,18 +428,25 @@ class CyclotomicElement:
     # -- construction -----------------------------------------------------
 
     @staticmethod
+    def _from_numerators(conductor: int, nums: list[int], den: int) -> "CyclotomicElement":
+        """The element sum(nums[i] x^i) / den, reduced modulo Phi_conductor."""
+        nums = _reduce_mod_cyclotomic(nums, conductor)
+        if den == 1:
+            return CyclotomicElement(conductor, tuple(map(Fraction, nums)))
+        return CyclotomicElement(conductor, tuple([Fraction(a, den) for a in nums]))
+
+    @staticmethod
     def from_coeff_list(conductor: int, coeffs: Iterable[Scalar]) -> "CyclotomicElement":
-        values = [_as_fraction(c) for c in coeffs]
-        reduced = _reduce_mod_cyclotomic(values, conductor)
-        return CyclotomicElement(conductor, tuple(reduced))
+        nums, den = _numerators([_as_fraction(c) for c in coeffs])
+        return CyclotomicElement._from_numerators(conductor, nums, den)
 
     @staticmethod
     def zero(conductor: int) -> "CyclotomicElement":
-        return CyclotomicElement(conductor, tuple([Fraction(0)] * euler_phi(conductor)))
+        return CyclotomicElement.from_rational(conductor, 0)
 
     @staticmethod
     def from_rational(conductor: int, value: Scalar) -> "CyclotomicElement":
-        coeffs = [Fraction(0)] * euler_phi(conductor)
+        coeffs = [Fraction(0)] * (len(cyclotomic_polynomial(conductor)) - 1)
         coeffs[0] = _as_fraction(value)
         return CyclotomicElement(conductor, tuple(coeffs))
 
@@ -414,10 +457,10 @@ class CyclotomicElement:
     @staticmethod
     def root_power(conductor: int, power: int) -> "CyclotomicElement":
         """The element ``zeta_n^power`` (power may be any integer)."""
+        if conductor < 1:
+            raise ValueError("conductor must be positive")
         power %= conductor
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return CyclotomicElement.from_coeff_list(conductor, coeffs)
+        return CyclotomicElement._from_numerators(conductor, [0] * power + [1], 1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -442,18 +485,9 @@ class CyclotomicElement:
 
     def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
         self._check(other)
-        size = len(self.coeffs)
-        product = [Fraction(0)] * (2 * size)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                product[i + j] += a * b
-        return CyclotomicElement(
-            self.conductor, tuple(_reduce_mod_cyclotomic(product, self.conductor))
-        )
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        return CyclotomicElement._from_numerators(self.conductor, _times(a, b, self.conductor), da * db)
 
     def scale(self, value: Scalar) -> "CyclotomicElement":
         frac = _as_fraction(value)
@@ -462,14 +496,17 @@ class CyclotomicElement:
     def __pow__(self, power: int) -> "CyclotomicElement":
         if power < 0:
             raise ValueError("negative powers not supported")
-        result = CyclotomicElement.one(self.conductor)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
+        n = self.conductor
+        base, den = _numerators(self.coeffs)
+        result = [1] + [0] * (len(base) - 1)
+        remaining = power
+        while remaining:
+            if remaining & 1:
+                result = _times(result, base, n)
+            remaining >>= 1
+            if remaining:
+                base = _times(base, base, n)
+        return CyclotomicElement._from_numerators(n, result, den**power)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -489,8 +526,9 @@ def eval_cyclotomic(
     ``power`` must be coprime to ``conductor`` (a primitive root) unless
     ``allow_nonprimitive`` is set.  Half-integer exponents are handled by
     doubling the conductor internally: ``q^{1/2} = zeta_{2n}^{power}``.
-    Each coefficient is added to the power of that working root it lands
-    on, and the sum is reduced modulo the cyclotomic polynomial once.
+    Each coefficient's numerator over the common denominator is added to
+    the power of that working root it lands on, and the sum is reduced
+    modulo the cyclotomic polynomial once.
     """
     if conductor < 1:
         raise ValueError("conductor must be positive")
@@ -501,8 +539,9 @@ def eval_cyclotomic(
         )
     has_half = any(exp % 2 != 0 for exp, _ in poly.terms)
     working = 2 * conductor if has_half else conductor
-    coeffs = [Fraction(0)] * working
+    den = _common_denominator(coeff for _, coeff in poly.terms)
+    nums = [0] * working
     for half_exp, coeff in poly.terms:
         exponent = half_exp * power if has_half else (half_exp // 2) * power
-        coeffs[exponent % working] += coeff
-    return CyclotomicElement.from_coeff_list(working, coeffs)
+        nums[exponent % working] += coeff.numerator * (den // coeff.denominator)
+    return CyclotomicElement._from_numerators(working, nums, den)

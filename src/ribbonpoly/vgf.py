@@ -17,6 +17,9 @@ Serialization is canonical and bit-exact: vertex cycles are rotated so the
 minimal half-edge comes first and listed in increasing order of that minimum,
 edges are sorted pairs in sorted order, and crossings are sorted by vertex
 index.  ``parse_vgf(serialize_vgf(x))`` returns an object equal to ``x``.
+The writer lays the text out itself, exactly as ``json.dumps`` with
+``indent=1`` would, and the parser leaves the map checks to ``CombMap``, so
+each document is validated once.
 """
 
 from __future__ import annotations
@@ -91,10 +94,13 @@ def parse_vgf(text: str) -> GraphObject:
     if "edge_twists" in data:
         twists = _expect_int_list(data["edge_twists"], "edge_twists")
 
-    problems = diagnose(vertices, edges, signs, twists)
-    if problems:
-        raise VgfError("; ".join(problems))
-    base = CombMap(tuple(vertices), tuple(edges), None if signs is None else tuple(signs), frozenset(twists))
+    if any(not 0 <= t < len(edges) for t in twists):
+        # CombMap would see the twists as a set; the message lists them in file order
+        raise VgfError("; ".join(diagnose(vertices, edges, signs, twists)))
+    try:
+        base = CombMap(tuple(vertices), tuple(edges), None if signs is None else tuple(signs), frozenset(twists))
+    except InvalidMapError as exc:
+        raise VgfError(str(exc)) from exc
 
     if "crossings" not in data:
         return base
@@ -137,8 +143,35 @@ def parse_vgf_file(path: str | Path) -> GraphObject:
         raise VgfError(f"{path.name}: {exc}") from exc
 
 
+# The layout of ``json.dumps(payload, indent=1)``: a top-level value at one
+# space, its items at two, and their items at three.
+_PAIR = "[\n   %s,\n   %s\n  ]"
+_CROSSING = '{\n   "vertex": %s,\n   "over": [\n    %s,\n    %s\n   ]\n  }'
+
+
+def _rows(rows) -> str:
+    """A top-level list of int lists."""
+    if not rows:
+        return "[]"
+    items = ["[\n   " + ",\n   ".join(map(str, row)) + "\n  ]" if row else "[]" for row in rows]
+    return "[\n  " + ",\n  ".join(items) + "\n ]"
+
+
+def _pairs(pairs) -> str:
+    """A top-level list of int pairs."""
+    if not pairs:
+        return "[]"
+    return "[\n  " + ",\n  ".join([_PAIR % pair for pair in pairs]) + "\n ]"
+
+
 def serialize_vgf(obj: GraphObject) -> str:
-    """Canonical .vgf text for a map or spatial diagram."""
+    """Canonical .vgf text for a map or spatial diagram.
+
+    The text is written directly: byte for byte what
+    ``json.dumps(payload, indent=1)`` and a final newline give for the same
+    payload of ints, without the pure-Python encoder that ``json.dumps``
+    falls back to whenever it indents.
+    """
     if isinstance(obj, SpatialDiagram):
         base = obj.base
         crossings = obj.crossings
@@ -149,19 +182,16 @@ def serialize_vgf(obj: GraphObject) -> str:
         spatial = False
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    payload: dict[str, object] = {
-        "vertices": [list(cycle) for cycle in base.vertices],
-        "edges": [list(pair) for pair in base.edges],
-    }
+    parts = ['{\n "vertices": ', _rows(base.vertices), ',\n "edges": ', _pairs(base.edges)]
     if base.vertex_signs is not None:
-        payload["vertex_signs"] = [[i, s] for i, s in enumerate(base.vertex_signs)]
+        parts += [',\n "vertex_signs": ', _pairs(list(enumerate(base.vertex_signs)))]
     if base.edge_twists:
-        payload["edge_twists"] = sorted(base.edge_twists)
+        parts += [',\n "edge_twists": [\n  ', ",\n  ".join(map(str, sorted(base.edge_twists))), "\n ]"]
     if spatial:
-        payload["crossings"] = [
-            {"vertex": c.vertex, "over": list(c.over_pair)} for c in crossings
-        ]
-    return json.dumps(payload, indent=1) + "\n"
+        records = [_CROSSING % (c.vertex, *c.over_pair) for c in crossings]
+        parts += [',\n "crossings": ', "[\n  " + ",\n  ".join(records) + "\n ]" if records else "[]"]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def input_hash(obj: GraphObject) -> str:

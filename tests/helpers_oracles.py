@@ -30,7 +30,12 @@ as it was before it memoized its Gray blocks by their compressed boundary:
 it walks every block step by step.  The q-polynomial oracle substitutes
 Q = q + 2 + q^{-1} once per power of q through ``substitute_q_shift``, and
 the cyclotomic oracle adds one reduced root power per term, as before the
-one-pass versions in ``spatial`` and ``algebra``.  The
+one-pass versions in ``spatial`` and ``algebra``.  The ``Fraction`` oracles
+of Q(zeta_n) are the reduction, product and power of ``CyclotomicElement``
+as they were before they moved to integer numerators; the cyclotomic
+oracle takes its root powers from that reduction.  The ``.vgf`` writer
+oracle is ``serialize_vgf`` as it was before it wrote its text directly:
+``json.dumps`` with ``indent=1``.  The
 contraction-deletion oracles recurse on ``CombMap.contract`` and
 ``CombMap.delete_edge`` and memoize on ``CombMap.signature``, so they share no
 code with the half-edge kernel in ``ribbonpoly.invariants``.  The census
@@ -76,12 +81,19 @@ the sweep-cost oracle.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from ribbonpoly import spatial as sp
-from ribbonpoly.algebra import CyclotomicElement, HalfLaurent, KrushkalPoly, substitute_q_shift
+from ribbonpoly.algebra import (
+    CyclotomicElement,
+    HalfLaurent,
+    KrushkalPoly,
+    cyclotomic_polynomial,
+    substitute_q_shift,
+)
 from ribbonpoly.brauer import (
     BrauerMatching,
     _bareiss_det,
@@ -1086,8 +1098,65 @@ def eval_cyclotomic_oracle(
             exponent = half_exp * power
         else:
             exponent = (half_exp // 2) * power
-        result = result + CyclotomicElement.root_power(working, exponent).scale(coeff)
+        root = [Fraction(0)] * working
+        root[exponent % working] = Fraction(1)
+        result = result + cyclotomic_reduce_oracle(working, root).scale(coeff)
     return result
+
+
+def cyclotomic_reduce_oracle(conductor: int, coeffs: Sequence[Fraction]) -> CyclotomicElement:
+    """``CyclotomicElement.from_coeff_list`` on ``Fraction`` coefficients: the
+    top term cancelled by a multiple of the monic Phi_n, degree by degree."""
+    phi = cyclotomic_polynomial(conductor)
+    degree = len(phi) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, degree - 1, -1):
+        lead = coeffs[i]
+        if lead == 0:
+            continue
+        shift = i - degree
+        for j, c in enumerate(phi):
+            coeffs[shift + j] -= lead * c
+    del coeffs[degree:]
+    while len(coeffs) < degree:
+        coeffs.append(Fraction(0))
+    return CyclotomicElement(conductor, tuple(coeffs))
+
+
+def cyclotomic_product_oracle(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
+    """``CyclotomicElement.__mul__`` on ``Fraction`` coefficients."""
+    product = [Fraction(0)] * (2 * len(a.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            product[i + j] += x * y
+    return cyclotomic_reduce_oracle(a.conductor, product)
+
+
+def cyclotomic_power_oracle(a: CyclotomicElement, power: int) -> CyclotomicElement:
+    """``a ** power`` as ``power`` products with the ``Fraction`` oracle."""
+    result = cyclotomic_reduce_oracle(a.conductor, [Fraction(1)])
+    for _ in range(power):
+        result = cyclotomic_product_oracle(result, a)
+    return result
+
+
+def serialize_vgf_oracle(obj) -> str:
+    """``serialize_vgf`` as ``json.dumps`` of the payload with ``indent=1``."""
+    if isinstance(obj, sp.SpatialDiagram):
+        base, crossings = obj.base, obj.crossings
+    else:
+        base, crossings = obj, None
+    payload: dict[str, object] = {
+        "vertices": [list(cycle) for cycle in base.vertices],
+        "edges": [list(pair) for pair in base.edges],
+    }
+    if base.vertex_signs is not None:
+        payload["vertex_signs"] = [[i, s] for i, s in enumerate(base.vertex_signs)]
+    if base.edge_twists:
+        payload["edge_twists"] = sorted(base.edge_twists)
+    if crossings is not None:
+        payload["crossings"] = [{"vertex": c.vertex, "over": list(c.over_pair)} for c in crossings]
+    return json.dumps(payload, indent=1) + "\n"
 
 
 def obstruction_z2_oracle(d: sp.SpatialDiagram) -> sp.ObstructionClass:

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers_oracles import eval_cyclotomic_oracle
+from helpers_oracles import (
+    cyclotomic_power_oracle,
+    cyclotomic_product_oracle,
+    eval_cyclotomic_oracle,
+)
 
 from ribbonpoly.algebra import (
     CyclotomicElement,
@@ -162,6 +166,64 @@ class TestCyclotomic:
             _poly_divide_exact([1, 0, 1], [-1, 1])
         with pytest.raises(ValueError, match="inexact"):
             _poly_divide_exact([0, 1], [0, 2])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_conductor_must_be_positive(self, n):
+        for build in (
+            lambda: CyclotomicElement.zero(n),
+            lambda: CyclotomicElement.one(n),
+            lambda: CyclotomicElement.root_power(n, 1),
+            lambda: CyclotomicElement.from_coeff_list(n, [1, 2]),
+            lambda: CyclotomicElement(n, ()),
+        ):
+            with pytest.raises(ValueError, match="^conductor must be positive$"):
+                build()
+
+    @staticmethod
+    def random_element(rng, n, rational):
+        def coeff():
+            if rational and rng.random() < 0.7:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            return Fraction(rng.randint(-9, 9)) if rng.random() < 0.8 else Fraction(0)
+
+        return CyclotomicElement(n, tuple(coeff() for _ in range(euler_phi(n))))
+
+    def test_products_and_powers_match_fraction_oracle(self):
+        # integer numerators over one denominator against Fraction arithmetic,
+        # with integral and rational coefficients at conductors 1..30
+        rng = random.Random(33)
+        for n in range(1, 31):
+            for rational in (False, True, True):
+                a = self.random_element(rng, n, rational)
+                b = self.random_element(rng, n, rng.random() < 0.5)
+                for got, want in (
+                    (a * b, cyclotomic_product_oracle(a, b)),
+                    (a * a, cyclotomic_product_oracle(a, a)),
+                    (a * CyclotomicElement.zero(n), CyclotomicElement.zero(n)),
+                    *((a**k, cyclotomic_power_oracle(a, k)) for k in range(6)),
+                ):
+                    assert got == want, (n, a, b)
+                    assert repr(got) == repr(want)
+                    assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_eval_matches_fraction_oracle(self):
+        # primitive and non-primitive powers, half-integer exponents,
+        # integral and rational coefficients
+        rng = random.Random(34)
+        for n in range(1, 31):
+            for rational in (False, True):
+                step = rng.choice((1, 2))
+                data = {
+                    step * rng.randint(-8, 8): (
+                        Fraction(rng.randint(-7, 7), rng.randint(1, 6)) if rational else rng.randint(-7, 7)
+                    )
+                    for _ in range(rng.randint(1, 7))
+                }
+                p = HalfLaurent.from_dict("q", data)
+                for k in (1, n - 1, 2, n // 2, rng.randint(-40, 40)):
+                    got = eval_cyclotomic(p, n, k, allow_nonprimitive=True)
+                    assert got == eval_cyclotomic_oracle(p, n, k, allow_nonprimitive=True), (p, n, k)
+                    assert all(type(c) is Fraction for c in got.coeffs)
 
     def test_rational_detection(self):
         z = CyclotomicElement.root_power(6, 1)

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import random
 
 import pytest
+from helpers_oracles import serialize_vgf_oracle
+from helpers_spatial import seeded_diagram
 
-from ribbonpoly import cli
+from ribbonpoly import cli, maps, vgf
 from ribbonpoly.fixtures import (
     ALL_FIXTURES,
     K4_SPATIAL,
@@ -19,8 +22,9 @@ from ribbonpoly.fixtures import (
     bundled_fixture_paths,
     fixture_path,
 )
+from ribbonpoly.generate import exhaustive_connected_maps
 from ribbonpoly.invariants import flow_poly, virtual_chromatic
-from ribbonpoly.maps import CombMap
+from ribbonpoly.maps import CombMap, diagnose
 from ribbonpoly.penrose import cellular_embedding_poly, w_sl_extended, w_so
 from ribbonpoly.spatial import SpatialDiagram
 from ribbonpoly.vgf import VgfError, input_hash, parse_vgf, parse_vgf_file, serialize_vgf
@@ -81,6 +85,65 @@ class TestRoundTrip:
         assert input_hash(parse_vgf_file(fixture_path("theta_t"))) == THETA_T_HASH
         assert input_hash(THETA_P) != input_hash(THETA_T)
         assert input_hash(K4_SPATIAL) != input_hash(K4_SPATIAL.base)
+
+
+class TestWriter:
+    @staticmethod
+    def decorated(rng, m):
+        signs = tuple(rng.choice((1, -1)) for _ in m.vertices) if rng.random() < 0.7 else None
+        twists = frozenset(e for e in range(m.edge_count) if rng.random() < 0.3)
+        return CombMap(m.vertices, m.edges, signs, twists)
+
+    def family(self):
+        rng = random.Random(33)
+        maps_ = [self.decorated(rng, m) for m in exhaustive_connected_maps(4)]
+        maps_ += [
+            CombMap((), ()),
+            CombMap(((),), ()),
+            CombMap(((), ()), (), (-1, 1)),
+            CombMap(((0, 1), (), (2,), (3,)), ((0, 1), (2, 3)), (1, -1, 1, -1), frozenset({1})),
+        ]
+        diagrams = [seeded_diagram(rng, max_edges=6, crossings=i % 11) for i in range(40)]
+        assert {d.crossing_count for d in diagrams} == set(range(11))
+        return list(ALL_FIXTURES.values()) + maps_ + diagrams
+
+    def test_matches_json_oracle(self):
+        # byte for byte what json.dumps(payload, indent=1) writes, empty lists included
+        family = self.family()
+        assert any(not cycle for m in family if isinstance(m, CombMap) for cycle in m.vertices)
+        for obj in family:
+            assert serialize_vgf(obj) == serialize_vgf_oracle(obj), obj
+
+
+class TestParseValidatesOnce:
+    def test_one_diagnose_per_document(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return diagnose(*args)
+
+        monkeypatch.setattr(maps, "diagnose", counted)
+        monkeypatch.setattr(vgf, "diagnose", counted)
+        for name, path in sorted(bundled_fixture_paths().items()):
+            calls.clear()
+            parse_vgf(path.read_text())
+            assert len(calls) == 1, name
+
+    def test_errors_keep_the_text_of_diagnose(self):
+        # twists out of range are named in file order, repeats included
+        cases = [
+            ([[0, 1], [1, 2]], [[0, 1], [1, 2]], []),
+            ([[0, 1]], [[0, 1]], [7, 0, 5, 7]),
+            ([[0, 2]], [[0, 2]], [-1, 3]),
+            ([[0, 1], [2]], [[0, 1]], [0, 0]),
+        ]
+        for vertices, edges, twists in cases:
+            text = json.dumps({"vertices": vertices, "edges": edges, "edge_twists": twists})
+            want = "; ".join(diagnose([tuple(c) for c in vertices], [tuple(e) for e in edges], None, twists))
+            with pytest.raises(VgfError) as info:
+                parse_vgf(text)
+            assert str(info.value) == want
 
 
 class TestParseErrors:
