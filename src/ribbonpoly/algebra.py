@@ -377,20 +377,12 @@ def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
     return coeffs
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    den = 1
-    for v in values:
-        d = v.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return den
-
-
 def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of ``coeffs`` over their least common denominator."""
-    den = _common_denominator(coeffs)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
+    den = 1
+    for c in coeffs:
+        if den % c.denominator:
+            den = den // gcd(den, c.denominator) * c.denominator
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -539,9 +531,9 @@ def eval_cyclotomic(
         )
     has_half = any(exp % 2 != 0 for exp, _ in poly.terms)
     working = 2 * conductor if has_half else conductor
-    den = _common_denominator(coeff for _, coeff in poly.terms)
+    numerators, den = _numerators([coeff for _, coeff in poly.terms])
     nums = [0] * working
-    for half_exp, coeff in poly.terms:
+    for (half_exp, _), a in zip(poly.terms, numerators):
         exponent = half_exp * power if has_half else (half_exp // 2) * power
-        nums[exponent % working] += coeff.numerator * (den // coeff.denominator)
+        nums[exponent % working] += a
     return CyclotomicElement._from_numerators(working, nums, den)

@@ -149,19 +149,9 @@ _PAIR = "[\n   %s,\n   %s\n  ]"
 _CROSSING = '{\n   "vertex": %s,\n   "over": [\n    %s,\n    %s\n   ]\n  }'
 
 
-def _rows(rows) -> str:
-    """A top-level list of int lists."""
-    if not rows:
-        return "[]"
-    items = ["[\n   " + ",\n   ".join(map(str, row)) + "\n  ]" if row else "[]" for row in rows]
-    return "[\n  " + ",\n  ".join(items) + "\n ]"
-
-
-def _pairs(pairs) -> str:
-    """A top-level list of int pairs."""
-    if not pairs:
-        return "[]"
-    return "[\n  " + ",\n  ".join([_PAIR % pair for pair in pairs]) + "\n ]"
+def _listed(items: list[str]) -> str:
+    """A top-level list of the already laid-out ``items``."""
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
 
 
 def serialize_vgf(obj: GraphObject) -> str:
@@ -182,14 +172,14 @@ def serialize_vgf(obj: GraphObject) -> str:
         spatial = False
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    parts = ['{\n "vertices": ', _rows(base.vertices), ',\n "edges": ', _pairs(base.edges)]
+    rows = ["[\n   " + ",\n   ".join(map(str, row)) + "\n  ]" if row else "[]" for row in base.vertices]
+    parts = ['{\n "vertices": ', _listed(rows), ',\n "edges": ', _listed([_PAIR % e for e in base.edges])]
     if base.vertex_signs is not None:
-        parts += [',\n "vertex_signs": ', _pairs(list(enumerate(base.vertex_signs)))]
+        parts += [',\n "vertex_signs": ', _listed([_PAIR % p for p in enumerate(base.vertex_signs)])]
     if base.edge_twists:
-        parts += [',\n "edge_twists": [\n  ', ",\n  ".join(map(str, sorted(base.edge_twists))), "\n ]"]
+        parts += [',\n "edge_twists": ', _listed([str(e) for e in sorted(base.edge_twists)])]
     if spatial:
-        records = [_CROSSING % (c.vertex, *c.over_pair) for c in crossings]
-        parts += [',\n "crossings": ', "[\n  " + ",\n  ".join(records) + "\n ]" if records else "[]"]
+        parts += [',\n "crossings": ', _listed([_CROSSING % (c.vertex, *c.over_pair) for c in crossings])]
     parts.append("\n}\n")
     return "".join(parts)
 
