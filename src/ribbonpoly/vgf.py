@@ -144,9 +144,10 @@ def parse_vgf_file(path: str | Path) -> GraphObject:
 
 
 # The layout of ``json.dumps(payload, indent=1)``: a top-level value at one
-# space, its items at two, and their items at three.
-_PAIR = "[\n   %s,\n   %s\n  ]"
-_CROSSING = '{\n   "vertex": %s,\n   "over": [\n    %s,\n    %s\n   ]\n  }'
+# space, its items at two, and their items at three.  Numbers are written as
+# decimal ints, so a map holding ``True`` for 1 writes the text of its equal.
+_PAIR = "[\n   %d,\n   %d\n  ]"
+_CROSSING = '{\n   "vertex": %d,\n   "over": [\n    %d,\n    %d\n   ]\n  }'
 
 
 def _listed(items: list[str]) -> str:
@@ -160,7 +161,7 @@ def serialize_vgf(obj: GraphObject) -> str:
     The text is written directly: byte for byte what
     ``json.dumps(payload, indent=1)`` and a final newline give for the same
     payload of ints, without the pure-Python encoder that ``json.dumps``
-    falls back to whenever it indents.
+    falls back to whenever it indents.  Equal objects get equal text.
     """
     if isinstance(obj, SpatialDiagram):
         base = obj.base
@@ -172,7 +173,7 @@ def serialize_vgf(obj: GraphObject) -> str:
         spatial = False
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    rows = ["[\n   " + ",\n   ".join(map(str, row)) + "\n  ]" if row else "[]" for row in base.vertices]
+    rows = ["[\n   " + ",\n   ".join(map(int.__repr__, row)) + "\n  ]" if row else "[]" for row in base.vertices]
     parts = ['{\n "vertices": ', _listed(rows), ',\n "edges": ', _listed([_PAIR % e for e in base.edges])]
     if base.vertex_signs is not None:
         parts += [',\n "vertex_signs": ', _listed([_PAIR % p for p in enumerate(base.vertex_signs)])]

@@ -114,6 +114,14 @@ class TestWriter:
         for obj in family:
             assert serialize_vgf(obj) == serialize_vgf_oracle(obj), obj
 
+    def test_equal_maps_write_equal_text(self):
+        # CombMap takes True for 1; the oracle wrote "true", which no parser reads back
+        ints = CombMap(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5)), (1, -1))
+        bools = CombMap(ints.vertices, ints.edges, (True, -1))
+        assert bools == ints
+        assert serialize_vgf(bools) == serialize_vgf(ints) == serialize_vgf_oracle(ints)
+        assert parse_vgf(serialize_vgf(bools)) == ints
+
 
 class TestParseValidatesOnce:
     def test_one_diagnose_per_document(self, monkeypatch):
