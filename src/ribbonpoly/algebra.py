@@ -368,10 +368,11 @@ def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
     # Phi_n is monic: subtract multiples of it from the top down.
     for i in range(len(coeffs) - 1, degree - 1, -1):
         lead = coeffs[i]
-        if lead:
-            shift = i - degree
-            for j, c in enumerate(phi):
-                coeffs[shift + j] -= lead * c
+        if lead == 0:
+            continue
+        shift = i - degree
+        for j, c in enumerate(phi):
+            coeffs[shift + j] -= lead * c
     del coeffs[degree:]
     coeffs += [0] * (degree - len(coeffs))
     return coeffs
@@ -438,6 +439,7 @@ class CyclotomicElement:
 
     @staticmethod
     def from_rational(conductor: int, value: Scalar) -> "CyclotomicElement":
+        # the degree of Phi_n is phi(n), and cyclotomic_polynomial refuses n < 1
         coeffs = [Fraction(0)] * (len(cyclotomic_polynomial(conductor)) - 1)
         coeffs[0] = _as_fraction(value)
         return CyclotomicElement(conductor, tuple(coeffs))
